@@ -27,6 +27,7 @@ from .synthesis import (
     beam_stability,
     pattern_metrics,
     ratio_sweep,
+    require_metrics_spacing,
     synthesize_pattern,
 )
 
@@ -85,8 +86,11 @@ def _unit_cut(cut: PatternCut) -> PatternCut:
 def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
     ctx = FrequencyContext.from_frequency(_first_frequency(cfg))
     grid_deg = cfg.theta_grid_deg()
+    theta = cfg.theta_grid_rad()
+    if svg:
+        require_metrics_spacing(theta)
     cut = synthesize_pattern(
-        cfg.excitation_weights(), cfg.theta_grid_rad(),
+        cfg.excitation_weights(), theta,
         cfg.slot_spec(), cfg.monopole_spec(), cfg.array_layout(), ctx,
     )
     rows = [

@@ -4,12 +4,16 @@ Config files carry external units (millimeters, gigahertz, degrees) and
 those values are stored verbatim so a load, serialize, load cycle is the
 identity. Conversion to SI happens only in the materializer methods that
 build the model-layer spec objects.
+
+The section dataclasses are the schema: parsing, defaults, unknown-key
+rejection and serialization all walk their fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -23,72 +27,97 @@ class ConfigError(ValueError):
     """Raised for config parse or validation failures."""
 
 
-_CURRENT_MODELS = ("sinusoidal", "triangular")
+_CURRENT_MODELS = tuple(model.value for model in CurrentModel)
+
+# Most points a theta or frequency grid may expand to.
+MAX_GRID_POINTS = 100_000
+
+# The per-field rules, by name. A field's annotation (text, by the
+# __future__ import) names its JSON type and its metadata may name one value
+# check; a field with no default is required. Numbers are checked for
+# finiteness last, so a value that also fails its own check reports that check.
+_RULES = {
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
+    "str": (lambda v: isinstance(v, str), "must be a string"),
+    "positive": (lambda v: v > 0, "must be > 0"),
+    "step": (lambda v: v > 0, "step must be > 0"),
+    "non_negative": (lambda v: v >= 0, "must be >= 0"),
+    "at_least_one": (lambda v: v >= 1, "must be >= 1"),
+    "current_model": (lambda v: v in _CURRENT_MODELS, f"must be one of {_CURRENT_MODELS}"),
+    # also rejects integers too large for a float
+    "finite": (lambda v: abs(v) <= sys.float_info.max, "must be finite"),
+}
+
+
+def _checked(check, default=MISSING, **kwargs):
+    return field(default=default, metadata={"check": check}, **kwargs)
 
 
 @dataclass(frozen=True)
 class SlotConfig:
-    length_mm: float = 4.8
-    amplitude_e0: float = 1.0
+    length_mm: float = _checked("positive", 4.8)
+    amplitude_e0: float = _checked("positive", 1.0)
 
 
 @dataclass(frozen=True)
 class MonopoleConfig:
-    height_mm: float = 1.2
-    ground_radius_mm: float = 5.0
-    current_model: str = "sinusoidal"
+    height_mm: float = _checked("positive", 1.2)
+    ground_radius_mm: float = _checked("positive", 5.0)
+    current_model: str = _checked("current_model", "sinusoidal")
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    count_nx: int = 1
-    count_ny: int = 2
-    spacing_dx_mm: float = 1.2
-    spacing_dy_mm: float = 1.2
+    count_nx: int = _checked("at_least_one", 1)
+    count_ny: int = _checked("at_least_one", 2)
+    spacing_dx_mm: float = _checked("positive", 1.2)
+    spacing_dy_mm: float = _checked("positive", 1.2)
 
 
 @dataclass(frozen=True)
 class StripConfig:
-    width_mm: float = 0.24
-    length_mm: float = 1.98
+    width_mm: float = _checked("positive", 0.24)
+    length_mm: float = _checked("positive", 1.98)
     substrate: str = "FR4"
     # dielectric height under the strip (the thin top layer of the stack),
     # independent of the named substrate's slab thickness
-    substrate_thickness_mm: float = 0.1
-    conductivity_s_per_m: float = 5.8e7
-    roughness_um: float = 0.0
+    substrate_thickness_mm: float = _checked("positive", 0.1)
+    conductivity_s_per_m: float = _checked("positive", 5.8e7)
+    roughness_um: float = _checked("non_negative", 0.0)
 
 
 @dataclass(frozen=True)
 class SubstrateConfig:
-    eps_r: float
-    tan_delta: float
-    thickness_mm: float
+    eps_r: float = _checked("at_least_one")
+    tan_delta: float = _checked("non_negative")
+    thickness_mm: float = _checked("positive")
 
 
 @dataclass(frozen=True)
 class FrequencyGridConfig:
-    start_ghz: float = 32.4
-    stop_ghz: float = 32.4
-    step_ghz: float = 1.0
+    start_ghz: float = _checked("positive", 32.4)
+    stop_ghz: float = 32.4  # when absent: max(32.4, start_ghz)
+    step_ghz: float = _checked("step", 1.0)
 
 
 @dataclass(frozen=True)
 class ThetaGridConfig:
     start_deg: float = -90.0
     stop_deg: float = 90.0
-    step_deg: float = 0.25
-
-
-def _default_ratios() -> tuple:
-    return tuple(i / 10 for i in range(1, 11))
+    step_deg: float = _checked("step", 0.25)
 
 
 @dataclass(frozen=True)
 class WeightsConfig:
-    s1: float = 1.0
-    s2: float = 0.3
-    ratios: tuple = field(default_factory=_default_ratios)
+    s1: float = _checked("non_negative", 1.0)
+    s2: float = _checked("non_negative", 0.3)
+    # a non-empty array whose every entry passes the check
+    ratios: tuple = _checked("positive", default_factory=lambda: tuple(i / 10 for i in range(1, 11)))
+
+
+# RunConfig sections that sit under "geometry" in the JSON form
+_GEOMETRY = ("slot", "monopole", "array", "strip")
 
 
 @dataclass(frozen=True)
@@ -99,7 +128,7 @@ class RunConfig:
     monopole: MonopoleConfig = MonopoleConfig()
     array: ArrayConfig = ArrayConfig()
     strip: StripConfig = StripConfig()
-    substrates: dict = field(default_factory=dict)
+    substrates: dict = field(default_factory=dict)  # name -> SubstrateConfig
     frequency_grid: FrequencyGridConfig = FrequencyGridConfig()
     theta_grid: ThetaGridConfig = ThetaGridConfig()
     weights: WeightsConfig = WeightsConfig()
@@ -111,19 +140,12 @@ class RunConfig:
         return SlotSpec(self.slot.length_mm * 1e-3, self.slot.amplitude_e0)
 
     def monopole_spec(self) -> MonopoleSpec:
-        return MonopoleSpec(
-            self.monopole.height_mm * 1e-3,
-            self.monopole.ground_radius_mm * 1e-3,
-            CurrentModel(self.monopole.current_model),
-        )
+        m = self.monopole
+        return MonopoleSpec(m.height_mm * 1e-3, m.ground_radius_mm * 1e-3, CurrentModel(m.current_model))
 
     def array_layout(self) -> ArrayLayout:
-        return ArrayLayout(
-            self.array.count_nx,
-            self.array.count_ny,
-            self.array.spacing_dx_mm * 1e-3,
-            self.array.spacing_dy_mm * 1e-3,
-        )
+        a = self.array
+        return ArrayLayout(a.count_nx, a.count_ny, a.spacing_dx_mm * 1e-3, a.spacing_dy_mm * 1e-3)
 
     def geometry(self) -> AntennaGeometry:
         return AntennaGeometry(self.slot_spec(), self.monopole_spec(), self.array_layout())
@@ -135,24 +157,13 @@ class RunConfig:
         return table
 
     def strip_spec(self) -> MicrostripSpec:
-        table = self.substrate_table()
-        if self.strip.substrate not in table:
-            raise ConfigError(
-                f"geometry.strip.substrate: unknown substrate '{self.strip.substrate}'"
-            )
-        material = table[self.strip.substrate]
-        layer = SubstrateSpec(
-            material.name,
-            material.eps_r,
-            material.tan_delta,
-            self.strip.substrate_thickness_mm * 1e-3,
-        )
+        s = self.strip
+        material = self.substrate_table().get(s.substrate)
+        if material is None:
+            raise ConfigError(f"geometry.strip.substrate: unknown substrate '{s.substrate}'")
+        layer = replace(material, thickness_h=s.substrate_thickness_mm * 1e-3)
         return MicrostripSpec(
-            self.strip.width_mm * 1e-3,
-            self.strip.length_mm * 1e-3,
-            layer,
-            self.strip.conductivity_s_per_m,
-            self.strip.roughness_um * 1e-6,
+            s.width_mm * 1e-3, s.length_mm * 1e-3, layer, s.conductivity_s_per_m, s.roughness_um * 1e-6
         )
 
     def excitation_weights(self) -> ExcitationWeights:
@@ -170,223 +181,75 @@ class RunConfig:
         return np.radians(self.theta_grid_deg())
 
 
-def _require_mapping(value, path: str) -> dict:
+def _object(value, path: str, known=None) -> dict:
+    # The mapping at path ("" for the top level); its keys must be in known, if given.
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object")
+        raise ConfigError(f"{path or 'config'}: must be an object")
+    for key in value:
+        if known is not None and key not in known:
+            raise ConfigError(f"unknown key: {path}.{key}" if path else f"unknown key: {key}")
     return value
 
 
-def _reject_unknown(mapping: dict, path: str, known) -> None:
-    for key in mapping:
-        if key not in known:
-            where = f"{path}.{key}" if path else str(key)
-            raise ConfigError(f"unknown key: {where}")
+def _scalar(kind: str, check, value, where: str):
+    for rule in (kind, check, "finite" if kind == "float" else None):
+        if rule and not _RULES[rule][0](value):
+            raise ConfigError(f"{where}: {_RULES[rule][1]}")
+    return float(value) if kind == "float" else value
 
 
-def _number(mapping: dict, path: str, key: str, default):
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: must be a number")
-    return float(v)
-
-
-def _integer(mapping: dict, path: str, key: str, default):
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: must be an integer")
-    return int(v)
-
-
-def _text(mapping: dict, path: str, key: str, default):
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: must be a string")
-    return v
-
-
-def _positive(value: float, where: str) -> float:
-    if not value > 0:
-        raise ConfigError(f"{where}: must be > 0")
-    return value
-
-
-def _non_negative(value: float, where: str) -> float:
-    if value < 0:
-        raise ConfigError(f"{where}: must be >= 0")
-    return value
-
-
-def _parse_slot(data, path) -> SlotConfig:
-    d = _require_mapping(data, path)
-    _reject_unknown(d, path, ("length_mm", "amplitude_e0"))
-    dft = SlotConfig()
-    return SlotConfig(
-        _positive(_number(d, path, "length_mm", dft.length_mm), f"{path}.length_mm"),
-        _positive(_number(d, path, "amplitude_e0", dft.amplitude_e0), f"{path}.amplitude_e0"),
-    )
-
-
-def _parse_monopole(data, path) -> MonopoleConfig:
-    d = _require_mapping(data, path)
-    _reject_unknown(d, path, ("height_mm", "ground_radius_mm", "current_model"))
-    dft = MonopoleConfig()
-    model = _text(d, path, "current_model", dft.current_model)
-    if model not in _CURRENT_MODELS:
-        raise ConfigError(f"{path}.current_model: must be one of {_CURRENT_MODELS}")
-    return MonopoleConfig(
-        _positive(_number(d, path, "height_mm", dft.height_mm), f"{path}.height_mm"),
-        _positive(_number(d, path, "ground_radius_mm", dft.ground_radius_mm), f"{path}.ground_radius_mm"),
-        model,
-    )
-
-
-def _parse_array(data, path) -> ArrayConfig:
-    d = _require_mapping(data, path)
-    _reject_unknown(d, path, ("count_nx", "count_ny", "spacing_dx_mm", "spacing_dy_mm"))
-    dft = ArrayConfig()
-    nx = _integer(d, path, "count_nx", dft.count_nx)
-    ny = _integer(d, path, "count_ny", dft.count_ny)
-    if nx < 1:
-        raise ConfigError(f"{path}.count_nx: must be >= 1")
-    if ny < 1:
-        raise ConfigError(f"{path}.count_ny: must be >= 1")
-    return ArrayConfig(
-        nx,
-        ny,
-        _positive(_number(d, path, "spacing_dx_mm", dft.spacing_dx_mm), f"{path}.spacing_dx_mm"),
-        _positive(_number(d, path, "spacing_dy_mm", dft.spacing_dy_mm), f"{path}.spacing_dy_mm"),
-    )
-
-
-def _parse_strip(data, path) -> StripConfig:
-    d = _require_mapping(data, path)
-    _reject_unknown(
-        d, path,
-        ("width_mm", "length_mm", "substrate", "substrate_thickness_mm",
-         "conductivity_s_per_m", "roughness_um"),
-    )
-    dft = StripConfig()
-    return StripConfig(
-        _positive(_number(d, path, "width_mm", dft.width_mm), f"{path}.width_mm"),
-        _positive(_number(d, path, "length_mm", dft.length_mm), f"{path}.length_mm"),
-        _text(d, path, "substrate", dft.substrate),
-        _positive(
-            _number(d, path, "substrate_thickness_mm", dft.substrate_thickness_mm),
-            f"{path}.substrate_thickness_mm",
-        ),
-        _positive(_number(d, path, "conductivity_s_per_m", dft.conductivity_s_per_m), f"{path}.conductivity_s_per_m"),
-        _non_negative(_number(d, path, "roughness_um", dft.roughness_um), f"{path}.roughness_um"),
-    )
-
-
-def _parse_substrates(data, path) -> dict:
-    d = _require_mapping(data, path)
-    out = {}
-    for name, entry in d.items():
-        sub_path = f"{path}.{name}"
-        e = _require_mapping(entry, sub_path)
-        _reject_unknown(e, sub_path, ("eps_r", "tan_delta", "thickness_mm"))
-        for required in ("eps_r", "tan_delta", "thickness_mm"):
-            if required not in e:
-                raise ConfigError(f"{sub_path}.{required}: required")
-        eps_r = _number(e, sub_path, "eps_r", None)
-        if eps_r < 1:
-            raise ConfigError(f"{sub_path}.eps_r: must be >= 1")
-        out[name] = SubstrateConfig(
-            eps_r,
-            _non_negative(_number(e, sub_path, "tan_delta", None), f"{sub_path}.tan_delta"),
-            _positive(_number(e, sub_path, "thickness_mm", None), f"{sub_path}.thickness_mm"),
-        )
-    return out
-
-
-def _parse_frequency_grid(data, path) -> FrequencyGridConfig:
-    d = _require_mapping(data, path)
-    _reject_unknown(d, path, ("start_ghz", "stop_ghz", "step_ghz"))
-    dft = FrequencyGridConfig()
-    start = _positive(_number(d, path, "start_ghz", dft.start_ghz), f"{path}.start_ghz")
-    stop = _number(d, path, "stop_ghz", max(dft.stop_ghz, start))
-    step = _number(d, path, "step_ghz", dft.step_ghz)
-    if not step > 0:
-        raise ConfigError(f"{path}.step_ghz: step must be > 0")
-    if stop < start:
-        raise ConfigError(f"{path}.stop_ghz: must be >= start_ghz")
-    return FrequencyGridConfig(start, stop, step)
-
-
-def _parse_theta_grid(data, path) -> ThetaGridConfig:
-    d = _require_mapping(data, path)
-    _reject_unknown(d, path, ("start_deg", "stop_deg", "step_deg"))
-    dft = ThetaGridConfig()
-    start = _number(d, path, "start_deg", dft.start_deg)
-    stop = _number(d, path, "stop_deg", dft.stop_deg)
-    step = _number(d, path, "step_deg", dft.step_deg)
-    if not step > 0:
-        raise ConfigError(f"{path}.step_deg: step must be > 0")
-    if stop < start:
-        raise ConfigError(f"{path}.stop_deg: must be >= start_deg")
-    if start < -90.0 or stop > 90.0:
-        raise ConfigError(f"{path}: angles must lie within [-90, 90] degrees")
-    return ThetaGridConfig(start, stop, step)
-
-
-def _parse_weights(data, path) -> WeightsConfig:
-    d = _require_mapping(data, path)
-    _reject_unknown(d, path, ("s1", "s2", "ratios"))
-    dft = WeightsConfig()
-    s1 = _non_negative(_number(d, path, "s1", dft.s1), f"{path}.s1")
-    s2 = _non_negative(_number(d, path, "s2", dft.s2), f"{path}.s2")
-    if s1 == 0 and s2 == 0:
-        raise ConfigError(f"{path}: s1 and s2 must not both be zero")
-    ratios = dft.ratios
-    if "ratios" in d:
-        raw = d["ratios"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{path}.ratios: must be a non-empty array of numbers")
-        vals = []
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{path}.ratios[{i}]: must be a number")
-            if not v > 0:
-                raise ConfigError(f"{path}.ratios[{i}]: must be > 0")
-            vals.append(float(v))
-        ratios = tuple(vals)
-    return WeightsConfig(s1, s2, ratios)
+def _section(cls, data, path: str):
+    d = _object(data, path, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
+    values = {}
+    for f in (f for f in fields(cls) if f.name in d):
+        where, check, raw = f"{path}.{f.name}", f.metadata.get("check"), d[f.name]
+        if f.type != "tuple":
+            values[f.name] = _scalar(f.type, check, raw, where)
+        elif not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{where}: must be a non-empty array of numbers")
+        else:
+            values[f.name] = tuple(_scalar("float", check, v, f"{where}[{i}]") for i, v in enumerate(raw))
+    return cls(**values)
 
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed JSON object and fill defaults for absent fields."""
-    top = _require_mapping(data, "config")
-    _reject_unknown(
-        top, "",
-        ("geometry", "substrates", "frequency_grid", "theta_grid", "weights", "output_dir"),
-    )
-    slot, monopole, array, strip = SlotConfig(), MonopoleConfig(), ArrayConfig(), StripConfig()
-    if "geometry" in top:
-        g = _require_mapping(top["geometry"], "geometry")
-        _reject_unknown(g, "geometry", ("slot", "monopole", "array", "strip"))
-        if "slot" in g:
-            slot = _parse_slot(g["slot"], "geometry.slot")
-        if "monopole" in g:
-            monopole = _parse_monopole(g["monopole"], "geometry.monopole")
-        if "array" in g:
-            array = _parse_array(g["array"], "geometry.array")
-        if "strip" in g:
-            strip = _parse_strip(g["strip"], "geometry.strip")
-    substrates = _parse_substrates(top["substrates"], "substrates") if "substrates" in top else {}
-    freq = _parse_frequency_grid(top["frequency_grid"], "frequency_grid") if "frequency_grid" in top else FrequencyGridConfig()
-    theta = _parse_theta_grid(top["theta_grid"], "theta_grid") if "theta_grid" in top else ThetaGridConfig()
-    weights = _parse_weights(top["weights"], "weights") if "weights" in top else WeightsConfig()
-    out_dir = _text(top, "config", "output_dir", "out")
-    if "output_dir" in top and not out_dir:
+    top = _object(data, "", ["geometry"] + [f.name for f in fields(RunConfig) if f.name not in _GEOMETRY])
+    geometry = _object(top.get("geometry", {}), "geometry", _GEOMETRY)
+    values = {}
+    for f in fields(RunConfig):
+        src, path = (geometry, f"geometry.{f.name}") if f.name in _GEOMETRY else (top, f.name)
+        if f.name not in src or f.name == "output_dir":  # output_dir reports after the sections
+            continue
+        if f.name == "substrates":
+            entries = _object(src[f.name], path).items()
+            values[f.name] = {k: _section(SubstrateConfig, v, f"{path}.{k}") for k, v in entries}
+        else:
+            values[f.name] = _section(type(f.default), src[f.name], path)
+    cfg = RunConfig(**values)
+
+    # checks that span fields, in the order they report
+    freq, theta = cfg.frequency_grid, cfg.theta_grid
+    if "stop_ghz" not in top.get("frequency_grid", {}):
+        freq = replace(freq, stop_ghz=max(freq.stop_ghz, freq.start_ghz))
+    if freq.stop_ghz < freq.start_ghz:
+        raise ConfigError("frequency_grid.stop_ghz: must be >= start_ghz")
+    if theta.stop_deg < theta.start_deg:
+        raise ConfigError("theta_grid.stop_deg: must be >= start_deg")
+    if theta.start_deg < -90.0 or theta.stop_deg > 90.0:
+        raise ConfigError("theta_grid: angles must lie within [-90, 90] degrees")
+    if cfg.weights.s1 == 0 and cfg.weights.s2 == 0:
+        raise ConfigError("weights: s1 and s2 must not both be zero")
+    out_dir = _scalar("str", None, top.get("output_dir", "out"), "config.output_dir")
+    if not out_dir:
         raise ConfigError("output_dir: must be a non-empty string")
-    cfg = RunConfig(slot, monopole, array, strip, substrates, freq, theta, weights, out_dir)
+    for path, (start, stop, step) in (("frequency_grid", astuple(freq)), ("theta_grid", astuple(theta))):
+        if (stop - start) / step + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
+            raise ConfigError(f"{path}: grid must have at most {MAX_GRID_POINTS} points")
+    cfg = replace(cfg, frequency_grid=freq, output_dir=out_dir)
     cfg.strip_spec()  # referenced substrate preset must resolve
     return cfg
 
@@ -398,62 +261,19 @@ def load_config(path) -> RunConfig:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ConfigError(f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     return parse_config(data)
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {name: _plain(entry) for name, entry in sorted(value.items())}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def serialize_config(cfg: RunConfig) -> dict:
     """Full-form JSON object for a config; inverse of parse_config."""
-    return {
-        "geometry": {
-            "slot": {
-                "length_mm": cfg.slot.length_mm,
-                "amplitude_e0": cfg.slot.amplitude_e0,
-            },
-            "monopole": {
-                "height_mm": cfg.monopole.height_mm,
-                "ground_radius_mm": cfg.monopole.ground_radius_mm,
-                "current_model": cfg.monopole.current_model,
-            },
-            "array": {
-                "count_nx": cfg.array.count_nx,
-                "count_ny": cfg.array.count_ny,
-                "spacing_dx_mm": cfg.array.spacing_dx_mm,
-                "spacing_dy_mm": cfg.array.spacing_dy_mm,
-            },
-            "strip": {
-                "width_mm": cfg.strip.width_mm,
-                "length_mm": cfg.strip.length_mm,
-                "substrate": cfg.strip.substrate,
-                "substrate_thickness_mm": cfg.strip.substrate_thickness_mm,
-                "conductivity_s_per_m": cfg.strip.conductivity_s_per_m,
-                "roughness_um": cfg.strip.roughness_um,
-            },
-        },
-        "substrates": {
-            name: {
-                "eps_r": sc.eps_r,
-                "tan_delta": sc.tan_delta,
-                "thickness_mm": sc.thickness_mm,
-            }
-            for name, sc in sorted(cfg.substrates.items())
-        },
-        "frequency_grid": {
-            "start_ghz": cfg.frequency_grid.start_ghz,
-            "stop_ghz": cfg.frequency_grid.stop_ghz,
-            "step_ghz": cfg.frequency_grid.step_ghz,
-        },
-        "theta_grid": {
-            "start_deg": cfg.theta_grid.start_deg,
-            "stop_deg": cfg.theta_grid.stop_deg,
-            "step_deg": cfg.theta_grid.step_deg,
-        },
-        "weights": {
-            "s1": cfg.weights.s1,
-            "s2": cfg.weights.s2,
-            "ratios": list(cfg.weights.ratios),
-        },
-        "output_dir": cfg.output_dir,
-    }
+    flat = _plain(cfg)
+    return {"geometry": {name: flat.pop(name) for name in _GEOMETRY}, **flat}

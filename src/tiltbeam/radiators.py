@@ -26,11 +26,6 @@ from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, bessel_j1, integrate_co
 # so closed-form frequency predictions land on their conventional values.
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
-# These two appear only in the common pre-factor of the field terms and
-# cancel under normalization; kept as named constants for reference.
-FREE_SPACE_IMPEDANCE = 376.730  # ohm
-FAR_FIELD_DISTANCE = 1.0  # m
-
 # Ground return current J(rho) = J0 exp(-j k rho) / rho, truncated at an
 # inner radius of 0.05 wavelengths to dodge the 1/rho singularity.
 GROUND_INNER_RADIUS_WAVELENGTHS = 0.05

@@ -214,6 +214,13 @@ def _crossing(grid_deg: np.ndarray, mags: np.ndarray, i_peak: int, level: float,
     return None
 
 
+def require_metrics_spacing(theta_grid) -> None:
+    """Raise pattern_metrics' coarse-grid error; studies call it before any field evaluation."""
+    grid_deg = np.degrees(np.asarray(theta_grid, dtype=float))
+    if grid_deg.size > 1 and np.max(np.diff(grid_deg)) > 0.5 + 1e-9:
+        raise ValueError("pattern_metrics: grid spacing must be <= 0.5 degrees")
+
+
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     """Tilt, sidelobe level, and -3 dB beamwidth of a normalized cut.
 
@@ -231,8 +238,7 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     n = mags.size
     if n == 1:
         return PatternMetrics(float(grid_deg[0]), -math.inf, math.nan, float(mags[0]), True)
-    if np.max(np.diff(grid_deg)) > 0.5 + 1e-9:
-        raise ValueError("pattern_metrics: grid spacing must be <= 0.5 degrees")
+    require_metrics_spacing(cut.theta_grid)
 
     i_peak = int(np.argmax(mags))
     peak = float(mags[i_peak])
@@ -296,6 +302,7 @@ def ratio_sweep(
     if any(not r > 0 for r in ratios):
         raise ValueError("ratio_sweep: ratios must be positive")
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
+    require_metrics_spacing(grid)
     slot_vals = _slot_term(grid).astype(complex)
     mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx, quad)
     rows = []
@@ -329,6 +336,7 @@ def beam_stability(
         if not BAND_MIN_HZ <= f <= BAND_MAX_HZ:
             raise ValueError("beam_stability: frequency outside the 20 to 45 GHz band")
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
+    require_metrics_spacing(grid)
 
     metrics_cache: dict[float, PatternMetrics] = {}
 

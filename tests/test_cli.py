@@ -6,6 +6,7 @@ import math
 import pytest
 
 import tiltbeam.cli as cli
+from tiltbeam import radiators, synthesis
 from tiltbeam.config import parse_config
 from tiltbeam.specfun import ConvergenceError
 
@@ -228,6 +229,24 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 0}})
         assert run(["pattern", "--config", cfg]) == 2
         assert "theta_grid.step_deg: step must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["ratio-sweep"], ["stability"], ["pattern", "--svg"]])
+    def test_coarse_grid_fails_before_field_evaluation(self, tmp_path, capsys, monkeypatch, args):
+        def no_post(*a, **k):
+            raise AssertionError("post field evaluated")
+
+        monkeypatch.setattr(radiators, "monopole_pattern", no_post)
+        monkeypatch.setattr(synthesis, "monopole_pattern", no_post)
+        cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1.0}})
+        out = tmp_path / "out"
+        assert run(args + ["--config", cfg, "--out", out]) == 2
+        assert "error: pattern_metrics: grid spacing must be <= 0.5 degrees" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1e-12}})
+        assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "theta_grid: grid must have at most" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"geometry": {"slot": {"len_mm": 4.8}}})

@@ -3,11 +3,17 @@ JSON round trip."""
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tiltbeam.circuitmodel import SUBSTRATE_PRESETS
 from tiltbeam.config import (
+    MAX_GRID_POINTS,
     ConfigError,
     RunConfig,
     load_config,
@@ -213,3 +219,238 @@ def test_angle_conversion_consistency():
     rad = cfg.theta_grid_rad()
     assert rad[0] == pytest.approx(-math.pi / 4, rel=1e-15)
     assert rad[-1] == pytest.approx(math.pi / 4, rel=1e-15)
+
+
+def _at(section, key, value):
+    """Config whose only entry is one key of one section."""
+    if section in ("slot", "monopole", "array", "strip"):
+        return {"geometry": {section: {key: value}}}
+    return {section: {key: value}}
+
+
+def _substrate(**entry):
+    base = {"eps_r": 3.0, "tan_delta": 0.001, "thickness_mm": 0.8}
+    base.update(entry)
+    return {"substrates": {"X": {k: v for k, v in base.items() if v is not None}}}
+
+
+# One single-fault input per field and rule, with the exact message each
+# must keep producing.
+_FIELD_RULES = [
+    ("slot", "length_mm", "positive"),
+    ("slot", "amplitude_e0", "positive"),
+    ("monopole", "height_mm", "positive"),
+    ("monopole", "ground_radius_mm", "positive"),
+    ("array", "spacing_dx_mm", "positive"),
+    ("array", "spacing_dy_mm", "positive"),
+    ("strip", "width_mm", "positive"),
+    ("strip", "length_mm", "positive"),
+    ("strip", "substrate_thickness_mm", "positive"),
+    ("strip", "conductivity_s_per_m", "positive"),
+    ("strip", "roughness_um", "non_negative"),
+    ("frequency_grid", "start_ghz", "positive"),
+    ("frequency_grid", "stop_ghz", None),
+    ("frequency_grid", "step_ghz", "step"),
+    ("theta_grid", "start_deg", None),
+    ("theta_grid", "stop_deg", None),
+    ("theta_grid", "step_deg", "step"),
+    ("weights", "s1", "non_negative"),
+    ("weights", "s2", "non_negative"),
+]
+_BAD_VALUE = {"positive": (0.0, "must be > 0"), "non_negative": (-1.0, "must be >= 0"),
+              "step": (0.0, "step must be > 0")}
+
+
+def _message_cases():
+    cases = []
+    for section, key, rule in _FIELD_RULES:
+        prefix = f"geometry.{section}" if section in ("slot", "monopole", "array", "strip") else section
+        cases.append((_at(section, key, "1"), f"{prefix}.{key}: must be a number"))
+        cases.append((_at(section, key, True), f"{prefix}.{key}: must be a number"))
+        if rule:
+            value, message = _BAD_VALUE[rule]
+            cases.append((_at(section, key, value), f"{prefix}.{key}: {message}"))
+    for key in ("count_nx", "count_ny"):
+        cases.append((_at("array", key, 2.0), f"geometry.array.{key}: must be an integer"))
+        cases.append((_at("array", key, 0), f"geometry.array.{key}: must be >= 1"))
+    cases += [
+        (_at("monopole", "current_model", 1), "geometry.monopole.current_model: must be a string"),
+        (_at("monopole", "current_model", "square"),
+         "geometry.monopole.current_model: must be one of ('sinusoidal', 'triangular')"),
+        (_at("strip", "substrate", 4.4), "geometry.strip.substrate: must be a string"),
+        (_at("strip", "substrate", "NOPE"), "geometry.strip.substrate: unknown substrate 'NOPE'"),
+        (_substrate(eps_r=None), "substrates.X.eps_r: required"),
+        (_substrate(tan_delta=None), "substrates.X.tan_delta: required"),
+        (_substrate(thickness_mm=None), "substrates.X.thickness_mm: required"),
+        (_substrate(eps_r="3"), "substrates.X.eps_r: must be a number"),
+        (_substrate(eps_r=0.5), "substrates.X.eps_r: must be >= 1"),
+        (_substrate(tan_delta="0"), "substrates.X.tan_delta: must be a number"),
+        (_substrate(tan_delta=-0.1), "substrates.X.tan_delta: must be >= 0"),
+        (_substrate(thickness_mm="1"), "substrates.X.thickness_mm: must be a number"),
+        (_substrate(thickness_mm=0.0), "substrates.X.thickness_mm: must be > 0"),
+        (_substrate(bogus=1), "unknown key: substrates.X.bogus"),
+        ({"substrates": {"X": 3}}, "substrates.X: must be an object"),
+        ({"substrates": []}, "substrates: must be an object"),
+        ({"frequency_grid": {"start_ghz": 40.0, "stop_ghz": 30.0}},
+         "frequency_grid.stop_ghz: must be >= start_ghz"),
+        ({"theta_grid": {"start_deg": 10.0, "stop_deg": 0.0}}, "theta_grid.stop_deg: must be >= start_deg"),
+        ({"theta_grid": {"start_deg": -100.0}}, "theta_grid: angles must lie within [-90, 90] degrees"),
+        ({"theta_grid": {"stop_deg": 90.5}}, "theta_grid: angles must lie within [-90, 90] degrees"),
+        ({"weights": {"s1": 0, "s2": 0}}, "weights: s1 and s2 must not both be zero"),
+        (_at("weights", "ratios", []), "weights.ratios: must be a non-empty array of numbers"),
+        (_at("weights", "ratios", 0.5), "weights.ratios: must be a non-empty array of numbers"),
+        (_at("weights", "ratios", [0.5, "1"]), "weights.ratios[1]: must be a number"),
+        (_at("weights", "ratios", [0.5, 0.0]), "weights.ratios[1]: must be > 0"),
+        ({"output_dir": 7}, "config.output_dir: must be a string"),
+        ({"output_dir": ""}, "output_dir: must be a non-empty string"),
+        ([1, 2], "config: must be an object"),
+        ({"bogus": {}}, "unknown key: bogus"),
+        ({"geometry": 7}, "geometry: must be an object"),
+        ({"geometry": {"bogus": {}}}, "unknown key: geometry.bogus"),
+    ]
+    for section in ("slot", "monopole", "array", "strip"):
+        cases.append(({"geometry": {section: 1}}, f"geometry.{section}: must be an object"))
+        cases.append((_at(section, "bogus", 1), f"unknown key: geometry.{section}.bogus"))
+    for section in ("frequency_grid", "theta_grid", "weights"):
+        cases.append(({section: "x"}, f"{section}: must be an object"))
+        cases.append((_at(section, "bogus", 1), f"unknown key: {section}.bogus"))
+    return cases
+
+
+_MESSAGE_CASES = _message_cases()
+
+
+@pytest.mark.parametrize("data, message", _MESSAGE_CASES, ids=[m for _, m in _MESSAGE_CASES])
+def test_single_fault_message_is_exact(data, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert str(exc.value) == message
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("text, message", [
+        ('{"geometry": {"monopole": {"ground_radius_mm": Infinity}}}',
+         "geometry.monopole.ground_radius_mm: must be finite"),
+        ('{"geometry": {"strip": {"length_mm": Infinity}}}', "geometry.strip.length_mm: must be finite"),
+        ('{"frequency_grid": {"stop_ghz": Infinity}}', "frequency_grid.stop_ghz: must be finite"),
+        ('{"theta_grid": {"start_deg": NaN}}', "theta_grid.start_deg: must be finite"),
+        ('{"weights": {"ratios": [0.5, Infinity]}}', "weights.ratios[1]: must be finite"),
+        ('{"substrates": {"X": {"eps_r": Infinity, "tan_delta": 0, "thickness_mm": 1}}}',
+         "substrates.X.eps_r: must be finite"),
+        ('{"geometry": {"slot": {"length_mm": 1' + "0" * 400 + '}}}', "geometry.slot.length_mm: must be finite"),
+    ])
+    def test_rejected_at_load(self, tmp_path, text, message):
+        p = tmp_path / "run.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value) == message
+
+    def test_own_check_reports_first(self):
+        # -Infinity and NaN already fail "> 0", and keep that message
+        for value in (-math.inf, math.nan):
+            with pytest.raises(ConfigError) as exc:
+                parse_config({"geometry": {"slot": {"length_mm": value}}})
+            assert str(exc.value) == "geometry.slot.length_mm: must be > 0"
+
+
+class TestGridCap:
+    # Every input here is rejected by counting, before any grid exists.
+    @pytest.mark.parametrize("data, message", [
+        ({"theta_grid": {"step_deg": 1e-12}}, f"theta_grid: grid must have at most {MAX_GRID_POINTS} points"),
+        ({"frequency_grid": {"start_ghz": 20.0, "stop_ghz": 45.0, "step_ghz": 1e-12}},
+         f"frequency_grid: grid must have at most {MAX_GRID_POINTS} points"),
+        ({"frequency_grid": {"start_ghz": 1.0, "stop_ghz": MAX_GRID_POINTS + 1.0, "step_ghz": 1.0}},
+         f"frequency_grid: grid must have at most {MAX_GRID_POINTS} points"),
+        ({"frequency_grid": {"start_ghz": 1e-300, "stop_ghz": 1e300, "step_ghz": 1e-300}},
+         f"frequency_grid: grid must have at most {MAX_GRID_POINTS} points"),
+    ])
+    def test_oversized_grid_rejected(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert str(exc.value) == message
+
+    def test_cap_is_inclusive(self):
+        cfg = parse_config({"frequency_grid": {"start_ghz": 1.0, "stop_ghz": float(MAX_GRID_POINTS), "step_ghz": 1.0}})
+        assert len(cfg.frequencies_hz()) == MAX_GRID_POINTS
+
+
+_SECTION_KEYS = {
+    "slot": ["length_mm", "amplitude_e0"],
+    "monopole": ["height_mm", "ground_radius_mm", "current_model"],
+    "array": ["count_nx", "count_ny", "spacing_dx_mm", "spacing_dy_mm"],
+    "strip": ["width_mm", "length_mm", "substrate", "substrate_thickness_mm",
+              "conductivity_s_per_m", "roughness_um"],
+    "frequency_grid": ["start_ghz", "stop_ghz", "step_ghz"],
+    "theta_grid": ["start_deg", "stop_deg", "step_deg"],
+    "weights": ["s1", "s2", "ratios"],
+}
+
+
+def _maybe(draw, section: dict) -> dict:
+    return {k: v for k, v in section.items() if draw(st.booleans())}
+
+
+@st.composite
+def valid_configs(draw):
+    def num(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    names = draw(st.lists(st.sampled_from(["CUSTOM", "FR4", "alt", "Z9"]), unique=True, max_size=3))
+    substrates = {n: {"eps_r": num(1.0, 12.0), "tan_delta": num(0.0, 0.1), "thickness_mm": num(1e-3, 5.0)}
+                  for n in names}
+    f_start, t_start = num(1.0, 60.0), num(-90.0, 90.0)
+    s2 = num(0.0, 5.0)
+    geometry = {
+        "slot": _maybe(draw, {"length_mm": num(0.1, 20.0), "amplitude_e0": num(0.01, 10.0)}),
+        "monopole": _maybe(draw, {"height_mm": num(0.1, 5.0), "ground_radius_mm": num(0.5, 20.0),
+                                  "current_model": draw(st.sampled_from(["sinusoidal", "triangular"]))}),
+        "array": _maybe(draw, {"count_nx": draw(st.integers(1, 8)), "count_ny": draw(st.integers(1, 8)),
+                               "spacing_dx_mm": num(0.1, 10.0), "spacing_dy_mm": num(0.1, 10.0)}),
+        "strip": _maybe(draw, {"width_mm": num(0.01, 5.0), "length_mm": num(0.1, 20.0),
+                               "substrate": draw(st.sampled_from(sorted(SUBSTRATE_PRESETS) + names)),
+                               "substrate_thickness_mm": num(0.01, 2.0),
+                               "conductivity_s_per_m": num(1e5, 1e8), "roughness_um": num(0.0, 5.0)}),
+    }
+    frequency_grid = _maybe(draw, {"start_ghz": f_start, "step_ghz": num(0.01, 10.0)})
+    if "start_ghz" in frequency_grid and draw(st.booleans()):
+        frequency_grid["stop_ghz"] = f_start + num(0.0, 50.0)
+    data = {
+        "geometry": _maybe(draw, geometry),
+        "frequency_grid": frequency_grid,
+        "theta_grid": _maybe(draw, {"start_deg": t_start, "stop_deg": num(t_start, 90.0),
+                                    "step_deg": num(0.01, 5.0)}),
+        "weights": _maybe(draw, {"s1": num(0.0, 5.0) if s2 > 0 else num(0.01, 5.0), "s2": s2,
+                                 "ratios": draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12))}),
+        "output_dir": draw(st.text(min_size=1, max_size=8)),
+    }
+    # the strip may name a custom substrate, so the table always goes along
+    return {**_maybe(draw, data), "substrates": substrates}
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(valid_configs())
+    def test_serialize_then_parse_is_identity(self, data):
+        cfg = parse_config(data)
+        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(json.loads(json.dumps(serialize_config(cfg)))) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_configs())
+    def test_serialized_key_order(self, data):
+        out = json.loads(json.dumps(serialize_config(parse_config(data))))
+        assert list(out) == ["geometry", "substrates", "frequency_grid", "theta_grid", "weights", "output_dir"]
+        assert list(out["geometry"]) == ["slot", "monopole", "array", "strip"]
+        for name, keys in _SECTION_KEYS.items():
+            assert list(out["geometry"].get(name, out.get(name))) == keys
+        assert list(out["substrates"]) == sorted(out["substrates"])
+        for entry in out["substrates"].values():
+            assert list(entry) == ["eps_r", "tan_delta", "thickness_mm"]
+
+
+def test_readme_default_config_matches_serializer():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Config.*?```json\n(.*?)```", readme, re.S).group(1)
+    documented = json.loads(block)
+    assert json.dumps(documented) == json.dumps(serialize_config(parse_config({})))
