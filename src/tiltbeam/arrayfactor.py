@@ -3,9 +3,10 @@ phasor sum for line arrays."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -38,27 +39,33 @@ class SteeringCommand:
             raise ValueError("SteeringCommand: |steer_theta0| must be < pi/2")
 
 
-def _factor(n: int, psi: float) -> float:
+def _factor(n: int, psi: np.ndarray) -> np.ndarray:
     # |sin(n psi) / (n sin psi)| with the removable singularity filled by
     # its limit: psi at a multiple of pi means all element phasors align.
     if n == 1:
-        return 1.0
-    if abs(math.remainder(psi, math.pi)) < 1e-12:
-        return 1.0
-    return abs(math.sin(n * psi) / (n * math.sin(psi)))
+        return np.ones_like(psi)
+    aligned = np.abs(psi - math.pi * np.round(psi / math.pi)) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(aligned, 1.0, np.abs(np.sin(n * psi) / (n * np.sin(psi))))
 
 
-def array_factor(layout: ArrayLayout, theta: float, phi: float, lam: float) -> float:
+def _scalar_or_array(value: np.ndarray):
+    return value.item() if value.ndim == 0 else value
+
+
+def array_factor(layout: ArrayLayout, theta, phi, lam: float):
     """Separable two-axis array factor, each axis normalized to peak 1.
 
     The x axis factor depends on sin(theta), the y axis factor on sin(phi),
-    following the separable printed form. Result lies in [0, 1].
+    following the separable printed form. Result lies in [0, 1]. theta and
+    phi may be numpy arrays, which broadcast; scalars give a float.
     """
     if not lam > 0:
         raise ValueError("array_factor: lam must be > 0")
-    fx = _factor(layout.count_Nx, math.pi * layout.spacing_dx * math.sin(theta) / lam)
-    fy = _factor(layout.count_Ny, math.pi * layout.spacing_dy * math.sin(phi) / lam)
-    return min(fx * fy, 1.0)
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    fx = _factor(layout.count_Nx, math.pi * layout.spacing_dx * np.sin(theta) / lam)
+    fy = _factor(layout.count_Ny, math.pi * layout.spacing_dy * np.sin(phi) / lam)
+    return _scalar_or_array(np.minimum(fx * fy, 1.0))
 
 
 def _line_axis(layout: ArrayLayout) -> tuple[int, float]:
@@ -70,20 +77,18 @@ def _line_axis(layout: ArrayLayout) -> tuple[int, float]:
     raise ValueError("layout must be a 1xN line along one axis")
 
 
-def steered_array_factor(layout: ArrayLayout, cmd: SteeringCommand, theta: float, lam: float) -> complex:
+def steered_array_factor(layout: ArrayLayout, cmd: SteeringCommand, theta, lam: float):
     """Mean element phasor of a scanned 1xN line array.
 
     Returns (1/N) * sum_n exp(j n k d (sin theta - sin theta0)), an explicit
     sum rather than a shifted closed form, so grating lobes and scan squint
-    emerge on their own. Magnitude is 1 at theta = theta0.
+    emerge on their own. Magnitude is 1 at theta = theta0. theta may be a
+    numpy array; the sum is then one (theta x element) outer product, and a
+    scalar gives a complex.
     """
     if not lam > 0:
         raise ValueError("steered_array_factor: lam must be > 0")
     n, d = _line_axis(layout)
-    if n == 1:
-        return 1 + 0j
-    delta = (2.0 * math.pi / lam) * d * (math.sin(theta) - math.sin(cmd.steer_theta0))
-    acc = 0j
-    for i in range(n):
-        acc += cmath.exp(1j * (i * delta))
-    return acc / n
+    delta = (2.0 * math.pi / lam) * d * (np.sin(np.asarray(theta, dtype=float)) - math.sin(cmd.steer_theta0))
+    phasors = np.exp(1j * np.multiply.outer(delta, np.arange(n)))
+    return _scalar_or_array(phasors.sum(axis=-1) / n)

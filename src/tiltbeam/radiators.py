@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec, bessel_j1, integrate_complex
+from .specfun import DEFAULT_QUADRATURE, ConvergenceError, QuadratureSpec, bessel_j1, integrate_complex
 
 # Engineering value used across the model, chosen over the exact SI constant
 # so closed-form frequency predictions land on their conventional values.
@@ -30,17 +30,19 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 # inner radius of 0.05 wavelengths to dodge the 1/rho singularity.
 GROUND_INNER_RADIUS_WAVELENGTHS = 0.05
 
-# Reference geometry that fixes the calibration of J0: a quarter-wave post
-# over a two-wavelength ground disc.
+# Calibration constant J0 of the ground return current: its magnitude makes
+# the post and ground terms peak equally over the normalization grid on a
+# quarter-wave post over a two-wavelength disc, integrated at _CAL_QUAD (the
+# tests re-derive it). It is negative: the return current flows inward, and
+# that phase keeps the reference peak in the outer quadrant, not broadside.
 _CAL_KH = 0.5 * math.pi
 _CAL_KA = 4.0 * math.pi
 _CAL_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)
+_GROUND_CURRENT_J0 = -0.180681294388854
 
 # Fixed angular grid used to locate the normalization peak.
 NORMALIZATION_STEP_DEG = 0.25
-_NORM_GRID_RAD: tuple = tuple(
-    np.radians(np.arange(0.0, 90.0 + 0.5 * NORMALIZATION_STEP_DEG, NORMALIZATION_STEP_DEG)).tolist()
-)
+_NORM_GRID_RAD = np.radians(np.arange(0.0, 90.0 + 0.5 * NORMALIZATION_STEP_DEG, NORMALIZATION_STEP_DEG))
 
 # Common scale on both field terms. It cancels in the normalized output;
 # tests flip it to confirm the cancellation.
@@ -138,27 +140,28 @@ def monopole_coupling_weight(position_y: float, slot: SlotSpec) -> float:
     return abs(math.cos(math.pi * position_y / slot.length_L))
 
 
-def _current(u: float, kh: float, model: CurrentModel) -> float:
-    if model is CurrentModel.SINUSOIDAL:
-        return math.sin(kh - u)
-    return 1.0 - u / kh
+def _integrate(kernel, a: float, b: float, quad: QuadratureSpec, theta: np.ndarray, term: str) -> np.ndarray:
+    # One integral for all angles; a failure names the term and its worst angle.
+    try:
+        return integrate_complex(kernel, a, b, quad)
+    except ConvergenceError as exc:
+        where = f"{term} at theta = {math.degrees(theta[exc.index]):.6g} deg"
+        raise ConvergenceError(where, exc.estimate, exc.error_bound) from exc
 
 
-def _post_term(theta: float, kh: float, model: CurrentModel, quad: QuadratureSpec) -> complex:
+def _post_term(theta: np.ndarray, kh: float, model: CurrentModel, quad: QuadratureSpec) -> np.ndarray:
     # (j / 4pi) sin(theta) * integral_0^{kH} I(u) exp(-j u cos theta) du
-    st = math.sin(theta)
-    if st == 0.0:
-        return 0j
-    ct = math.cos(theta)
+    ct = np.cos(theta)[:, None]
 
-    def kernel(u: float) -> complex:
-        return _current(u, kh, model) * complex(math.cos(u * ct), -math.sin(u * ct))
+    def kernel(u: np.ndarray) -> np.ndarray:
+        current = np.sin(kh - u) if model is CurrentModel.SINUSOIDAL else 1.0 - u / kh
+        return current * (np.cos(u * ct) - 1j * np.sin(u * ct))
 
-    val = integrate_complex(kernel, 0.0, kh, quad)
-    return _FIELD_PREFACTOR * (0.25j / math.pi) * st * val
+    val = _integrate(kernel, 0.0, kh, quad, theta, f"post term (kh = {kh:.6g})")
+    return _FIELD_PREFACTOR * (0.25j / math.pi) * np.sin(theta) * val
 
 
-def _ground_term(theta: float, ka: float, quad: QuadratureSpec) -> complex:
+def _ground_term(theta: np.ndarray, ka: float, quad: QuadratureSpec) -> np.ndarray:
     # (cos(theta) / 2) * integral_{v0}^{ka} exp(-j v) J1(v sin theta) dv
     v0 = 2.0 * math.pi * GROUND_INNER_RADIUS_WAVELENGTHS
     if ka <= v0:
@@ -166,43 +169,43 @@ def _ground_term(theta: float, ka: float, quad: QuadratureSpec) -> complex:
             "monopole_pattern: ground radius must exceed the inner truncation radius "
             f"({GROUND_INNER_RADIUS_WAVELENGTHS} wavelengths)"
         )
-    st = math.sin(theta)
+    st = np.sin(theta)[:, None]
 
-    def kernel(v: float) -> complex:
-        return complex(math.cos(v), -math.sin(v)) * bessel_j1(v * st)
+    def kernel(v: np.ndarray) -> np.ndarray:
+        return (np.cos(v) - 1j * np.sin(v)) * bessel_j1(v * st)
 
-    val = integrate_complex(kernel, v0, ka, quad)
-    return _FIELD_PREFACTOR * 0.5 * math.cos(theta) * val
-
-
-@lru_cache(maxsize=None)
-def _ground_current_amplitude() -> float:
-    """Calibration constant J0 of the ground return current.
-
-    The magnitude makes the post and ground terms reach equal peak magnitude
-    on the reference geometry. The sign is negative: the return current on
-    the ground face flows inward, opposite the outward coordinate, and that
-    phase choice keeps the reference pattern peak in the outer quadrant
-    instead of collapsing it toward broadside.
-    """
-    p_post = max(abs(_post_term(t, _CAL_KH, CurrentModel.SINUSOIDAL, _CAL_QUAD)) for t in _NORM_GRID_RAD)
-    p_ground = max(abs(_ground_term(t, _CAL_KA, _CAL_QUAD)) for t in _NORM_GRID_RAD)
-    return -p_post / p_ground
+    val = _integrate(kernel, v0, ka, quad, theta, f"ground term (ka = {ka:.6g})")
+    return _FIELD_PREFACTOR * 0.5 * np.cos(theta) * val
 
 
-@lru_cache(maxsize=131072)
-def _field_value(theta: float, kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec) -> complex:
-    return _post_term(theta, kh, model, quad) + _ground_current_amplitude() * _ground_term(theta, ka, quad)
+def _field(theta: np.ndarray, kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec) -> np.ndarray:
+    return _post_term(theta, kh, model, quad) + _GROUND_CURRENT_J0 * _ground_term(theta, ka, quad)
 
 
 @lru_cache(maxsize=4096)
 def _peak_reference(kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec) -> complex:
     # Complex field value at the magnitude argmax of the normalization grid.
     # First index wins on exact magnitude ties.
-    values = [_field_value(t, kh, ka, model, quad) for t in _NORM_GRID_RAD]
-    mags = [abs(v) for v in values]
-    idx = max(range(len(mags)), key=lambda i: (mags[i], -i))
-    return values[idx]
+    values = _field(_NORM_GRID_RAD, kh, ka, model, quad)
+    return complex(values[np.argmax(np.abs(values))])
+
+
+@lru_cache(maxsize=32)
+def _normalized_field(
+    abs_theta: bytes, kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec
+) -> np.ndarray:
+    # Field over a grid of |theta| (bytes, to key the cache), each distinct
+    # angle evaluated once, divided by the peak reference in real arithmetic
+    # so that the peak sample divided by itself is exactly 1 + 0j.
+    angles, where = np.unique(np.frombuffer(abs_theta), return_inverse=True)
+    values = _field(angles, kh, ka, model, quad)[where]
+    ref = _peak_reference(kh, ka, model, quad)
+    scale = ref.real * ref.real + ref.imag * ref.imag
+    out = np.empty_like(values)
+    out.real = (values.real * ref.real + values.imag * ref.imag) / scale
+    out.imag = (values.imag * ref.real - values.real * ref.imag) / scale
+    out.flags.writeable = False
+    return out
 
 
 def monopole_pattern(
@@ -220,10 +223,23 @@ def monopole_pattern(
     phase relative to the peak. The ground radius must exceed the inner
     truncation radius of 0.05 wavelengths at the context frequency.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= 0.5 * math.pi + 1e-12:
+    return complex(monopole_values(np.array([float(theta)]), mono, ctx, quad)[0])
+
+
+def monopole_values(
+    theta: np.ndarray,
+    mono: MonopoleSpec,
+    ctx: FrequencyContext,
+    quad: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> np.ndarray:
+    """monopole_pattern over an array of angles, as a read-only array.
+
+    Each value equals monopole_pattern's at its angle exactly. The last 32
+    (grid, geometry, frequency, quadrature) results are cached.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((theta >= 0.0) & (theta <= 0.5 * math.pi + 1e-12)):
         raise ValueError("monopole_pattern: theta must lie in [0, pi/2]")
     kh = ctx.wavenumber_k * mono.height_H
     ka = ctx.wavenumber_k * mono.ground_radius_a
-    ref = _peak_reference(kh, ka, mono.current_model, quad)
-    return _field_value(theta, kh, ka, mono.current_model, quad) / ref
+    return _normalized_field(theta.tobytes(), kh, ka, mono.current_model, quad).reshape(theta.shape)

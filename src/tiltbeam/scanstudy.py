@@ -57,16 +57,8 @@ class ScanStudyResult:
     reports: tuple
 
 
-def _element_count(layout: ArrayLayout) -> int:
-    return layout.count_Nx * layout.count_Ny
-
-
 def _scanned_product(element: PatternCut, layout: ArrayLayout, cmd: SteeringCommand, ctx: FrequencyContext) -> np.ndarray:
-    lam = ctx.wavelength_lambda0
-    af = np.array(
-        [abs(steered_array_factor(layout, cmd, float(t), lam)) for t in element.theta_grid]
-    )
-    return element.values * af
+    return element.values * np.abs(steered_array_factor(layout, cmd, element.theta_grid, ctx.wavelength_lambda0))
 
 
 def scan_pattern(
@@ -83,7 +75,7 @@ def scan_pattern(
     """
     if not element.normalized:
         raise ValueError("scan_pattern: element cut must be normalized")
-    if _element_count(layout) == 1:
+    if layout.count_Nx * layout.count_Ny == 1:
         return element
     scanned = _scanned_product(element, layout, cmd, ctx)
     if cmd.steer_theta0 == 0.0:
@@ -109,11 +101,7 @@ def scan_report(cuts, commands) -> tuple:
         raise ValueError("scan_report: one cut per command required")
     if not cuts:
         raise ValueError("scan_report: empty study")
-    bore_idx = None
-    for i, cmd in enumerate(commands):
-        if cmd.steer_theta0 == 0.0:
-            bore_idx = i
-            break
+    bore_idx = next((i for i, cmd in enumerate(commands) if cmd.steer_theta0 == 0.0), None)
     if bore_idx is None:
         raise ValueError("scan_report: boresight command (0 degrees) missing")
     peaks = [float(np.abs(c.values).max()) for c in cuts]

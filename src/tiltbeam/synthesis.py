@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrayfactor import ArrayLayout, array_factor
-from .radiators import FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
+from .radiators import FrequencyContext, MonopoleSpec, SlotSpec, monopole_values
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
 
 BAND_CENTER_HZ = 32.4e9
@@ -146,15 +146,8 @@ def _monopole_term(
     # Post-array term on the full grid: the normalized post value on |theta|
     # extended as an odd function (both of its field integrals are odd in
     # theta), times the in-plane array factor.
-    lam = ctx.wavelength_lambda0
-    out = np.zeros(theta_grid.size, dtype=complex)
-    for i, th in enumerate(theta_grid):
-        if th == 0.0:
-            continue
-        sign = 1.0 if th > 0.0 else -1.0
-        em = monopole_pattern(abs(float(th)), mono, ctx, quad)
-        out[i] = sign * em * array_factor(layout, float(th), 0.0, lam)
-    return out
+    post = monopole_values(np.abs(theta_grid), mono, ctx, quad)
+    return np.sign(theta_grid) * post * array_factor(layout, theta_grid, 0.0, ctx.wavelength_lambda0)
 
 
 def synthesize_pattern(
@@ -253,18 +246,12 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     while right < n - 1 and mags[right + 1] <= mags[right]:
         right += 1
 
-    second = None
-    for t in range(0, left):
-        lo = t == 0 or mags[t] >= mags[t - 1]
-        hi = mags[t] >= mags[t + 1]
-        if lo and hi:
-            second = mags[t] if second is None else max(second, mags[t])
-    for t in range(right + 1, n):
-        lo = mags[t] >= mags[t - 1]
-        hi = t == n - 1 or mags[t] >= mags[t + 1]
-        if lo and hi:
-            second = mags[t] if second is None else max(second, mags[t])
-    sll = -math.inf if second is None or second == 0.0 else 20.0 * math.log10(second / peak)
+    # Local maxima outside the main lobe, boundary samples included.
+    padded = np.concatenate(([-math.inf], mags, [-math.inf]))
+    lobes = (mags >= padded[:-2]) & (mags >= padded[2:])
+    lobes[left:right + 1] = False
+    second = float(mags[lobes].max()) if lobes.any() else 0.0
+    sll = -math.inf if second == 0.0 else 20.0 * math.log10(second / peak)
 
     level = _HALF_POWER_LEVEL * peak
     lo_cross = _crossing(grid_deg, mags, i_peak, level, -1)
@@ -338,19 +325,15 @@ def beam_stability(
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     require_metrics_spacing(grid)
 
-    metrics_cache: dict[float, PatternMetrics] = {}
-
-    def metrics_at(f: float) -> PatternMetrics:
-        if f not in metrics_cache:
-            ctx = FrequencyContext.from_frequency(f)
-            cut = synthesize_pattern(weights, grid, geometry.slot, geometry.monopole, geometry.layout, ctx, quad)
-            metrics_cache[f] = pattern_metrics(cut)
-        return metrics_cache[f]
-
+    # Each distinct frequency, the band center included, is evaluated once.
+    metrics = {
+        f: pattern_metrics(synthesize_pattern(weights, grid, geometry.slot, geometry.monopole, geometry.layout,
+                                              FrequencyContext.from_frequency(f), quad))
+        for f in dict.fromkeys(freqs + [BAND_CENTER_HZ])
+    }
     rows = tuple(
-        StabilityRow(f, metrics_at(f).tilt_deg, metrics_at(f).sll_dB, metrics_at(f).beamwidth3dB_deg)
-        for f in freqs
+        StabilityRow(f, metrics[f].tilt_deg, metrics[f].sll_dB, metrics[f].beamwidth3dB_deg) for f in freqs
     )
-    ref_tilt = metrics_at(BAND_CENTER_HZ).tilt_deg
+    ref_tilt = metrics[BAND_CENTER_HZ].tilt_deg
     max_dev = max(abs(row.tilt_deg - ref_tilt) for row in rows)
     return StabilityResult(rows, ref_tilt, max_dev)

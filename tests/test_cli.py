@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import tiltbeam.cli as cli
 from tiltbeam import radiators, synthesis
 from tiltbeam.config import parse_config
-from tiltbeam.specfun import ConvergenceError
+from tiltbeam.specfun import ConvergenceError, QuadratureSpec
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -96,6 +102,15 @@ class TestPatternCommand:
         cfg = write_config(tmp_path, {"output_dir": str(target)})
         assert run(["pattern", "--config", cfg]) == 0
         assert (target / "pattern.csv").exists()
+
+    def test_large_ground_disc(self, tmp_path):
+        # ka ~ 203.6 at 32.4 GHz, once beyond the quadrature budget
+        cfg = write_config(tmp_path, {"geometry": {"monopole": {"ground_radius_mm": 300.0}}})
+        out = tmp_path / "out"
+        assert run(["pattern", "--config", cfg, "--out", out]) == 0
+        _, rows = read_csv(out / "pattern.csv")
+        assert len(rows) == 721
+        assert abs(max(float(r[3]) for r in rows)) < 1e-9
 
 
 class TestResonanceCommand:
@@ -236,7 +251,8 @@ class TestExitCodes:
             raise AssertionError("post field evaluated")
 
         monkeypatch.setattr(radiators, "monopole_pattern", no_post)
-        monkeypatch.setattr(synthesis, "monopole_pattern", no_post)
+        monkeypatch.setattr(radiators, "monopole_values", no_post)
+        monkeypatch.setattr(synthesis, "monopole_values", no_post)
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1.0}})
         out = tmp_path / "out"
         assert run(args + ["--config", cfg, "--out", out]) == 2
@@ -274,6 +290,20 @@ class TestExitCodes:
         assert not (out / "pattern.csv").exists()
         assert not (out / ".tiltbeam.lock").exists()
 
+    def test_exhausted_quadrature_names_term_and_angle(self, tmp_path, capsys, monkeypatch):
+        def starved_builder(cfg, svg):
+            ctx = radiators.FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
+            synthesis.synthesize_pattern(
+                cfg.excitation_weights(), cfg.theta_grid_rad(), cfg.slot_spec(), cfg.monopole_spec(),
+                cfg.array_layout(), ctx, QuadratureSpec(max_subdivisions=16),
+            )
+
+        monkeypatch.setitem(cli._BUILDERS, "pattern", starved_builder)
+        cfg = write_config(tmp_path, {"geometry": {"monopole": {"ground_radius_mm": 300.0}}})
+        assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "error: convergence failure in ground term (ka = 203.575) at theta = " in err
+
     def test_failed_run_writes_nothing(self, tmp_path, default_config, monkeypatch):
         def exploding_builder(cfg, svg):
             raise ValueError("boom")
@@ -302,3 +332,44 @@ class TestFormatting:
     def test_exact_null_floors_at_minus_400(self):
         assert cli._mag_db(0j) == -400.0
         assert cli._mag_db(1e-30 + 0j) == -400.0  # clamped, not -600
+
+
+def _fresh_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestFreshProcesses:
+    def test_artifacts_are_byte_identical_across_cold_processes(self, tmp_path):
+        # criterion 11 reruns inside one process, on warm caches
+        cfg = write_config(tmp_path, {
+            "frequency_grid": {"start_ghz": 26.0, "stop_ghz": 41.0, "step_ghz": 5.0},
+        })
+        runs = []
+        for attempt in ("a", "b"):
+            produced = {}
+            for command in cli.COMMANDS:
+                out = tmp_path / attempt / command
+                proc = _fresh_python(["-m", "tiltbeam.cli", command, "--config", str(cfg),
+                                      "--out", str(out), "--svg"], tmp_path)
+                assert proc.returncode == 0, (command, proc.stderr)
+                produced.update({f"{command}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+            runs.append(produced)
+        assert runs[0].keys() == runs[1].keys()
+        assert [name for name in runs[0] if runs[0][name] != runs[1][name]] == []
+
+    def test_import_loads_no_reference_numerics_and_integrates_nothing(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "seen = set()\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call' and seen.add(frame.f_code.co_name))\n"
+            "import tiltbeam.cli\n"
+            "sys.setprofile(None)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', 'scipy'))))\n"
+            "print(sorted(seen & {'integrate_complex', '_composite', 'bessel_j1', '_field'}))\n"
+        )
+        proc = _fresh_python(["-c", probe], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -1,7 +1,8 @@
 """Slot aperture model and the grounded-post far field.
 
-The post field implementation integrates with adaptive Simpson and its own
-J1; the conftest oracle uses 64-point Gauss-Legendre and scipy. Agreement
+The post field implementation integrates with composite 16-point
+Gauss-Legendre, refined until n and 2n panels agree, and its own J1; the
+conftest oracle uses one 64-point Gauss-Legendre panel and scipy. Agreement
 between the two is the main correctness argument here.
 """
 
@@ -21,6 +22,8 @@ from tiltbeam import (
     slot_aperture_field,
     slot_pattern,
 )
+from tiltbeam.radiators import monopole_values
+from tiltbeam.specfun import ConvergenceError, QuadratureSpec
 
 NORM_GRID = np.radians(np.arange(0.0, 90.0 + 0.125, 0.25))
 
@@ -151,9 +154,18 @@ class TestMonopolePattern:
         assert peak_deg == 65.0
 
     def test_calibration_constant_sign_and_value(self):
-        j0 = radiators._ground_current_amplitude()
+        j0 = radiators._GROUND_CURRENT_J0
         assert j0 < 0.0
         assert j0 == pytest.approx(-0.18068129438884775, rel=1e-9)
+
+    def test_calibration_constant_is_rederived(self, gl_oracle):
+        """The J0 literal is the peak ratio of the two terms on the reference geometry."""
+        grid = radiators._NORM_GRID_RAD
+        quad = radiators._CAL_QUAD
+        post = np.abs(radiators._post_term(grid, radiators._CAL_KH, CurrentModel.SINUSOIDAL, quad)).max()
+        ground = np.abs(radiators._ground_term(grid, radiators._CAL_KA, quad)).max()
+        assert radiators._GROUND_CURRENT_J0 == pytest.approx(-post / ground, rel=1e-12)
+        assert radiators._GROUND_CURRENT_J0 == pytest.approx(gl_oracle.j0, rel=1e-9)
 
     def test_frozen_value_calibration_geometry(self, ctx324):
         val = monopole_pattern(math.radians(30.0), cal_monopole(ctx324), ctx324)
@@ -214,9 +226,8 @@ class TestMonopolePattern:
         angles = [math.radians(d) for d in (10.0, 38.5, 60.0)]
 
         def clear_caches():
-            radiators._field_value.cache_clear()
             radiators._peak_reference.cache_clear()
-            radiators._ground_current_amplitude.cache_clear()
+            radiators._normalized_field.cache_clear()
 
         baseline = [monopole_pattern(t, mono, ctx324) for t in angles]
         monkeypatch.setattr(radiators, "_FIELD_PREFACTOR", 2.0)
@@ -228,3 +239,34 @@ class TestMonopolePattern:
             clear_caches()
         for b, d in zip(baseline, doubled):
             assert d == pytest.approx(b, rel=1e-12)
+
+
+class TestMonopoleValues:
+    def test_each_value_equals_the_scalar_call(self, ctx324):
+        lam = ctx324.wavelength_lambda0
+        theta = np.radians([0.0, 7.3, 38.5, 38.5, 65.0, 90.0])
+        for mono in (MonopoleSpec(), MonopoleSpec(height_H=0.3 * lam, ground_radius_a=1.7 * lam,
+                                                  current_model=CurrentModel.TRIANGULAR)):
+            values = monopole_values(theta, mono, ctx324)
+            assert values.tolist() == [monopole_pattern(float(t), mono, ctx324) for t in theta]
+
+    def test_keeps_the_grid_shape_and_is_read_only(self, ctx324):
+        theta = np.radians([[10.0, 20.0], [30.0, 40.0]])
+        values = monopole_values(theta, MonopoleSpec(), ctx324)
+        assert values.shape == (2, 2)
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+
+    def test_angle_domain(self, ctx324):
+        for bad in ([0.1, -0.01], [0.5 * math.pi + 0.01], [math.nan]):
+            with pytest.raises(ValueError, match="theta must lie"):
+                monopole_values(np.array(bad), MonopoleSpec(), ctx324)
+
+    def test_exhausted_budget_names_term_and_angle(self, ctx324):
+        mono = MonopoleSpec(ground_radius_a=0.3)
+        with pytest.raises(ConvergenceError) as info:
+            monopole_values(NORM_GRID, mono, ctx324, QuadratureSpec(max_subdivisions=16))
+        op = info.value.operation
+        assert op.startswith("ground term (ka = 203.575) at theta = ") and op.endswith(" deg")
+        deg = float(op.split(" at theta = ")[1].split()[0])
+        assert deg in np.degrees(NORM_GRID).round(6)

@@ -1,8 +1,7 @@
-"""Bessel J1 and the adaptive complex integrator, each checked against an
-independent route: scipy for J1, closed forms and brute-force Riemann sums
-for the integrals."""
+"""Bessel J1 and the composite Gauss-Legendre integrator, each checked
+against an independent route: scipy for J1, closed forms and brute-force
+Riemann sums for the integrals."""
 
-import cmath
 import math
 
 import numpy as np
@@ -13,6 +12,8 @@ from tiltbeam.specfun import (
     ConvergenceError,
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    _GL_NODES,
+    _GL_WEIGHTS,
     bessel_j1,
     integrate_complex,
 )
@@ -59,57 +60,98 @@ class TestBesselJ1:
             bessel_j1(math.nan)
         with pytest.raises(ValueError):
             bessel_j1(math.inf)
+        with pytest.raises(ValueError):
+            bessel_j1(np.array([1.0, math.nan]))
+
+    def test_scalar_gives_float_and_array_gives_array(self):
+        assert type(bessel_j1(2.5)) is float
+        xs = np.array([[0.5, -3.0], [12.5, 40.0]])
+        vals = bessel_j1(xs)
+        assert vals.shape == xs.shape
+        assert [bessel_j1(float(x)) for x in xs.ravel()] == vals.ravel().tolist()
 
 
 class TestIntegrateComplex:
     def test_constant(self):
-        assert integrate_complex(lambda x: 1.0 + 0j, 0.0, 1.0) == pytest.approx(1.0 + 0j, abs=1e-14)
+        val = integrate_complex(lambda x: np.ones_like(x) + 0j, 0.0, 1.0)
+        assert type(val) is complex
+        assert val == pytest.approx(1.0 + 0j, abs=1e-14)
 
     def test_sine_over_half_period(self):
-        val = integrate_complex(lambda x: complex(math.sin(x)), 0.0, math.pi)
+        val = integrate_complex(np.sin, 0.0, math.pi)
         assert val == pytest.approx(2.0 + 0j, abs=1e-12)
 
     def test_oscillatory_closed_form(self):
         # integral of exp(j 10 x) over [0, 1] is (exp(10j) - 1) / 10j
-        val = integrate_complex(lambda x: cmath.exp(10j * x), 0.0, 1.0)
+        val = integrate_complex(lambda x: np.exp(10j * x), 0.0, 1.0)
         expected = -0.05440211108893698 + 0.18390715290764525j
         assert val == pytest.approx(expected, abs=1e-12)
 
     def test_linearity(self):
-        f = lambda x: cmath.exp(2j * x)
-        g = lambda x: complex(x * x, -x)
+        f = lambda x: np.exp(2j * x)
+        g = lambda x: x * x - 1j * x
         combined = integrate_complex(lambda x: 2.0 * f(x) + 3.0 * g(x), 0.0, 2.0)
         separate = 2.0 * integrate_complex(f, 0.0, 2.0) + 3.0 * integrate_complex(g, 0.0, 2.0)
         assert combined == pytest.approx(separate, abs=1e-11)
 
     def test_empty_interval_is_exact_zero(self):
-        assert integrate_complex(lambda x: cmath.exp(1j * x), 0.7, 0.7) == 0j
+        assert integrate_complex(lambda x: np.exp(1j * x), 0.7, 0.7) == 0j
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            integrate_complex(lambda x: 1.0 + 0j, 1.0, 0.0)
+            integrate_complex(lambda x: np.ones_like(x) + 0j, 1.0, 0.0)
 
     def test_non_finite_bounds_rejected(self):
         with pytest.raises(ValueError):
-            integrate_complex(lambda x: 1.0 + 0j, 0.0, math.inf)
+            integrate_complex(lambda x: np.ones_like(x) + 0j, 0.0, math.inf)
         with pytest.raises(ValueError):
-            integrate_complex(lambda x: 1.0 + 0j, math.nan, 1.0)
+            integrate_complex(lambda x: np.ones_like(x) + 0j, math.nan, 1.0)
 
     def test_deterministic(self):
-        f = lambda x: cmath.exp(-1j * x) * bessel_j1(x * 0.6)
+        f = lambda x: np.exp(-1j * x) * bessel_j1(x * 0.6)
         a = integrate_complex(f, 0.1 * math.pi, 4.0 * math.pi)
         b = integrate_complex(f, 0.1 * math.pi, 4.0 * math.pi)
         assert a == b
 
+    def test_leading_axes_are_integrated_together(self):
+        # integral of exp(j k x) over [0, 1] is (exp(j k) - 1) / (j k), per k
+        k = np.array([[1.0, 10.0, 40.0], [-3.0, 0.5, 100.0]])
+        val = integrate_complex(lambda x: np.exp(1j * np.multiply.outer(k, x)), 0.0, 1.0)
+        assert val.shape == k.shape
+        assert np.max(np.abs(val - (np.exp(1j * k) - 1.0) / (1j * k))) < 1e-12
+
+    def test_batch_member_equals_lone_evaluation(self):
+        # each value stops refining on its own, so a batch changes no bit,
+        # though the fast oscillations here need more panels than the slow
+        k = np.array([1.0, 300.0, 40.0, 2.5])
+        kernel = lambda k: lambda x: np.exp(1j * np.multiply.outer(k, x)) * bessel_j1(x)
+        batch = integrate_complex(kernel(k), 0.0, 3.0)
+        alone = [integrate_complex(kernel(np.array([x])), 0.0, 3.0)[0] for x in k]
+        assert batch.tolist() == alone
+
     def test_budget_exhaustion_reports_state(self):
         spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
         with pytest.raises(ConvergenceError) as info:
-            integrate_complex(lambda x: complex(math.sin(1.0 / (x + 1e-3))), 0.0, 1.0, spec)
+            integrate_complex(lambda x: np.sin(1.0 / (x + 1e-3)), 0.0, 1.0, spec)
         err = info.value
         assert err.operation == "integrate_complex"
         assert isinstance(err.estimate, complex)
         assert err.error_bound > 0.0
+        assert err.index == ()
         assert "integrate_complex" in str(err)
+
+    def test_budget_exhaustion_names_the_worst_value(self):
+        # only the fastest oscillation cannot converge on 8 panels
+        k = np.array([1.0, 2.0, 300.0, 3.0])
+        spec = QuadratureSpec(max_subdivisions=8)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_complex(lambda x: np.exp(1j * np.multiply.outer(k, x)), 0.0, 3.0, spec)
+        assert info.value.index == (2,)
+
+    def test_gauss_legendre_table_matches_numpy(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(_GL_NODES, nodes)
+        assert np.array_equal(_GL_WEIGHTS, weights)
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):
@@ -132,7 +174,7 @@ class TestAgainstRiemannSums:
     def test_post_current_kernel(self):
         kh = 0.5 * math.pi
         ct = math.cos(math.radians(40.0))
-        f = lambda u: math.sin(kh - u) * cmath.exp(-1j * u * ct)
+        f = lambda u: np.sin(kh - u) * np.exp(-1j * u * ct)
         val = integrate_complex(f, 0.0, kh)
 
         n = 1_000_000
@@ -144,10 +186,24 @@ class TestAgainstRiemannSums:
         ka = 4.0 * math.pi
         v0 = 0.1 * math.pi
         st = math.sin(math.radians(40.0))
-        f = lambda v: cmath.exp(-1j * v) * bessel_j1(v * st)
+        f = lambda v: np.exp(-1j * v) * bessel_j1(v * st)
         val = integrate_complex(f, v0, ka)
 
         n = 1_000_000
         v = v0 + (np.arange(n) + 0.5) * ((ka - v0) / n)
         ref = np.sum(np.exp(-1j * v) * special.j1(v * st)) * ((ka - v0) / n)
         assert abs(val - ref) / abs(ref) < 1e-6
+
+    def test_ground_return_kernel_on_a_300_mm_disc(self):
+        # ka = k a for a = 300 mm at 32.4 GHz: some 65 oscillations, far
+        # beyond a single 64-point panel, at two angles in one batch
+        ka = 2.0 * math.pi * 32.4e9 / 3.0e8 * 0.3
+        v0 = 0.1 * math.pi
+        st = np.sin(np.radians([30.0, 70.0]))
+        val = integrate_complex(lambda v: np.exp(-1j * v) * bessel_j1(np.multiply.outer(st, v)), v0, ka)
+
+        n = 1_000_000
+        v = v0 + (np.arange(n) + 0.5) * ((ka - v0) / n)
+        for s, got in zip(st, val):
+            ref = np.sum(np.exp(-1j * v) * special.j1(v * s)) * ((ka - v0) / n)
+            assert abs(got - ref) / abs(ref) < 1e-6
