@@ -6,7 +6,7 @@ two far fields tilts the combined beam. The package computes the element
 patterns, array factors, the superposition and its metrics, scan behavior
 of a phased line of such elements, and the feed line's resonance and loss
 budget. The `cli` module exposes every study as a deterministic
-CSV/SVG-producing command.
+CSV/SVG-producing command. The names imported below are the public API.
 """
 
 from .arrayfactor import ArrayLayout, SteeringCommand, array_factor, steered_array_factor
@@ -62,61 +62,3 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArrayLayout",
-    "SteeringCommand",
-    "array_factor",
-    "steered_array_factor",
-    "SUBSTRATE_PRESETS",
-    "LossBudget",
-    "MicrostripSpec",
-    "SubstrateSpec",
-    "characteristic_impedance",
-    "conductor_attenuation",
-    "dielectric_attenuation",
-    "effective_permittivity",
-    "half_wave_resonance",
-    "loss_budget",
-    "plane_wave_attenuation",
-    "roughness_factor",
-    "skin_depth",
-    "ConfigError",
-    "RunConfig",
-    "load_config",
-    "parse_config",
-    "serialize_config",
-    "SPEED_OF_LIGHT",
-    "CurrentModel",
-    "FrequencyContext",
-    "MonopoleSpec",
-    "SlotSpec",
-    "monopole_coupling_weight",
-    "monopole_pattern",
-    "slot_aperture_field",
-    "slot_pattern",
-    "ScanReport",
-    "ScanStudyResult",
-    "default_scan_study",
-    "scan_pattern",
-    "scan_report",
-    "DEFAULT_QUADRATURE",
-    "ConvergenceError",
-    "QuadratureSpec",
-    "bessel_j1",
-    "integrate_complex",
-    "render_polar_svg",
-    "BAND_CENTER_HZ",
-    "AntennaGeometry",
-    "ExcitationWeights",
-    "PatternCut",
-    "PatternMetrics",
-    "RatioSweepResult",
-    "StabilityResult",
-    "beam_stability",
-    "default_theta_grid",
-    "pattern_metrics",
-    "ratio_sweep",
-    "synthesize_pattern",
-    "__version__",
-]

@@ -1,9 +1,9 @@
 """Command-line entry point: config in, CSV and SVG artifacts out.
 
-Every command computes its full result first and only then writes files,
-each atomically via a temp-then-rename, so no error path leaves a partial
-artifact. A lock file serializes runs per output directory. Identical
-inputs produce byte-identical outputs.
+Every command computes its full result, then stages every file as a temp
+file before renaming any into place: a failed write leaves no temp file
+and the previous artifacts as they were. A lock file serializes runs per
+output directory. Identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from .synthesis import (
     require_metrics_spacing,
     synthesize_pattern,
 )
-
-COMMANDS = ("pattern", "ratio-sweep", "stability", "scan", "resonance", "loss")
-
-_USAGE = "usage: tiltbeam <command> --config <path> [--out <dir>] [--svg]\ncommands: " + ", ".join(COMMANDS)
 
 # CSV floor for log magnitudes of exact pattern nulls.
 _DB_FLOOR = -400.0
@@ -184,11 +180,19 @@ _BUILDERS = {
     "loss": _build_loss,
 }
 
+COMMANDS = tuple(_BUILDERS)
+
+_USAGE = "usage: tiltbeam <command> --config <path> [--out <dir>] [--svg]\ncommands: " + ", ".join(COMMANDS)
+
 
 def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+    except OSError:  # a file this run created but could not fill
+        path.unlink()
+        raise
 
 
 def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> int:
@@ -206,10 +210,16 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     except OSError as exc:
         print(f"error: cannot prepare output directory '{out}': {exc}", file=sys.stderr)
         return 2
+    staged = []
     try:
         artifacts = _BUILDERS[name](cfg, svg)
+        # Stage the whole set first, so a failed write leaves the old one intact.
         for fname, text in sorted(artifacts.items()):
-            _write_text(out / fname, text)
+            tmp = out / (fname + ".tmp")
+            _write_text(tmp, text)
+            staged.append(tmp)
+        for tmp in staged:
+            os.replace(tmp, tmp.with_suffix(""))
     except ConvergenceError as exc:
         print(
             f"error: convergence failure in {exc.operation} "
@@ -219,6 +229,11 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        print(f"error: cannot write artifacts to '{out}': {exc}", file=sys.stderr)
         return 2
     finally:
         os.close(lock_fd)

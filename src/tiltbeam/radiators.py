@@ -44,10 +44,6 @@ _GROUND_CURRENT_J0 = -0.180681294388854
 NORMALIZATION_STEP_DEG = 0.25
 _NORM_GRID_RAD = np.radians(np.arange(0.0, 90.0 + 0.5 * NORMALIZATION_STEP_DEG, NORMALIZATION_STEP_DEG))
 
-# Common scale on both field terms. It cancels in the normalized output;
-# tests flip it to confirm the cancellation.
-_FIELD_PREFACTOR = 1.0
-
 
 class CurrentModel(enum.Enum):
     """Longitudinal current profile on the vertical post."""
@@ -158,7 +154,7 @@ def _post_term(theta: np.ndarray, kh: float, model: CurrentModel, quad: Quadratu
         return current * (np.cos(u * ct) - 1j * np.sin(u * ct))
 
     val = _integrate(kernel, 0.0, kh, quad, theta, f"post term (kh = {kh:.6g})")
-    return _FIELD_PREFACTOR * (0.25j / math.pi) * np.sin(theta) * val
+    return (0.25j / math.pi) * np.sin(theta) * val
 
 
 def _ground_term(theta: np.ndarray, ka: float, quad: QuadratureSpec) -> np.ndarray:
@@ -175,7 +171,7 @@ def _ground_term(theta: np.ndarray, ka: float, quad: QuadratureSpec) -> np.ndarr
         return (np.cos(v) - 1j * np.sin(v)) * bessel_j1(v * st)
 
     val = _integrate(kernel, v0, ka, quad, theta, f"ground term (ka = {ka:.6g})")
-    return _FIELD_PREFACTOR * 0.5 * np.cos(theta) * val
+    return 0.5 * np.cos(theta) * val
 
 
 def _field(theta: np.ndarray, kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec) -> np.ndarray:
@@ -209,11 +205,11 @@ def _normalized_field(
 
 
 def monopole_pattern(
-    theta: float,
+    theta: float | np.ndarray,
     mono: MonopoleSpec,
     ctx: FrequencyContext,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> complex:
+) -> complex | np.ndarray:
     """Normalized far-field value of the grounded post at polar angle theta.
 
     Valid for theta in [0, pi/2]; a ground plane is assumed, so only the
@@ -222,24 +218,15 @@ def monopole_pattern(
     grid: the grid peak is exactly 1 + 0j and every other sample keeps its
     phase relative to the peak. The ground radius must exceed the inner
     truncation radius of 0.05 wavelengths at the context frequency.
-    """
-    return complex(monopole_values(np.array([float(theta)]), mono, ctx, quad)[0])
 
-
-def monopole_values(
-    theta: np.ndarray,
-    mono: MonopoleSpec,
-    ctx: FrequencyContext,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> np.ndarray:
-    """monopole_pattern over an array of angles, as a read-only array.
-
-    Each value equals monopole_pattern's at its angle exactly. The last 32
-    (grid, geometry, frequency, quadrature) results are cached.
+    A scalar theta gives a complex. An array of any shape gives a read-only
+    complex array of that shape, each value equal to the scalar call's; the
+    last 32 (grid, geometry, frequency, quadrature) results are cached.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= 0.0) & (theta <= 0.5 * math.pi + 1e-12)):
         raise ValueError("monopole_pattern: theta must lie in [0, pi/2]")
     kh = ctx.wavenumber_k * mono.height_H
     ka = ctx.wavenumber_k * mono.ground_radius_a
-    return _normalized_field(theta.tobytes(), kh, ka, mono.current_model, quad).reshape(theta.shape)
+    values = _normalized_field(theta.tobytes(), kh, ka, mono.current_model, quad).reshape(theta.shape)
+    return complex(values) if values.ndim == 0 else values

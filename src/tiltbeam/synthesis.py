@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrayfactor import ArrayLayout, array_factor
-from .radiators import FrequencyContext, MonopoleSpec, SlotSpec, monopole_values
+from .radiators import FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
 from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
 
 BAND_CENTER_HZ = 32.4e9
@@ -146,7 +146,7 @@ def _monopole_term(
     # Post-array term on the full grid: the normalized post value on |theta|
     # extended as an odd function (both of its field integrals are odd in
     # theta), times the in-plane array factor.
-    post = monopole_values(np.abs(theta_grid), mono, ctx, quad)
+    post = monopole_pattern(np.abs(theta_grid), mono, ctx, quad)
     return np.sign(theta_grid) * post * array_factor(layout, theta_grid, 0.0, ctx.wavelength_lambda0)
 
 

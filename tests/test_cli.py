@@ -251,8 +251,7 @@ class TestExitCodes:
             raise AssertionError("post field evaluated")
 
         monkeypatch.setattr(radiators, "monopole_pattern", no_post)
-        monkeypatch.setattr(radiators, "monopole_values", no_post)
-        monkeypatch.setattr(synthesis, "monopole_values", no_post)
+        monkeypatch.setattr(synthesis, "monopole_pattern", no_post)
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1.0}})
         out = tmp_path / "out"
         assert run(args + ["--config", cfg, "--out", out]) == 2
@@ -313,6 +312,27 @@ class TestExitCodes:
         assert run(["loss", "--config", default_config, "--out", out]) == 2
         assert list(out.glob("*.csv")) == []
         assert not (out / ".tiltbeam.lock").exists()
+
+    def test_unwritable_artifact_exits_two_and_leaves_no_temp_file(self, tmp_path, default_config, capsys):
+        out = tmp_path / "out"
+        (out / "pattern.csv").mkdir(parents=True)
+        assert run(["pattern", "--config", default_config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write artifacts to '{out}'" in err and "pattern.csv" in err
+        assert list(out.glob("*.tmp")) == []
+        assert not (out / ".tiltbeam.lock").exists()
+
+    def test_failed_staging_keeps_the_previous_artifacts(self, tmp_path, default_config, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = b"theta_deg,re,im,mag_db\nstale\n"
+        (out / "pattern.csv").write_bytes(stale)
+        (out / "pattern.svg.tmp").mkdir()
+        assert run(["pattern", "--config", default_config, "--out", out, "--svg"]) == 2
+        assert "pattern.svg.tmp" in capsys.readouterr().err
+        assert (out / "pattern.csv").read_bytes() == stale
+        assert not (out / "pattern.svg").exists()
+        assert [p.name for p in out.glob("*.tmp")] == ["pattern.svg.tmp"]  # not this run's; left alone
 
     def test_run_command_rejects_unknown_name(self, capsys):
         assert cli.run_command("nope", parse_config({})) == 2
