@@ -2,12 +2,14 @@
 
 Every command computes its full result, then stages every file as a temp
 file before renaming any into place: a failed write leaves no temp file
-and the previous artifacts as they were. A lock file serializes runs per
+and the previous artifacts as they were. A target that is a directory is
+refused before anything is written. A lock file serializes runs per
 output directory. Identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import sys
@@ -213,6 +215,12 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     staged = []
     try:
         artifacts = _BUILDERS[name](cfg, svg)
+        # A rename onto a directory fails only after the earlier renames
+        # have replaced their files, so refuse such a target up front.
+        for fname in artifacts:
+            target = out / fname
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         # Stage the whole set first, so a failed write leaves the old one intact.
         for fname, text in sorted(artifacts.items()):
             tmp = out / (fname + ".tmp")

@@ -14,7 +14,6 @@ import numpy as np
 
 from .arrayfactor import ArrayLayout, SteeringCommand, steered_array_factor
 from .radiators import FrequencyContext
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
 from .synthesis import (
     AntennaGeometry,
     ExcitationWeights,
@@ -77,13 +76,8 @@ def scan_pattern(
         raise ValueError("scan_pattern: element cut must be normalized")
     if layout.count_Nx * layout.count_Ny == 1:
         return element
-    scanned = _scanned_product(element, layout, cmd, ctx)
-    if cmd.steer_theta0 == 0.0:
-        boresight = scanned
-    else:
-        boresight = _scanned_product(element, layout, SteeringCommand(0.0), ctx)
-    peak0 = float(np.abs(boresight).max())
-    values = scanned / peak0
+    peak0 = float(np.abs(_scanned_product(element, layout, SteeringCommand(0.0), ctx)).max())
+    values = _scanned_product(element, layout, cmd, ctx) / peak0
     peak = float(np.abs(values).max())
     return PatternCut(element.theta_grid, values, abs(peak - 1.0) <= 1e-9)
 
@@ -120,7 +114,6 @@ def default_scan_study(
     ctx: FrequencyContext,
     commands_deg=SCAN_COMMANDS_DEG,
     theta_grid: np.ndarray | None = None,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> ScanStudyResult:
     """Four-element line scan at half-wave pitch over the given commands.
 
@@ -131,8 +124,7 @@ def default_scan_study(
     """
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     element = synthesize_pattern(
-        ExcitationWeights(1.0, 0.0), grid,
-        geometry.slot, geometry.monopole, geometry.layout, ctx, quad,
+        ExcitationWeights(1.0, 0.0), grid, geometry.slot, geometry.monopole, geometry.layout, ctx
     )
     pitch = 0.5 * ctx.wavelength_lambda0
     scan_layout = ArrayLayout(1, SCAN_ELEMENT_COUNT, geometry.layout.spacing_dx, pitch)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .arrayfactor import ArrayLayout, array_factor
 from .radiators import FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
-from .specfun import DEFAULT_QUADRATURE, QuadratureSpec
 
 BAND_CENTER_HZ = 32.4e9
 BAND_MIN_HZ = 20.0e9
@@ -141,12 +140,11 @@ def _monopole_term(
     mono: MonopoleSpec,
     layout: ArrayLayout,
     ctx: FrequencyContext,
-    quad: QuadratureSpec,
 ) -> np.ndarray:
     # Post-array term on the full grid: the normalized post value on |theta|
     # extended as an odd function (both of its field integrals are odd in
     # theta), times the in-plane array factor.
-    post = monopole_pattern(np.abs(theta_grid), mono, ctx, quad)
+    post = monopole_pattern(np.abs(theta_grid), mono, ctx)
     return np.sign(theta_grid) * post * array_factor(layout, theta_grid, 0.0, ctx.wavelength_lambda0)
 
 
@@ -157,13 +155,14 @@ def synthesize_pattern(
     mono: MonopoleSpec,
     layout: ArrayLayout,
     ctx: FrequencyContext,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> PatternCut:
     """Weighted superposition of the slot and post-array terms on a grid.
 
     Per sample the un-normalized field is s1 * slot_term + s2 * post_term;
     the returned cut is normalized to unit peak magnitude. Both sources are
     treated as sharing one phase center, so the weights add coherently.
+    The slot term is the fixed half-wave form, so `slot` changes nothing
+    here; SlotSpec feeds only slot_aperture_field and monopole_coupling_weight.
     """
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
@@ -173,7 +172,7 @@ def synthesize_pattern(
         vals = vals + weights.s1_slot * _slot_term(grid)
     if weights.s2_monopole != 0.0:
         s2 = weights.s2_monopole * cmath.exp(1j * weights.s2_phase_rad)
-        vals = vals + s2 * _monopole_term(grid, mono, layout, ctx, quad)
+        vals = vals + s2 * _monopole_term(grid, mono, layout, ctx)
     peak = np.abs(vals).max()
     if peak == 0.0:
         raise ValueError("synthesize_pattern: field is zero everywhere on the grid")
@@ -275,7 +274,6 @@ def ratio_sweep(
     geometry: AntennaGeometry,
     ctx: FrequencyContext,
     theta_grid: np.ndarray | None = None,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> RatioSweepResult:
     """Metrics as a function of the excitation ratio s2/s1 with s1 = 1.
 
@@ -291,7 +289,7 @@ def ratio_sweep(
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     require_metrics_spacing(grid)
     slot_vals = _slot_term(grid).astype(complex)
-    mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx, quad)
+    mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx)
     rows = []
     for r in ratios:
         vals = slot_vals + r * mono_vals
@@ -307,7 +305,6 @@ def beam_stability(
     geometry: AntennaGeometry,
     weights: ExcitationWeights,
     theta_grid: np.ndarray | None = None,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> StabilityResult:
     """Pattern metrics across frequency at fixed excitation weights.
 
@@ -328,7 +325,7 @@ def beam_stability(
     # Each distinct frequency, the band center included, is evaluated once.
     metrics = {
         f: pattern_metrics(synthesize_pattern(weights, grid, geometry.slot, geometry.monopole, geometry.layout,
-                                              FrequencyContext.from_frequency(f), quad))
+                                              FrequencyContext.from_frequency(f)))
         for f in dict.fromkeys(freqs + [BAND_CENTER_HZ])
     }
     rows = tuple(

@@ -292,9 +292,8 @@ class TestExitCodes:
     def test_exhausted_quadrature_names_term_and_angle(self, tmp_path, capsys, monkeypatch):
         def starved_builder(cfg, svg):
             ctx = radiators.FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
-            synthesis.synthesize_pattern(
-                cfg.excitation_weights(), cfg.theta_grid_rad(), cfg.slot_spec(), cfg.monopole_spec(),
-                cfg.array_layout(), ctx, QuadratureSpec(max_subdivisions=16),
+            radiators.monopole_pattern(
+                abs(cfg.theta_grid_rad()), cfg.monopole_spec(), ctx, QuadratureSpec(max_subdivisions=16)
             )
 
         monkeypatch.setitem(cli._BUILDERS, "pattern", starved_builder)
@@ -333,6 +332,30 @@ class TestExitCodes:
         assert (out / "pattern.csv").read_bytes() == stale
         assert not (out / "pattern.svg").exists()
         assert [p.name for p in out.glob("*.tmp")] == ["pattern.svg.tmp"]  # not this run's; left alone
+
+    def test_directory_target_is_refused_before_any_rename(self, tmp_path, default_config, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {name: f"old {name}\n".encode() for name in ("scan.csv", "scan_0.svg", "scan_45.svg")}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        (out / "scan_m45.svg").mkdir()
+        assert run(["scan", "--config", default_config, "--out", out, "--svg"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write artifacts to '{out}'" in err and "scan_m45.svg" in err
+        assert {name: (out / name).read_bytes() for name in old} == old
+        assert (out / "scan_m45.svg").is_dir()
+        assert list(out.glob("*.tmp")) == []
+        assert not (out / ".tiltbeam.lock").exists()
+
+    def test_symlink_to_a_directory_is_replaced(self, tmp_path, default_config):
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        (out / "pattern.csv").symlink_to(tmp_path / "elsewhere")
+        assert run(["pattern", "--config", default_config, "--out", out]) == 0
+        assert (out / "pattern.csv").is_file() and not (out / "pattern.csv").is_symlink()
+        assert (tmp_path / "elsewhere").is_dir()
 
     def test_run_command_rejects_unknown_name(self, capsys):
         assert cli.run_command("nope", parse_config({})) == 2

@@ -6,7 +6,9 @@ conftest oracle uses one 64-point Gauss-Legendre panel and scipy. Agreement
 between the two is the main correctness argument here.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiltbeam.radiators as radiators
+import tiltbeam.scanstudy as scanstudy
 import tiltbeam.synthesis as synthesis
 from tiltbeam import (
     CurrentModel,
@@ -313,3 +316,17 @@ class TestMonopoleValues:
         # reaching the field any other way would hide its cache reuse.
         assert synthesis.monopole_pattern is radiators.monopole_pattern
         assert hasattr(radiators._peak_reference, "cache_info")
+
+    @pytest.mark.parametrize("module", [synthesis, scanstudy], ids=lambda m: m.__name__)
+    def test_study_layer_does_not_import_specfun(self, module):
+        # monopole_pattern owns the quadrature accuracy; the study functions
+        # take no QuadratureSpec, so their modules need nothing from specfun.
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+        assert "specfun" not in imported
