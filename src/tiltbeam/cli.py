@@ -3,13 +3,15 @@
 Every command computes its full result, then stages every file as a temp
 file before renaming any into place: a failed write leaves no temp file
 and the previous artifacts as they were. A target that is a directory is
-refused before anything is written. A lock file serializes runs per
-output directory. Identical inputs produce byte-identical outputs.
+refused before anything is written. A flock on the output directory itself
+serializes runs (POSIX only); no file holds it, and the kernel releases it
+when the process exits or is killed. Identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 import errno
+import fcntl
 import math
 import os
 import sys
@@ -35,8 +37,6 @@ from .synthesis import (
 
 # CSV floor for log magnitudes of exact pattern nulls.
 _DB_FLOOR = -400.0
-
-_LOCK_NAME = ".tiltbeam.lock"
 
 
 class _UsageError(Exception):
@@ -205,15 +205,13 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        lock_fd = os.open(out / _LOCK_NAME, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        print(f"error: output directory '{out}' is locked by another run", file=sys.stderr)
-        return 2
+        dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
     except OSError as exc:
         print(f"error: cannot prepare output directory '{out}': {exc}", file=sys.stderr)
         return 2
     staged = []
     try:
+        fcntl.flock(dir_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         artifacts = _BUILDERS[name](cfg, svg)
         # A rename onto a directory fails only after the earlier renames
         # have replaced their files, so refuse such a target up front.
@@ -228,6 +226,9 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
             staged.append(tmp)
         for tmp in staged:
             os.replace(tmp, tmp.with_suffix(""))
+    except BlockingIOError:  # only the flock raises it here
+        print(f"error: output directory '{out}' is locked by another run", file=sys.stderr)
+        return 2
     except ConvergenceError as exc:
         print(
             f"error: convergence failure in {exc.operation} "
@@ -244,8 +245,7 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
         print(f"error: cannot write artifacts to '{out}': {exc}", file=sys.stderr)
         return 2
     finally:
-        os.close(lock_fd)
-        os.unlink(out / _LOCK_NAME)
+        os.close(dir_fd)
     return 0
 
 

@@ -9,7 +9,6 @@ of the weights trades sidelobe level against a nearly constant tilt.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,21 +31,17 @@ _HALF_POWER_LEVEL = 10.0 ** (-3.0 / 20.0)
 class ExcitationWeights:
     """Real excitation amplitudes of the slot (s1) and post array (s2).
 
-    s2_phase_rad is an extension hook for a complex ratio; the default 0
-    keeps both sources in phase, the assumption the tilt analysis rests on.
+    Both sources are in phase, the assumption the tilt analysis rests on.
     """
 
     s1_slot: float
     s2_monopole: float
-    s2_phase_rad: float = 0.0
 
     def __post_init__(self):
         if self.s1_slot < 0 or self.s2_monopole < 0:
             raise ValueError("ExcitationWeights: amplitudes must be >= 0")
         if self.s1_slot == 0 and self.s2_monopole == 0:
             raise ValueError("ExcitationWeights: s1 and s2 must not both be zero")
-        if not math.isfinite(self.s2_phase_rad):
-            raise ValueError("ExcitationWeights: s2_phase_rad must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +166,7 @@ def synthesize_pattern(
     if weights.s1_slot != 0.0:
         vals = vals + weights.s1_slot * _slot_term(grid)
     if weights.s2_monopole != 0.0:
-        s2 = weights.s2_monopole * cmath.exp(1j * weights.s2_phase_rad)
-        vals = vals + s2 * _monopole_term(grid, mono, layout, ctx)
+        vals = vals + weights.s2_monopole * _monopole_term(grid, mono, layout, ctx)
     peak = np.abs(vals).max()
     if peak == 0.0:
         raise ValueError("synthesize_pattern: field is zero everywhere on the grid")

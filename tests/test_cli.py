@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import fcntl
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -271,11 +273,56 @@ class TestExitCodes:
     def test_locked_output_directory(self, tmp_path, default_config, capsys):
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".tiltbeam.lock").touch()
-        assert run(["pattern", "--config", default_config, "--out", out]) == 2
+        # A second open file description of the directory conflicts even
+        # inside this process.
+        holder = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run(["pattern", "--config", default_config, "--out", out]) == 2
+        finally:
+            os.close(holder)
         assert "is locked by another run" in capsys.readouterr().err
-        assert (out / ".tiltbeam.lock").exists()  # foreign lock is not removed
         assert not (out / "pattern.csv").exists()
+        assert list(out.iterdir()) == []
+
+    def test_leftover_lock_file_is_ignored(self, tmp_path, default_config):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".tiltbeam.lock").write_bytes(b"")  # as an older version left it
+        assert run(["pattern", "--config", default_config, "--out", out]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [".tiltbeam.lock", "pattern.csv"]
+
+    def test_killed_run_releases_its_directory(self, tmp_path, default_config, capsys):
+        out = tmp_path / "out"
+        holder = (
+            "import sys, time\n"
+            "import tiltbeam.cli as cli\n"
+            "def hold(cfg, svg):\n"
+            "    print('holding', flush=True)\n"
+            "    time.sleep(120)\n"
+            "cli._BUILDERS['pattern'] = hold\n"
+            f"sys.exit(cli.main(['pattern', '--config', {str(default_config)!r}, '--out', {str(out)!r}]))\n"
+        )
+        with _spawn_python(["-c", holder], tmp_path) as child:
+            try:
+                assert child.stdout.readline() == "holding\n"
+                assert run(["pattern", "--config", default_config, "--out", out]) == 2
+                assert "is locked by another run" in capsys.readouterr().err
+            finally:
+                child.send_signal(signal.SIGKILL)
+                child.wait(timeout=60)
+        assert child.returncode == -signal.SIGKILL
+        assert run(["pattern", "--config", default_config, "--out", out]) == 0
+        assert [p.name for p in out.iterdir()] == ["pattern.csv"]
+
+    def test_regular_file_out_is_not_reported_as_locked(self, tmp_path, default_config, capsys):
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory\n")
+        assert run(["pattern", "--config", default_config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot prepare output directory '{out}': " in err
+        assert "locked" not in err
+        assert out.read_bytes() == b"not a directory\n"
 
     def test_convergence_failure_maps_to_three(self, tmp_path, default_config, capsys, monkeypatch):
         def exploding_builder(cfg, svg):
@@ -377,11 +424,20 @@ class TestFormatting:
         assert cli._mag_db(1e-30 + 0j) == -400.0  # clamped, not -600
 
 
-def _fresh_python(args, cwd):
+def _python_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run([sys.executable] + args, cwd=cwd, env=env, capture_output=True, text=True,
+    return env
+
+
+def _fresh_python(args, cwd):
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=_python_env(), capture_output=True, text=True,
                           timeout=300)
+
+
+def _spawn_python(args, cwd):
+    return subprocess.Popen([sys.executable] + args, cwd=cwd, env=_python_env(), stdout=subprocess.PIPE,
+                            text=True)
 
 
 class TestFreshProcesses:
