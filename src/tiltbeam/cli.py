@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .circuitmodel import effective_permittivity, half_wave_resonance, loss_budget
 from .config import ConfigError, RunConfig, load_config
 from .radiators import FrequencyContext
@@ -27,7 +25,6 @@ from .specfun import ConvergenceError
 from .svgplot import render_polar_svg
 from .synthesis import (
     BAND_CENTER_HZ,
-    PatternCut,
     beam_stability,
     pattern_metrics,
     ratio_sweep,
@@ -72,13 +69,6 @@ def _mag_db(value: complex) -> float:
 
 def _first_frequency(cfg: RunConfig) -> float:
     return cfg.frequencies_hz()[0]
-
-
-def _unit_cut(cut: PatternCut) -> PatternCut:
-    if cut.normalized:
-        return cut
-    peak = float(np.abs(cut.values).max())
-    return PatternCut(cut.theta_grid, cut.values / peak, True)
 
 
 def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
@@ -142,9 +132,8 @@ def _build_scan(cfg: RunConfig, svg: bool) -> dict:
     artifacts = {"scan.csv": _csv(header, rows)}
     if svg:
         for cut, report in zip(study.cuts, study.reports):
-            unit = _unit_cut(cut)
             name = f"scan_{_scan_label(report.commanded_deg)}.svg"
-            artifacts[name] = render_polar_svg(unit, pattern_metrics(unit))
+            artifacts[name] = render_polar_svg(cut, pattern_metrics(cut))
     return artifacts
 
 

@@ -171,11 +171,11 @@ class RunConfig:
 
     def frequencies_hz(self) -> list:
         g = self.frequency_grid
-        return [float(v) * 1e9 for v in np.arange(g.start_ghz, g.stop_ghz + 0.5 * g.step_ghz, g.step_ghz)]
+        return [float(v) * 1e9 for v in np.arange(g.start_ghz, g.stop_ghz + 1e-9 * g.step_ghz, g.step_ghz)]
 
     def theta_grid_deg(self) -> np.ndarray:
         g = self.theta_grid
-        return np.arange(g.start_deg, g.stop_deg + 0.5 * g.step_deg, g.step_deg)
+        return np.arange(g.start_deg, g.stop_deg + 1e-9 * g.step_deg, g.step_deg)
 
     def theta_grid_rad(self) -> np.ndarray:
         return np.radians(self.theta_grid_deg())

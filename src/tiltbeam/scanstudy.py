@@ -69,17 +69,14 @@ def scan_pattern(
     """Element pattern times the steered array-factor magnitude.
 
     The product is divided by the peak the same array reaches at boresight
-    command, so a scanned cut peaking at 0.8 means 1.9 dB of scan loss. A
-    single-element layout returns the element cut unchanged.
+    command, so a scanned cut peaking at 0.8 means 1.9 dB of scan loss; the
+    result does not depend on the element's scale. A single-element layout
+    returns the element cut unchanged.
     """
-    if not element.normalized:
-        raise ValueError("scan_pattern: element cut must be normalized")
     if layout.count_Nx * layout.count_Ny == 1:
         return element
     peak0 = float(np.abs(_scanned_product(element, layout, SteeringCommand(0.0), ctx)).max())
-    values = _scanned_product(element, layout, cmd, ctx) / peak0
-    peak = float(np.abs(values).max())
-    return PatternCut(element.theta_grid, values, abs(peak - 1.0) <= 1e-9)
+    return PatternCut(element.theta_grid, _scanned_product(element, layout, cmd, ctx) / peak0)
 
 
 def scan_report(cuts, commands) -> tuple:
@@ -102,7 +99,7 @@ def scan_report(cuts, commands) -> tuple:
     reports = []
     for i, (cut, cmd) in enumerate(zip(cuts, commands)):
         commanded = math.degrees(cmd.steer_theta0)
-        metrics = pattern_metrics(PatternCut(cut.theta_grid, cut.values / peaks[i], True))
+        metrics = pattern_metrics(cut)
         achieved = metrics.tilt_deg
         loss = 0.0 if i == bore_idx else 20.0 * math.log10(peaks[bore_idx] / peaks[i])
         reports.append(ScanReport(commanded, achieved, abs(achieved - commanded), loss, metrics.sll_dB))

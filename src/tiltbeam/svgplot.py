@@ -1,8 +1,8 @@
 """Self-contained polar SVG rendering of pattern cuts.
 
 Upper-half-plane polar axes: angle from the vertical (board normal), dB
-magnitude mapped radially with a -40 dB floor at the origin. Output is a
-pure function of the inputs, byte for byte.
+magnitude relative to the cut's own peak mapped radially with a -40 dB
+floor at the origin. Output is a pure function of the inputs, byte for byte.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ def _point(theta_rad: float, fraction: float) -> tuple:
 
 
 def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
-    """Render a normalized cut with its tilt marker and SLL annotation."""
-    if not cut.normalized:
-        raise ValueError("render_polar_svg: cut must be normalized")
+    """Render a cut, in dB of its own peak, with its tilt marker and SLL annotation."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -82,6 +80,7 @@ def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
         )
 
     mags = np.abs(cut.values)
+    mags = mags / mags.max()
     coords = [
         _point(float(t), _radial_fraction(float(m)))
         for t, m in zip(cut.theta_grid, mags)

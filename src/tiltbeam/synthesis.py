@@ -49,12 +49,12 @@ class PatternCut:
     """Sampled complex far-field over a polar-angle grid.
 
     theta_grid is strictly increasing, in radians, within [-pi/2, pi/2].
-    When normalized is True the maximum magnitude equals 1.
+    values may have any scale, but not all zero: metrics and plots measure
+    each cut against its own peak magnitude.
     """
 
     theta_grid: np.ndarray
     values: np.ndarray
-    normalized: bool
 
     def __post_init__(self):
         grid = np.asarray(self.theta_grid, dtype=float)
@@ -69,8 +69,8 @@ class PatternCut:
             raise ValueError("PatternCut: theta_grid must be strictly increasing")
         if grid[0] < -0.5 * math.pi - 1e-9 or grid[-1] > 0.5 * math.pi + 1e-9:
             raise ValueError("PatternCut: theta_grid must lie within [-pi/2, pi/2]")
-        if self.normalized and abs(np.abs(vals).max() - 1.0) > 1e-9:
-            raise ValueError("PatternCut: normalized cut must have unit peak magnitude")
+        if not np.abs(vals).max() > 0:  # also refuses a NaN peak
+            raise ValueError("PatternCut: values must not all be zero")
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def default_theta_grid(step_deg: float = DEFAULT_THETA_STEP_DEG) -> np.ndarray:
     """Symmetric polar grid over [-90, 90] degrees, in radians."""
     if not step_deg > 0:
         raise ValueError("default_theta_grid: step must be > 0")
-    return np.radians(np.arange(-90.0, 90.0 + 0.5 * step_deg, step_deg))
+    return np.radians(np.arange(-90.0, 90.0 + 1e-9 * step_deg, step_deg))
 
 
 def _slot_term(theta_grid: np.ndarray) -> np.ndarray:
@@ -170,7 +170,7 @@ def synthesize_pattern(
     peak = np.abs(vals).max()
     if peak == 0.0:
         raise ValueError("synthesize_pattern: field is zero everywhere on the grid")
-    return PatternCut(grid, vals / peak, True)
+    return PatternCut(grid, vals / peak)
 
 
 def _refined_argmax(grid_deg: np.ndarray, mags: np.ndarray) -> float:
@@ -208,17 +208,16 @@ def require_metrics_spacing(theta_grid) -> None:
 
 
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:
-    """Tilt, sidelobe level, and -3 dB beamwidth of a normalized cut.
+    """Tilt, sidelobe level, and -3 dB beamwidth of a cut, relative to its own peak.
 
     Tilt refines the grid argmax with a three-point parabola. The main lobe
     spans the first local minima flanking the peak; the strongest local
     maximum outside that span sets the sidelobe level, with boundary samples
     counting as lobe candidates. With no secondary lobe the sidelobe level
     is -inf. A flank that never crosses -3 dB sets beamwidth_one_sided and
-    leaves the width as nan.
+    leaves the width as nan. Scaling the cut by a power of two scales
+    peak_linear alone.
     """
-    if not cut.normalized:
-        raise ValueError("pattern_metrics: cut must be normalized")
     grid_deg = np.degrees(cut.theta_grid)
     mags = np.abs(cut.values)
     n = mags.size
@@ -286,9 +285,7 @@ def ratio_sweep(
     mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx)
     rows = []
     for r in ratios:
-        vals = slot_vals + r * mono_vals
-        peak = np.abs(vals).max()
-        m = pattern_metrics(PatternCut(grid, vals / peak, True))
+        m = pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals))
         rows.append(RatioSweepRow(r, m.tilt_deg, m.sll_dB))
     best = min(rows, key=lambda row: (row.sll_dB, row.ratio))
     return RatioSweepResult(tuple(rows), best.ratio)

@@ -260,6 +260,17 @@ class TestExitCodes:
         assert "error: pattern_metrics: grid spacing must be <= 0.5 degrees" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, data", [
+        ("pattern", {"theta_grid": {"start_deg": -89.9, "stop_deg": 90.0, "step_deg": 0.4}}),
+        ("scan", {"theta_grid": {"start_deg": -89.9, "stop_deg": 90.0, "step_deg": 0.4}}),
+        ("stability", {"frequency_grid": {"start_ghz": 44.3, "stop_ghz": 45.0, "step_ghz": 0.8}}),
+    ])
+    def test_off_lattice_stop_runs(self, tmp_path, capsys, command, data):
+        # Each grid once ran half a step past stop: to 90.1 deg or 45.1 GHz.
+        cfg = write_config(tmp_path, data)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1e-12}})
         assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2

@@ -151,6 +151,26 @@ class TestOverridesAndGrids:
         cfg = parse_config({"frequency_grid": {"start_ghz": 26.0, "stop_ghz": 41.0, "step_ghz": 5.0}})
         assert cfg.frequencies_hz() == [26.0e9, 31.0e9, 36.0e9, 41.0e9]
 
+    @pytest.mark.parametrize("data, expected", [
+        ({"theta_grid": {"start_deg": -89.9, "stop_deg": 90.0, "step_deg": 0.4}}, (450, 89.7)),
+        ({"frequency_grid": {"start_ghz": 44.3, "stop_ghz": 45.0, "step_ghz": 0.8}}, (1, 44.3)),
+    ])
+    def test_off_lattice_stop_drops_the_point_past_it(self, data, expected):
+        cfg = parse_config(data)
+        grid = cfg.theta_grid_deg() if "theta_grid" in data else np.array(cfg.frequencies_hz()) / 1e9
+        assert (grid.size, float(grid[-1])) == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(-90.0, 90.0), span=st.floats(0.0, 180.0), step=st.floats(0.01, 10.0))
+    def test_grids_end_at_or_before_stop(self, start, span, step):
+        stop = min(start + span, 90.0)
+        cfg = parse_config({
+            "theta_grid": {"start_deg": start, "stop_deg": stop, "step_deg": step},
+            "frequency_grid": {"start_ghz": start + 91.0, "stop_ghz": stop + 91.0, "step_ghz": step},
+        })
+        for grid, end in ((cfg.theta_grid_deg(), stop), (np.array(cfg.frequencies_hz()) / 1e9, stop + 91.0)):
+            assert end - step * (1.0 + 1e-6) < grid[-1] <= end + 1e-6 * step
+
     def test_single_point_theta_grid(self):
         cfg = parse_config({"theta_grid": {"start_deg": 30.0, "stop_deg": 30.0, "step_deg": 0.25}})
         deg = cfg.theta_grid_deg()

@@ -1,20 +1,26 @@
 """Scanned line array built on the broadside element component."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltbeam import (
     ArrayLayout,
+    ExcitationWeights,
     PatternCut,
     ScanReport,
     SteeringCommand,
     default_scan_study,
     default_theta_grid,
     pattern_metrics,
+    render_polar_svg,
     scan_pattern,
     scan_report,
+    synthesize_pattern,
 )
 
 FROZEN_EDGE_ERROR_DEG = 3.62339468304242
@@ -44,7 +50,6 @@ class TestDefaultStudy:
 
     def test_boresight_cut_keeps_unit_peak(self, study):
         cut = study.cuts[1]
-        assert cut.normalized
         assert float(np.abs(cut.values).max()) == 1.0
 
     def test_edge_command_pointing_error(self, study):
@@ -77,7 +82,7 @@ class TestScanPattern:
 
     def test_isotropic_element_scans_without_loss(self, ctx324):
         grid = default_theta_grid()
-        iso = PatternCut(grid, np.ones(grid.size, complex), True)
+        iso = PatternCut(grid, np.ones(grid.size, complex))
         layout = ArrayLayout(1, 4, 1.2e-3, 0.5 * ctx324.wavelength_lambda0)
         cmds = [SteeringCommand(math.radians(d)) for d in (-45.0, 0.0, 45.0)]
         cuts = [scan_pattern(iso, layout, c, ctx324) for c in cmds]
@@ -88,7 +93,7 @@ class TestScanPattern:
 
     def test_unsteered_four_element_nulls(self, ctx324):
         grid = default_theta_grid()
-        iso = PatternCut(grid, np.ones(grid.size, complex), True)
+        iso = PatternCut(grid, np.ones(grid.size, complex))
         layout = ArrayLayout(1, 4, 1.2e-3, 0.5 * ctx324.wavelength_lambda0)
         cut = scan_pattern(iso, layout, SteeringCommand(0.0), ctx324)
         mags = np.abs(cut.values)
@@ -97,12 +102,37 @@ class TestScanPattern:
             idx = int(np.argmin(np.abs(deg - null_deg)))
             assert mags[idx] < 1e-9
 
-    def test_requires_normalized_element(self, ctx324):
-        grid = np.array([0.0, 0.1])
-        cut = PatternCut(grid, np.array([0.5 + 0j, 0.1 + 0j]), False)
+
+class TestScaleFreeCuts:
+    """Metrics, plots and scans measure a cut against its own peak."""
+
+    @pytest.fixture(scope="class")
+    def cuts(self, study, default_geometry, ctx324):
+        g = default_geometry
+        tilted = synthesize_pattern(
+            ExcitationWeights(1.0, 0.3), default_theta_grid(), g.slot, g.monopole, g.layout, ctx324
+        )
+        return (tilted, study.element, study.cuts[0])  # the last peaks below 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(exponent=st.integers(-60, 60))
+    def test_power_of_two_scale_changes_only_the_peak(self, cuts, ctx324, exponent):
+        # 2^k is exact in every product and quotient, so each result must
+        # match bit for bit, save peak_linear, which scales by 2^k.
+        scale = 2.0 ** exponent
+        for cut in cuts:
+            scaled = PatternCut(cut.theta_grid, scale * cut.values)
+            m, ms = pattern_metrics(cut), pattern_metrics(scaled)
+            assert ms.peak_linear == scale * m.peak_linear
+            # repr round-trips floats, nan included, so equal reprs mean equal bits
+            assert repr(replace(ms, peak_linear=m.peak_linear)) == repr(m)
+            assert render_polar_svg(scaled, ms) == render_polar_svg(cut, m)
+        element = cuts[1]
         layout = ArrayLayout(1, 4, 1.2e-3, 0.5 * ctx324.wavelength_lambda0)
-        with pytest.raises(ValueError, match="normalized"):
-            scan_pattern(cut, layout, SteeringCommand(0.0), ctx324)
+        cmd = SteeringCommand(math.radians(30.0))
+        scaled = PatternCut(element.theta_grid, scale * element.values)
+        assert np.array_equal(scan_pattern(scaled, layout, cmd, ctx324).values,
+                              scan_pattern(element, layout, cmd, ctx324).values)
 
 
 class TestScanReport:

@@ -97,6 +97,14 @@ class TestIntegrateComplex:
     def test_empty_interval_is_exact_zero(self):
         assert integrate_complex(lambda x: np.exp(1j * x), 0.7, 0.7) == 0j
 
+    def test_empty_interval_keeps_the_leading_shape(self):
+        k = np.array([[1.0, 10.0, 40.0], [-3.0, 0.5, 100.0]])
+        val = integrate_complex(lambda x: np.exp(1j * np.multiply.outer(k, x)), 0.7, 0.7)
+        assert isinstance(val, np.ndarray) and val.dtype == complex
+        assert val.shape == k.shape and not val.any()
+        lone = integrate_complex(lambda x: np.exp(1j * x), 0.7, 0.7)
+        assert type(lone) is complex
+
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
             integrate_complex(lambda x: np.ones_like(x) + 0j, 1.0, 0.0)

@@ -63,26 +63,27 @@ class TestExcitationWeights:
 class TestPatternCut:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            PatternCut(np.array([]), np.array([]), False)
+            PatternCut(np.array([]), np.array([]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            PatternCut(np.array([0.0, 0.1, 0.2]), np.array([1.0 + 0j, 0j]), False)
+            PatternCut(np.array([0.0, 0.1, 0.2]), np.array([1.0 + 0j, 0j]))
 
     def test_rejects_non_increasing_grid(self):
-        with pytest.raises(ValueError):
-            PatternCut(np.array([0.2, 0.1, 0.3]), np.zeros(3, complex), False)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PatternCut(np.array([0.2, 0.1, 0.3]), np.zeros(3, complex))
 
     def test_rejects_grid_outside_half_space(self):
-        with pytest.raises(ValueError):
-            PatternCut(np.array([0.0, 2.0]), np.zeros(2, complex), False)
+        with pytest.raises(ValueError, match="within"):
+            PatternCut(np.array([0.0, 2.0]), np.zeros(2, complex))
 
-    def test_rejects_false_normalization_claim(self):
-        with pytest.raises(ValueError):
-            PatternCut(np.array([0.0, 0.1]), np.array([0.5 + 0j, 0.2 + 0j]), True)
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_rejects_zero_or_nan_peak(self, value):
+        with pytest.raises(ValueError, match="must not all be zero"):
+            PatternCut(np.array([0.0, 0.1]), np.full(2, value, complex))
 
     def test_unnormalized_cut_allowed(self):
-        cut = PatternCut(np.array([0.0, 0.1]), np.array([0.5 + 0j, 0.2 + 0j]), False)
+        cut = PatternCut(np.array([0.0, 0.1]), np.array([0.5 + 0j, 0.2 + 0j]))
         assert cut.values.dtype == complex
 
 
@@ -95,6 +96,13 @@ class TestDefaultGrid:
 
     def test_custom_step(self):
         assert default_theta_grid(0.5).size == 361
+
+    @settings(max_examples=200, deadline=None)
+    @given(step=st.floats(0.01, 5.0))
+    def test_last_point_at_or_before_90(self, step):
+        # e.g. step 0.38 once ended at 90.12 degrees, past the half space
+        last = math.degrees(default_theta_grid(step)[-1])
+        assert 90.0 - step * (1.0 + 1e-9) < last <= 90.0 + 1e-9
 
 
 class TestDegenerateWeights:
@@ -234,7 +242,7 @@ class TestPatternMetricsFixtures:
         grid = default_theta_grid()
         deg = np.degrees(grid)
         vals = self.gauss(deg, 20.0, 10.0).astype(complex)
-        m = pattern_metrics(PatternCut(grid, vals, True))
+        m = pattern_metrics(PatternCut(grid, vals))
         assert m.tilt_deg == pytest.approx(20.0, abs=1e-9)
         assert m.sll_dB == -math.inf
         expected_bw = 20.0 * math.sqrt(0.15 * math.log(10.0))
@@ -244,7 +252,7 @@ class TestPatternMetricsFixtures:
         grid = default_theta_grid()
         deg = np.degrees(grid)
         vals = self.gauss(deg, -10.0, 5.0) + 10.0 ** -0.5 * self.gauss(deg, 40.0, 5.0)
-        m = pattern_metrics(PatternCut(grid, vals.astype(complex), True))
+        m = pattern_metrics(PatternCut(grid, vals.astype(complex)))
         assert m.tilt_deg == pytest.approx(-10.0, abs=1e-6)
         assert m.sll_dB == pytest.approx(-10.0, abs=1e-9)
 
@@ -252,13 +260,13 @@ class TestPatternMetricsFixtures:
         grid = default_theta_grid()
         deg = np.degrees(grid)
         vals = self.gauss(deg, 85.0, 10.0).astype(complex)
-        m = pattern_metrics(PatternCut(grid, vals, True))
+        m = pattern_metrics(PatternCut(grid, vals))
         assert m.beamwidth_one_sided
         assert math.isnan(m.beamwidth3dB_deg)
         assert m.tilt_deg == pytest.approx(85.0, abs=1e-9)
 
     def test_single_point_cut(self):
-        m = pattern_metrics(PatternCut(np.array([0.3]), np.array([1.0 + 0j]), True))
+        m = pattern_metrics(PatternCut(np.array([0.3]), np.array([1.0 + 0j])))
         assert m.tilt_deg == pytest.approx(math.degrees(0.3), rel=1e-12)
         assert m.sll_dB == -math.inf
         assert math.isnan(m.beamwidth3dB_deg)
@@ -268,14 +276,14 @@ class TestPatternMetricsFixtures:
         grid = np.radians(np.arange(-90.0, 91.0, 1.0))
         vals = np.cos(grid).astype(complex)
         with pytest.raises(ValueError, match="spacing"):
-            pattern_metrics(PatternCut(grid, vals, True))
+            pattern_metrics(PatternCut(grid, vals))
 
     @settings(max_examples=100, deadline=None)
     @given(theta0=st.floats(-40.0, 40.0), n=st.floats(1.0, 60.0))
     def test_cosine_power_lobe(self, theta0, n):
         grid = default_theta_grid()
         vals = np.abs(np.cos(grid - math.radians(theta0))) ** n
-        m = pattern_metrics(PatternCut(grid, (vals / vals.max()).astype(complex), True))
+        m = pattern_metrics(PatternCut(grid, (vals / vals.max()).astype(complex)))
         # cos^n u = 1 - (n/2) u^2 + (n^2/8 - n/12) u^4: the quartic term moves
         # the three-point parabola's vertex by at most 0.2 (n/4) STEP^3.
         assert m.tilt_deg == pytest.approx(theta0, abs=math.degrees(0.05 * n * STEP ** 3))
@@ -296,16 +304,11 @@ class TestPatternMetricsFixtures:
     def test_two_cosine_power_lobes(self, main, side, level, n):
         grid = default_theta_grid()
         vals = np.abs(np.cos(grid - math.radians(main))) ** n + level * np.abs(np.cos(grid - math.radians(side))) ** n
-        m = pattern_metrics(PatternCut(grid, (vals / vals.max()).astype(complex), True))
+        m = pattern_metrics(PatternCut(grid, (vals / vals.max()).astype(complex)))
         # Each lobe's sampled peak lies within cos^n(STEP/2) of its true
         # peak; at 45 deg apart each lobe adds < 0.71^60 ~ 1e-9 to the other.
         tol = -20.0 * n * math.log10(math.cos(0.5 * STEP)) + 1e-6
         assert m.sll_dB == pytest.approx(20.0 * math.log10(level), abs=tol)
-
-    def test_rejects_unnormalized_cut(self):
-        cut = PatternCut(np.array([0.0, 0.1]), np.array([0.5 + 0j, 0.1 + 0j]), False)
-        with pytest.raises(ValueError, match="normalized"):
-            pattern_metrics(cut)
 
 
 class TestRatioSweep:
