@@ -20,7 +20,7 @@ import numpy as np
 from .arrayfactor import ArrayLayout
 from .circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec, SubstrateSpec
 from .radiators import CurrentModel, MonopoleSpec, SlotSpec
-from .synthesis import AntennaGeometry, ExcitationWeights
+from .synthesis import AntennaGeometry, ExcitationWeights, stepped_grid
 
 
 class ConfigError(ValueError):
@@ -170,12 +170,10 @@ class RunConfig:
         return ExcitationWeights(self.weights.s1, self.weights.s2)
 
     def frequencies_hz(self) -> list:
-        g = self.frequency_grid
-        return [float(v) * 1e9 for v in np.arange(g.start_ghz, g.stop_ghz + 1e-9 * g.step_ghz, g.step_ghz)]
+        return [float(v) * 1e9 for v in stepped_grid(*astuple(self.frequency_grid))]
 
     def theta_grid_deg(self) -> np.ndarray:
-        g = self.theta_grid
-        return np.arange(g.start_deg, g.stop_deg + 1e-9 * g.step_deg, g.step_deg)
+        return stepped_grid(*astuple(self.theta_grid))
 
     def theta_grid_rad(self) -> np.ndarray:
         return np.radians(self.theta_grid_deg())

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import DEFAULT_QUADRATURE, ConvergenceError, QuadratureSpec, bessel_j1, integrate_complex
+from .specfun import ConvergenceError, bessel_j1, integrate_complex
 
 # Engineering value used across the model, chosen over the exact SI constant
 # so closed-form frequency predictions land on their conventional values.
@@ -32,15 +32,14 @@ GROUND_INNER_RADIUS_WAVELENGTHS = 0.05
 
 # Calibration constant J0 of the ground return current: its magnitude makes
 # the post and ground terms peak equally over the normalization grid on a
-# quarter-wave post over a two-wavelength disc, integrated at _CAL_QUAD (the
-# tests re-derive it). It is negative: the return current flows inward, and
-# that phase keeps the reference peak in the outer quadrant, not broadside.
+# quarter-wave post over a two-wavelength disc, each integrated to a tenth of
+# the default tolerances (the tests re-derive it). It is negative: the return
+# current flows inward, and that phase keeps the reference peak off broadside.
 _CAL_KH = 0.5 * math.pi
 _CAL_KA = 4.0 * math.pi
-_CAL_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)
 _GROUND_CURRENT_J0 = -0.180681294388854
 
-# Fixed angular grid used to locate the normalization peak.
+# Fixed angular grid that locates the normalization peak; its field is cached.
 NORMALIZATION_STEP_DEG = 0.25
 _NORM_GRID_RAD = np.radians(np.arange(0.0, 90.0 + 0.5 * NORMALIZATION_STEP_DEG, NORMALIZATION_STEP_DEG))
 
@@ -136,16 +135,16 @@ def monopole_coupling_weight(position_y: float, slot: SlotSpec) -> float:
     return abs(math.cos(math.pi * position_y / slot.length_L))
 
 
-def _integrate(kernel, a: float, b: float, quad: QuadratureSpec, theta: np.ndarray, term: str) -> np.ndarray:
+def _integrate(kernel, a: float, b: float, theta: np.ndarray, term: str) -> np.ndarray:
     # One integral for all angles; a failure names the term and its worst angle.
     try:
-        return integrate_complex(kernel, a, b, quad)
+        return integrate_complex(kernel, a, b)
     except ConvergenceError as exc:
         where = f"{term} at theta = {math.degrees(theta[exc.index]):.6g} deg"
         raise ConvergenceError(where, exc.estimate, exc.error_bound) from exc
 
 
-def _post_term(theta: np.ndarray, kh: float, model: CurrentModel, quad: QuadratureSpec) -> np.ndarray:
+def _post_term(theta: np.ndarray, kh: float, model: CurrentModel) -> np.ndarray:
     # (j / 4pi) sin(theta) * integral_0^{kH} I(u) exp(-j u cos theta) du
     ct = np.cos(theta)[:, None]
 
@@ -153,11 +152,11 @@ def _post_term(theta: np.ndarray, kh: float, model: CurrentModel, quad: Quadratu
         current = np.sin(kh - u) if model is CurrentModel.SINUSOIDAL else 1.0 - u / kh
         return current * (np.cos(u * ct) - 1j * np.sin(u * ct))
 
-    val = _integrate(kernel, 0.0, kh, quad, theta, f"post term (kh = {kh:.6g})")
+    val = _integrate(kernel, 0.0, kh, theta, f"post term (kh = {kh:.6g})")
     return (0.25j / math.pi) * np.sin(theta) * val
 
 
-def _ground_term(theta: np.ndarray, ka: float, quad: QuadratureSpec) -> np.ndarray:
+def _ground_term(theta: np.ndarray, ka: float) -> np.ndarray:
     # (cos(theta) / 2) * integral_{v0}^{ka} exp(-j v) J1(v sin theta) dv
     v0 = 2.0 * math.pi * GROUND_INNER_RADIUS_WAVELENGTHS
     if ka <= v0:
@@ -170,46 +169,36 @@ def _ground_term(theta: np.ndarray, ka: float, quad: QuadratureSpec) -> np.ndarr
     def kernel(v: np.ndarray) -> np.ndarray:
         return (np.cos(v) - 1j * np.sin(v)) * bessel_j1(v * st)
 
-    val = _integrate(kernel, v0, ka, quad, theta, f"ground term (ka = {ka:.6g})")
+    val = _integrate(kernel, v0, ka, theta, f"ground term (ka = {ka:.6g})")
     return 0.5 * np.cos(theta) * val
 
 
-def _field(theta: np.ndarray, kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec) -> np.ndarray:
-    return _post_term(theta, kh, model, quad) + _GROUND_CURRENT_J0 * _ground_term(theta, ka, quad)
+def _field(theta: np.ndarray, kh: float, ka: float, model: CurrentModel) -> np.ndarray:
+    return _post_term(theta, kh, model) + _GROUND_CURRENT_J0 * _ground_term(theta, ka)
 
 
-@lru_cache(maxsize=4096)
-def _peak_reference(kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec) -> complex:
-    # Complex field value at the magnitude argmax of the normalization grid.
-    # First index wins on exact magnitude ties.
-    values = _field(_NORM_GRID_RAD, kh, ka, model, quad)
-    return complex(values[np.argmax(np.abs(values))])
-
-
-@lru_cache(maxsize=32)
-def _normalized_field(
-    abs_theta: bytes, kh: float, ka: float, model: CurrentModel, quad: QuadratureSpec
-) -> np.ndarray:
-    # Field over a grid of |theta| (bytes, to key the cache), each distinct
-    # angle evaluated once, divided by the peak reference in real arithmetic
-    # so that the peak sample divided by itself is exactly 1 + 0j.
-    angles, where = np.unique(np.frombuffer(abs_theta), return_inverse=True)
-    values = _field(angles, kh, ka, model, quad)[where]
-    ref = _peak_reference(kh, ka, model, quad)
+def _divide(values: np.ndarray, ref: complex) -> np.ndarray:
+    # Divides in place, in real arithmetic, so that ref / ref is exactly 1 + 0j.
     scale = ref.real * ref.real + ref.imag * ref.imag
-    out = np.empty_like(values)
-    out.real = (values.real * ref.real + values.imag * ref.imag) / scale
-    out.imag = (values.imag * ref.real - values.real * ref.imag) / scale
-    out.flags.writeable = False
-    return out
+    values.real, values.imag = ((values.real * ref.real + values.imag * ref.imag) / scale,
+                                (values.imag * ref.real - values.real * ref.imag) / scale)
+    return values
 
 
-def monopole_pattern(
-    theta: float | np.ndarray,
-    mono: MonopoleSpec,
-    ctx: FrequencyContext,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> complex | np.ndarray:
+# 64 entries of a 361-angle field, about 0.4 MB in all: room for any one
+# study's geometries, while a sweep over fresh ones cannot grow the process.
+@lru_cache(maxsize=64)
+def _peak_reference(kh: float, ka: float, model: CurrentModel) -> tuple[complex, np.ndarray]:
+    # The field at the normalization grid's magnitude argmax (first index wins
+    # on exact ties), and the grid field divided by it, read-only.
+    values = _field(_NORM_GRID_RAD, kh, ka, model)
+    ref = complex(values[np.argmax(np.abs(values))])
+    _divide(values, ref)
+    values.flags.writeable = False
+    return ref, values
+
+
+def monopole_pattern(theta: float | np.ndarray, mono: MonopoleSpec, ctx: FrequencyContext) -> complex | np.ndarray:
     """Normalized far-field value of the grounded post at polar angle theta.
 
     Valid for theta in [0, pi/2]; a ground plane is assumed, so only the
@@ -219,14 +208,22 @@ def monopole_pattern(
     phase relative to the peak. The ground radius must exceed the inner
     truncation radius of 0.05 wavelengths at the context frequency.
 
-    A scalar theta gives a complex. An array of any shape gives a read-only
-    complex array of that shape, each value equal to the scalar call's; the
-    last 32 (grid, geometry, frequency, quadrature) results are cached.
+    A scalar theta gives a complex; an array gives a read-only complex array
+    of its shape, each value equal to the scalar call's. Angles on the grid
+    are read from a per-geometry cache, and the others integrated once each.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all((theta >= 0.0) & (theta <= 0.5 * math.pi + 1e-12)):
         raise ValueError("monopole_pattern: theta must lie in [0, pi/2]")
-    kh = ctx.wavenumber_k * mono.height_H
-    ka = ctx.wavenumber_k * mono.ground_radius_a
-    values = _normalized_field(theta.tobytes(), kh, ka, mono.current_model, quad).reshape(theta.shape)
+    geometry = (ctx.wavenumber_k * mono.height_H, ctx.wavenumber_k * mono.ground_radius_a, mono.current_model)
+    ref, grid_values = _peak_reference(*geometry)
+    flat = theta.ravel()
+    index = np.rint(np.degrees(flat) / NORMALIZATION_STEP_DEG).astype(int)  # nearest sample
+    off_grid = _NORM_GRID_RAD[index] != flat
+    values = grid_values[index]
+    if off_grid.any():
+        angles, where = np.unique(flat[off_grid], return_inverse=True)
+        values[off_grid] = _divide(_field(angles, *geometry), ref)[where]
+    values = values.reshape(theta.shape)
+    values.flags.writeable = False
     return complex(values) if values.ndim == 0 else values

@@ -116,11 +116,16 @@ class StabilityResult:
     max_tilt_deviation_deg: float
 
 
+def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... through stop; a last point rounded past stop is stop."""
+    return np.minimum(np.arange(start, stop + 1e-9 * step, step), stop)
+
+
 def default_theta_grid(step_deg: float = DEFAULT_THETA_STEP_DEG) -> np.ndarray:
     """Symmetric polar grid over [-90, 90] degrees, in radians."""
     if not step_deg > 0:
         raise ValueError("default_theta_grid: step must be > 0")
-    return np.radians(np.arange(-90.0, 90.0 + 1e-9 * step_deg, step_deg))
+    return np.radians(stepped_grid(-90.0, 90.0, step_deg))
 
 
 def _slot_term(theta_grid: np.ndarray) -> np.ndarray:

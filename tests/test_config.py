@@ -168,8 +168,11 @@ class TestOverridesAndGrids:
             "theta_grid": {"start_deg": start, "stop_deg": stop, "step_deg": step},
             "frequency_grid": {"start_ghz": start + 91.0, "stop_ghz": stop + 91.0, "step_ghz": step},
         })
-        for grid, end in ((cfg.theta_grid_deg(), stop), (np.array(cfg.frequencies_hz()) / 1e9, stop + 91.0)):
-            assert end - step * (1.0 + 1e-6) < grid[-1] <= end + 1e-6 * step
+        # Frequencies are compared in Hz: rounding v * 1e9 keeps v <= stop,
+        # which dividing back by 1e9 need not.
+        hz = (np.array(cfg.frequencies_hz()), (stop + 91.0) * 1e9, step * 1e9)
+        for grid, end, spacing in ((cfg.theta_grid_deg(), stop, step), hz):
+            assert end - spacing * (1.0 + 1e-6) < grid[-1] <= end
 
     def test_single_point_theta_grid(self):
         cfg = parse_config({"theta_grid": {"start_deg": 30.0, "stop_deg": 30.0, "step_deg": 0.25}})

@@ -7,6 +7,7 @@ between the two is the main correctness argument here.
 """
 
 import ast
+import functools
 import math
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from tiltbeam import (
     slot_aperture_field,
     slot_pattern,
 )
-from tiltbeam.specfun import ConvergenceError, QuadratureSpec
+from tiltbeam.specfun import ConvergenceError, QuadratureSpec, integrate_complex
 
 NORM_GRID = np.radians(np.arange(0.0, 90.0 + 0.125, 0.25))
 
@@ -163,12 +164,14 @@ class TestMonopolePattern:
         assert j0 < 0.0
         assert j0 == pytest.approx(-0.18068129438884775, rel=1e-9)
 
-    def test_calibration_constant_is_rederived(self, gl_oracle):
+    def test_calibration_constant_is_rederived(self, gl_oracle, monkeypatch):
         """The J0 literal is the peak ratio of the two terms on the reference geometry."""
+        # Both terms integrated to a tenth of the default tolerances.
+        cal_quad = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)
+        monkeypatch.setattr(radiators, "integrate_complex", functools.partial(integrate_complex, spec=cal_quad))
         grid = radiators._NORM_GRID_RAD
-        quad = radiators._CAL_QUAD
-        post = np.abs(radiators._post_term(grid, radiators._CAL_KH, CurrentModel.SINUSOIDAL, quad)).max()
-        ground = np.abs(radiators._ground_term(grid, radiators._CAL_KA, quad)).max()
+        post = np.abs(radiators._post_term(grid, radiators._CAL_KH, CurrentModel.SINUSOIDAL)).max()
+        ground = np.abs(radiators._ground_term(grid, radiators._CAL_KA)).max()
         assert radiators._GROUND_CURRENT_J0 == pytest.approx(-post / ground, rel=1e-12)
         assert radiators._GROUND_CURRENT_J0 == pytest.approx(gl_oracle.j0, rel=1e-9)
 
@@ -228,21 +231,16 @@ class TestMonopolePattern:
     def test_common_prefactor_cancels(self, ctx324, monkeypatch):
         """Scaling both field integrals together must not move the output."""
         mono = MonopoleSpec()
-        angles = [math.radians(d) for d in (10.0, 38.5, 60.0)]
-
-        def clear_caches():
-            radiators._peak_reference.cache_clear()
-            radiators._normalized_field.cache_clear()
-
+        angles = [math.radians(d) for d in (10.0, 38.5, 60.0, 61.3)]
         field = radiators._field
         baseline = [monopole_pattern(t, mono, ctx324) for t in angles]
         monkeypatch.setattr(radiators, "_field", lambda *args: 2.0 * field(*args))
-        clear_caches()
+        radiators._peak_reference.cache_clear()
         try:
             doubled = [monopole_pattern(t, mono, ctx324) for t in angles]
         finally:
             monkeypatch.setattr(radiators, "_field", field)
-            clear_caches()
+            radiators._peak_reference.cache_clear()
         for b, d in zip(baseline, doubled):
             assert d == pytest.approx(b, rel=1e-12)
 
@@ -257,9 +255,11 @@ _PROPERTY_MONOS = (
 
 @st.composite
 def _angle_grids(draw):
-    # 1-12 angles in [0, pi/2], the endpoints likely, duplicates forced on
-    # demand, laid out 1-d or 2-d.
-    angle = st.one_of(st.sampled_from([0.0, 0.5 * math.pi]), st.floats(0.0, 0.5 * math.pi))
+    # 1-12 angles in [0, pi/2], the endpoints and samples of the 0.25 degree
+    # normalization grid likely, duplicates forced on demand, laid out 1-d or 2-d.
+    angle = st.one_of(
+        st.sampled_from([0.0, 0.5 * math.pi]), st.sampled_from(NORM_GRID.tolist()), st.floats(0.0, 0.5 * math.pi)
+    )
     values = draw(st.lists(angle, min_size=1, max_size=6))
     if draw(st.booleans()):
         values = values + values[::-1]
@@ -301,14 +301,38 @@ class TestMonopoleValues:
             with pytest.raises(ValueError, match="theta must lie"):
                 monopole_pattern(np.array(bad), MonopoleSpec(), ctx324)
 
-    def test_exhausted_budget_names_term_and_angle(self, ctx324):
+    def test_exhausted_budget_names_term_and_angle(self, ctx324, monkeypatch):
+        starved = functools.partial(integrate_complex, spec=QuadratureSpec(max_subdivisions=16))
+        monkeypatch.setattr(radiators, "integrate_complex", starved)
+        radiators._peak_reference.cache_clear()  # the geometry may be cached at full accuracy
         mono = MonopoleSpec(ground_radius_a=0.3)
         with pytest.raises(ConvergenceError) as info:
-            monopole_pattern(NORM_GRID, mono, ctx324, QuadratureSpec(max_subdivisions=16))
+            monopole_pattern(NORM_GRID, mono, ctx324)
         op = info.value.operation
         assert op.startswith("ground term (ka = 203.575) at theta = ") and op.endswith(" deg")
         deg = float(op.split(" at theta = ")[1].split()[0])
         assert deg in np.degrees(NORM_GRID).round(6)
+
+    @pytest.mark.parametrize("model", list(CurrentModel), ids=lambda m: m.value)
+    def test_grid_read_equals_the_angle_integrated_alone(self, ctx324, model, monkeypatch):
+        mono = MonopoleSpec(current_model=model)
+        kh, ka = ctx324.wavenumber_k * mono.height_H, ctx324.wavenumber_k * mono.ground_radius_a
+        ref, _ = radiators._peak_reference(kh, ka, model)
+        picks = NORM_GRID[[0, 1, 154, 262, 359, 360]]
+        alone = [radiators._divide(radiators._field(np.array([t]), kh, ka, model), ref) for t in picks]
+        monkeypatch.setattr(radiators, "integrate_complex", None)  # reads only from here on
+        for theta, expected in zip(picks, alone):
+            read = monopole_pattern(float(theta), mono, ctx324)
+            assert np.array([read]).tobytes() == expected.tobytes()
+
+    def test_cached_geometry_reads_the_default_grid_without_integrating(self, ctx324, monkeypatch):
+        mono = MonopoleSpec(height_H=1.1e-3)
+        grid = np.abs(synthesis.default_theta_grid())
+        first = monopole_pattern(grid, mono, ctx324)
+        calls = []
+        monkeypatch.setattr(radiators, "integrate_complex", lambda *a: calls.append(a) or integrate_complex(*a))
+        assert np.array_equal(monopole_pattern(grid, mono, ctx324), first)
+        assert calls == []
 
     def test_synthesis_reads_the_field_through_monopole_pattern(self):
         # The benchmark's tracer wraps monopole_pattern at every module that
@@ -330,3 +354,21 @@ class TestMonopoleValues:
                 imported.update((node.module or "").split("."))
                 imported.update(alias.name for alias in node.names)
         assert "specfun" not in imported
+
+
+def test_no_function_outside_specfun_takes_a_quadrature_spec():
+    # The field model integrates at one accuracy: a QuadratureSpec is a
+    # parameter of specfun's numerics API and of nothing else in the package.
+    offenders = []
+    for path in sorted(Path(radiators.__file__).parent.glob("*.py")):
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                notes = [p.annotation for p in params if p is not None and p.annotation is not None]
+                text = " ".join(ast.unparse(n) for n in notes + args.defaults + [d for d in args.kw_defaults if d])
+                if "QuadratureSpec" in text or "DEFAULT_QUADRATURE" in text:
+                    offenders.append(f"{path.name}:{node.lineno} {node.name}")
+    assert offenders == []
