@@ -83,18 +83,18 @@ class LossBudget:
 
     alpha_c: float
     alpha_d: float
-    alpha_r: float
-    alpha_l: float
-    total: float
-    note: str = ""
+    alpha_r = 0.0
+    alpha_l = 0.0
+    note = _BUDGET_NOTE
 
     def __post_init__(self):
-        for label, v in (("alpha_c", self.alpha_c), ("alpha_d", self.alpha_d),
-                         ("alpha_r", self.alpha_r), ("alpha_l", self.alpha_l)):
+        for label, v in (("alpha_c", self.alpha_c), ("alpha_d", self.alpha_d)):
             if v < 0.0:
                 raise ValueError(f"LossBudget: {label} must be >= 0")
-        if self.total != self.alpha_c + self.alpha_d + self.alpha_r + self.alpha_l:
-            raise ValueError("LossBudget: total must equal the sum of the terms")
+
+    @property
+    def total(self) -> float:
+        return self.alpha_c + self.alpha_d + self.alpha_r + self.alpha_l
 
 
 def effective_permittivity(strip: MicrostripSpec) -> float:
@@ -212,6 +212,4 @@ def loss_budget(strip: MicrostripSpec, f: float) -> LossBudget:
         raise ValueError("loss_budget: f must be > 0")
     a_c = conductor_attenuation(strip, f) * strip.length_l
     a_d = dielectric_attenuation(strip.substrate, effective_permittivity(strip), f) * strip.length_l
-    a_r = 0.0
-    a_l = 0.0
-    return LossBudget(a_c, a_d, a_r, a_l, a_c + a_d + a_r + a_l, _BUDGET_NOTE)
+    return LossBudget(a_c, a_d)

@@ -45,10 +45,6 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     if v == 0.0:
         v = 0.0  # drop the sign of negative zero
     return f"{v:.9g}"

@@ -84,24 +84,25 @@ class MonopoleSpec:
 
 @dataclass(frozen=True)
 class FrequencyContext:
-    """Frequency, wavenumber, and free-space wavelength, kept consistent."""
+    """Frequency, with the free-space wavelength and wavenumber it fixes."""
 
     frequency_f: float  # Hz
-    wavenumber_k: float  # rad/m
-    wavelength_lambda0: float  # m
 
     def __post_init__(self):
-        if not self.frequency_f > 0:
-            raise ValueError("FrequencyContext: frequency_f must be > 0")
-        if abs(self.wavenumber_k * self.wavelength_lambda0 - 2.0 * math.pi) > 2.0 * math.pi * 1e-12:
-            raise ValueError("FrequencyContext: k * lambda must equal 2*pi")
+        if not 0 < self.frequency_f < math.inf:
+            raise ValueError("FrequencyContext: frequency_f must be finite and > 0")
+
+    @property
+    def wavelength_lambda0(self) -> float:  # m
+        return SPEED_OF_LIGHT / self.frequency_f
+
+    @property
+    def wavenumber_k(self) -> float:  # rad/m
+        return 2.0 * math.pi / self.wavelength_lambda0
 
     @classmethod
     def from_frequency(cls, frequency_hz: float) -> "FrequencyContext":
-        if not frequency_hz > 0:
-            raise ValueError("FrequencyContext: frequency_hz must be > 0")
-        lam = SPEED_OF_LIGHT / frequency_hz
-        return cls(frequency_hz, 2.0 * math.pi / lam, lam)
+        return cls(frequency_hz)
 
 
 def slot_aperture_field(y: float, slot: SlotSpec) -> float:

@@ -39,14 +39,12 @@ class ScanReport:
 
     commanded_deg: float
     achieved_deg: float
-    pointing_error_deg: float
     scan_loss_dB: float
     sll_dB: float
 
-    def __post_init__(self):
-        expected = abs(self.achieved_deg - self.commanded_deg)
-        if abs(self.pointing_error_deg - expected) > 1e-9:
-            raise ValueError("ScanReport: pointing_error_deg must equal |achieved - commanded|")
+    @property
+    def pointing_error_deg(self) -> float:
+        return abs(self.achieved_deg - self.commanded_deg)
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def scan_report(cuts, commands) -> tuple:
         metrics = pattern_metrics(cut)
         achieved = metrics.tilt_deg
         loss = 0.0 if i == bore_idx else 20.0 * math.log10(peaks[bore_idx] / peaks[i])
-        reports.append(ScanReport(commanded, achieved, abs(achieved - commanded), loss, metrics.sll_dB))
+        reports.append(ScanReport(commanded, achieved, loss, metrics.sll_dB))
     return tuple(reports)
 
 

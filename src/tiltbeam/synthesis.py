@@ -38,8 +38,8 @@ class ExcitationWeights:
     s2_monopole: float
 
     def __post_init__(self):
-        if self.s1_slot < 0 or self.s2_monopole < 0:
-            raise ValueError("ExcitationWeights: amplitudes must be >= 0")
+        if not (0 <= self.s1_slot < math.inf and 0 <= self.s2_monopole < math.inf):
+            raise ValueError("ExcitationWeights: amplitudes must be finite and >= 0")
         if self.s1_slot == 0 and self.s2_monopole == 0:
             raise ValueError("ExcitationWeights: s1 and s2 must not both be zero")
 
@@ -96,7 +96,10 @@ class RatioSweepResult:
     """Metrics per excitation ratio plus the sidelobe-minimizing ratio."""
 
     rows: tuple[RatioSweepRow, ...]
-    best_ratio: float
+
+    @property
+    def best_ratio(self) -> float:
+        return min(self.rows, key=lambda row: (row.sll_dB, row.ratio)).ratio
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,10 @@ class StabilityResult:
 
     rows: tuple[StabilityRow, ...]
     reference_tilt_deg: float
-    max_tilt_deviation_deg: float
+
+    @property
+    def max_tilt_deviation_deg(self) -> float:
+        return max(abs(row.tilt_deg - self.reference_tilt_deg) for row in self.rows)
 
 
 def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
@@ -292,8 +298,7 @@ def ratio_sweep(
     for r in ratios:
         m = pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals))
         rows.append(RatioSweepRow(r, m.tilt_deg, m.sll_dB))
-    best = min(rows, key=lambda row: (row.sll_dB, row.ratio))
-    return RatioSweepResult(tuple(rows), best.ratio)
+    return RatioSweepResult(tuple(rows))
 
 
 def beam_stability(
@@ -327,6 +332,4 @@ def beam_stability(
     rows = tuple(
         StabilityRow(f, metrics[f].tilt_deg, metrics[f].sll_dB, metrics[f].beamwidth3dB_deg) for f in freqs
     )
-    ref_tilt = metrics[BAND_CENTER_HZ].tilt_deg
-    max_dev = max(abs(row.tilt_deg - ref_tilt) for row in rows)
-    return StabilityResult(rows, ref_tilt, max_dev)
+    return StabilityResult(rows, metrics[BAND_CENTER_HZ].tilt_deg)

@@ -285,9 +285,9 @@ class TestLossBudget:
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            LossBudget(-0.1, 0.0, 0.0, 0.0, -0.1)
+            LossBudget(-0.1, 0.0)
         with pytest.raises(ValueError):
-            LossBudget(0.1, 0.2, 0.0, 0.0, 0.5)
+            LossBudget(0.0, -0.1)
         with pytest.raises(ValueError):
             loss_budget(MicrostripSpec(), 0.0)
 

@@ -428,6 +428,8 @@ class TestFormatting:
         assert cli._fmt(-0.0) == "0"
         assert cli._fmt(1.0) == "1"
         assert cli._fmt(math.nan) == "nan"
+        assert cli._fmt(-math.nan) == "nan"
+        assert cli._fmt(math.inf) == "inf"
         assert cli._fmt(-math.inf) == "-inf"
         assert cli._fmt("note text") == "note text"
 

@@ -117,9 +117,20 @@ class TestFrequencyContext:
         with pytest.raises(ValueError):
             FrequencyContext.from_frequency(0.0)
 
-    def test_rejects_inconsistent_triple(self):
-        with pytest.raises(ValueError):
-            FrequencyContext(32.4e9, 1.0, 1.0)
+    @pytest.mark.parametrize("f", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_non_positive_frequency(self, f):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FrequencyContext(f)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FrequencyContext.from_frequency(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.floats(min_value=1e9, max_value=1e12))
+    def test_wavelength_and_wavenumber_follow_the_frequency(self, f):
+        ctx = FrequencyContext(f)
+        assert ctx.wavelength_lambda0 == 3.0e8 / f
+        assert ctx.wavenumber_k == 2.0 * math.pi / (3.0e8 / f)
+        assert FrequencyContext.from_frequency(f) == ctx
 
 
 class TestSpecValidation:

@@ -150,11 +150,8 @@ class TestScanReport:
         with pytest.raises(ValueError):
             scan_report([], [])
 
-    def test_pointing_error_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            ScanReport(45.0, 41.4, 2.0, 0.5, -10.0)
-
     def test_negative_loss_is_representable(self):
         # an element peaking off boresight can produce scan gain
-        rep = ScanReport(30.0, 29.0, 1.0, -0.3, -12.0)
+        rep = ScanReport(30.0, 29.0, -0.3, -12.0)
         assert rep.scan_loss_dB == -0.3
+        assert rep.pointing_error_deg == 1.0

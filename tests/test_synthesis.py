@@ -51,6 +51,11 @@ class TestExcitationWeights:
         with pytest.raises(ValueError):
             ExcitationWeights(1.0, -0.3)
 
+    @pytest.mark.parametrize("s1, s2", [(math.nan, 1.0), (math.inf, 0.3), (1.0, math.inf)])
+    def test_rejects_non_finite_amplitudes(self, s1, s2):
+        with pytest.raises(ValueError, match="finite"):
+            ExcitationWeights(s1, s2)
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             ExcitationWeights(0.0, 0.0)
