@@ -20,7 +20,7 @@ class ArrayLayout:
 
     def __post_init__(self):
         for name, count in (("count_Nx", self.count_Nx), ("count_Ny", self.count_Ny)):
-            if int(count) != count or count < 1:
+            if not (count >= 1 and count % 1 == 0):
                 raise ValueError(f"ArrayLayout: {name} must be an integer >= 1")
         if self.count_Nx > 1 and not self.spacing_dx > 0:
             raise ValueError("ArrayLayout: spacing_dx must be > 0 when count_Nx > 1")

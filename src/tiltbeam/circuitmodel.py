@@ -34,9 +34,9 @@ class SubstrateSpec:
     thickness_h: float
 
     def __post_init__(self):
-        if self.eps_r < 1.0:
+        if not self.eps_r >= 1.0:
             raise ValueError("SubstrateSpec: eps_r must be >= 1")
-        if self.tan_delta < 0.0:
+        if not self.tan_delta >= 0.0:
             raise ValueError("SubstrateSpec: tan_delta must be >= 0")
         if not self.thickness_h > 0.0:
             raise ValueError("SubstrateSpec: thickness_h must be > 0")
@@ -73,7 +73,7 @@ class MicrostripSpec:
             raise ValueError("MicrostripSpec: length_l must be > 0")
         if not self.copper_conductivity > 0.0:
             raise ValueError("MicrostripSpec: copper_conductivity must be > 0")
-        if self.roughness_rq < 0.0:
+        if not self.roughness_rq >= 0.0:
             raise ValueError("MicrostripSpec: roughness_rq must be >= 0")
 
 
@@ -89,7 +89,7 @@ class LossBudget:
 
     def __post_init__(self):
         for label, v in (("alpha_c", self.alpha_c), ("alpha_d", self.alpha_d)):
-            if v < 0.0:
+            if not v >= 0.0:
                 raise ValueError(f"LossBudget: {label} must be >= 0")
 
     @property
@@ -134,7 +134,7 @@ def roughness_factor(roughness_rq: float, depth: float) -> float:
     exactly 1, and a surface much rougher than the skin depth doubles the
     loss as the current path folds over the profile.
     """
-    if roughness_rq < 0.0:
+    if not roughness_rq >= 0.0:
         raise ValueError("roughness_factor: roughness_rq must be >= 0")
     if not depth > 0.0:
         raise ValueError("roughness_factor: depth must be > 0")
@@ -148,7 +148,7 @@ def half_wave_resonance(length_l: float, eps: float) -> float:
     """First open-open resonance of a line: c / (2 l sqrt(eps)), hertz."""
     if not length_l > 0.0:
         raise ValueError("half_wave_resonance: length_l must be > 0")
-    if eps < 1.0:
+    if not eps >= 1.0:
         raise ValueError("half_wave_resonance: eps must be >= 1")
     return SPEED_OF_LIGHT / (2.0 * length_l * math.sqrt(eps))
 
@@ -162,7 +162,7 @@ def dielectric_attenuation(sub: SubstrateSpec, eps_eff: float, f: float) -> floa
     """
     if not f > 0.0:
         raise ValueError("dielectric_attenuation: f must be > 0")
-    if eps_eff < 1.0:
+    if not eps_eff >= 1.0:
         raise ValueError("dielectric_attenuation: eps_eff must be >= 1")
     if sub.tan_delta == 0.0 or sub.eps_r == 1.0:
         return 0.0

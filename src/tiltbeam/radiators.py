@@ -89,8 +89,8 @@ class FrequencyContext:
     frequency_f: float  # Hz
 
     def __post_init__(self):
-        if not 0 < self.frequency_f < math.inf:
-            raise ValueError("FrequencyContext: frequency_f must be finite and > 0")
+        if not (0 < self.frequency_f < math.inf and self.wavelength_lambda0 < math.inf):
+            raise ValueError("FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f")
 
     @property
     def wavelength_lambda0(self) -> float:  # m

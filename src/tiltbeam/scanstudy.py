@@ -81,8 +81,9 @@ def scan_report(cuts, commands) -> tuple:
     """One ScanReport per (cut, command) pair.
 
     Cuts are expected on the scan_pattern convention (shared boresight
-    normalization). The boresight command must be present; its row anchors
-    scan loss at exactly 0.
+    normalization), so scan loss compares each cut's peak_linear with the
+    boresight cut's. The boresight command must be present; its row
+    anchors scan loss at exactly 0.
     """
     cuts = list(cuts)
     commands = list(commands)
@@ -93,14 +94,12 @@ def scan_report(cuts, commands) -> tuple:
     bore_idx = next((i for i, cmd in enumerate(commands) if cmd.steer_theta0 == 0.0), None)
     if bore_idx is None:
         raise ValueError("scan_report: boresight command (0 degrees) missing")
-    peaks = [float(np.abs(c.values).max()) for c in cuts]
+    metrics = [pattern_metrics(cut) for cut in cuts]
+    peak0 = metrics[bore_idx].peak_linear
     reports = []
-    for i, (cut, cmd) in enumerate(zip(cuts, commands)):
-        commanded = math.degrees(cmd.steer_theta0)
-        metrics = pattern_metrics(cut)
-        achieved = metrics.tilt_deg
-        loss = 0.0 if i == bore_idx else 20.0 * math.log10(peaks[bore_idx] / peaks[i])
-        reports.append(ScanReport(commanded, achieved, loss, metrics.sll_dB))
+    for i, (m, cmd) in enumerate(zip(metrics, commands)):
+        loss = 0.0 if i == bore_idx else 20.0 * math.log10(peak0 / m.peak_linear)
+        reports.append(ScanReport(math.degrees(cmd.steer_theta0), m.tilt_deg, loss, m.sll_dB))
     return tuple(reports)
 
 

@@ -70,7 +70,7 @@ class QuadratureSpec:
             raise ValueError("QuadratureSpec: abs_tol must be > 0")
         if not self.rel_tol > 0:
             raise ValueError("QuadratureSpec: rel_tol must be > 0")
-        if int(self.max_subdivisions) != self.max_subdivisions or self.max_subdivisions < 1:
+        if not (self.max_subdivisions >= 1 and self.max_subdivisions % 1 == 0):
             raise ValueError("QuadratureSpec: max_subdivisions must be an integer >= 1")
 
 

@@ -81,7 +81,10 @@ class PatternMetrics:
     sll_dB: float
     beamwidth3dB_deg: float
     peak_linear: float
-    beamwidth_one_sided: bool = False
+
+    @property
+    def beamwidth_one_sided(self) -> bool:
+        return math.isnan(self.beamwidth3dB_deg)
 
 
 @dataclass(frozen=True)
@@ -184,33 +187,6 @@ def synthesize_pattern(
     return PatternCut(grid, vals / peak)
 
 
-def _refined_argmax(grid_deg: np.ndarray, mags: np.ndarray) -> float:
-    # Grid argmax polished by a three-point parabolic fit. First index wins
-    # exact ties; boundary peaks are returned unrefined.
-    i = int(np.argmax(mags))
-    if 0 < i < mags.size - 1:
-        den = mags[i - 1] - 2.0 * mags[i] + mags[i + 1]
-        if den != 0.0:
-            shift = 0.5 * (mags[i - 1] - mags[i + 1]) / den
-            shift = min(0.5, max(-0.5, shift))
-            return float(grid_deg[i] + shift * 0.5 * (grid_deg[i + 1] - grid_deg[i - 1]))
-    return float(grid_deg[i])
-
-
-def _crossing(grid_deg: np.ndarray, mags: np.ndarray, i_peak: int, level: float, side: int):
-    # Linear interpolation of the first crossing of `level` away from the
-    # peak; side is -1 for the left flank, +1 for the right. None when the
-    # flank never drops below the level.
-    j = i_peak
-    while 0 <= j + side < mags.size:
-        k = j + side
-        if mags[k] < level:
-            f = (mags[j] - level) / (mags[j] - mags[k])
-            return float(grid_deg[j] + f * (grid_deg[k] - grid_deg[j]))
-        j = k
-    return None
-
-
 def require_metrics_spacing(theta_grid) -> None:
     """Raise pattern_metrics' coarse-grid error; studies call it before any field evaluation."""
     grid_deg = np.degrees(np.asarray(theta_grid, dtype=float))
@@ -221,33 +197,38 @@ def require_metrics_spacing(theta_grid) -> None:
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     """Tilt, sidelobe level, and -3 dB beamwidth of a cut, relative to its own peak.
 
-    Tilt refines the grid argmax with a three-point parabola. The main lobe
-    spans the first local minima flanking the peak; the strongest local
-    maximum outside that span sets the sidelobe level, with boundary samples
-    counting as lobe candidates. With no secondary lobe the sidelobe level
-    is -inf. A flank that never crosses -3 dB sets beamwidth_one_sided and
-    leaves the width as nan. Scaling the cut by a power of two scales
-    peak_linear alone.
+    Tilt refines the grid argmax (first index on ties) with a three-point
+    parabola, except at a cut boundary. The main lobe spans the first local
+    minima flanking the peak, plateaus included; the strongest local maximum
+    outside that span sets the sidelobe level, with boundary samples counting
+    as lobe candidates. With no secondary lobe the sidelobe level is -inf.
+    Each -3 dB crossing interpolates linearly between the nearest sample
+    below the level and its neighbour toward the peak; a flank that never
+    drops below it leaves the width nan (beamwidth_one_sided), as in a
+    single-sample cut. Scaling the cut by a power of two scales peak_linear
+    alone.
     """
     grid_deg = np.degrees(cut.theta_grid)
     mags = np.abs(cut.values)
     n = mags.size
-    if n == 1:
-        return PatternMetrics(float(grid_deg[0]), -math.inf, math.nan, float(mags[0]), True)
     require_metrics_spacing(cut.theta_grid)
+    i = int(np.argmax(mags))
+    peak = float(mags[i])
 
-    i_peak = int(np.argmax(mags))
-    peak = float(mags[i_peak])
-    tilt = _refined_argmax(grid_deg, mags)
+    tilt = float(grid_deg[i])
+    if 0 < i < n - 1:
+        den = mags[i - 1] - 2.0 * mags[i] + mags[i + 1]
+        if den != 0.0:
+            shift = min(0.5, max(-0.5, 0.5 * (mags[i - 1] - mags[i + 1]) / den))
+            tilt = float(grid_deg[i] + shift * 0.5 * (grid_deg[i + 1] - grid_deg[i - 1]))
 
-    # Main-lobe extent: walk downhill (plateaus included) to the first
-    # flanking minima or the cut boundary.
-    left = i_peak
-    while left > 0 and mags[left - 1] <= mags[left]:
-        left -= 1
-    right = i_peak
-    while right < n - 1 and mags[right + 1] <= mags[right]:
-        right += 1
+    # Main lobe: from just past the last fall before the peak to the first
+    # rise after it, or to the cut boundary.
+    falls = np.flatnonzero(mags[:-1] > mags[1:])
+    rises = np.flatnonzero(mags[:-1] < mags[1:])
+    before, after = np.searchsorted(falls, i), np.searchsorted(rises, i)
+    left = falls[before - 1] + 1 if before else 0
+    right = rises[after] if after < rises.size else n - 1
 
     # Local maxima outside the main lobe, boundary samples included.
     padded = np.concatenate(([-math.inf], mags, [-math.inf]))
@@ -257,11 +238,17 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     sll = -math.inf if second == 0.0 else 20.0 * math.log10(second / peak)
 
     level = _HALF_POWER_LEVEL * peak
-    lo_cross = _crossing(grid_deg, mags, i_peak, level, -1)
-    hi_cross = _crossing(grid_deg, mags, i_peak, level, +1)
-    if lo_cross is None or hi_cross is None:
-        return PatternMetrics(tilt, sll, math.nan, peak, True)
-    return PatternMetrics(tilt, sll, hi_cross - lo_cross, peak, False)
+    below = np.flatnonzero(mags < level)
+    split = np.searchsorted(below, i)
+    if split == 0 or split == below.size:
+        return PatternMetrics(tilt, sll, math.nan, peak)
+    # k: the nearest sample below the level on each side; j: its neighbour
+    # toward the peak.
+    k = below[[split - 1, split]]
+    j = k + [1, -1]
+    t = (mags[j] - level) / (mags[j] - mags[k])
+    lo, hi = grid_deg[j] + t * (grid_deg[k] - grid_deg[j])
+    return PatternMetrics(tilt, sll, float(hi - lo), peak)
 
 
 @dataclass(frozen=True)
@@ -288,8 +275,8 @@ def ratio_sweep(
     ratios = [float(r) for r in ratios]
     if not ratios:
         raise ValueError("ratio_sweep: ratios must be non-empty")
-    if any(not r > 0 for r in ratios):
-        raise ValueError("ratio_sweep: ratios must be positive")
+    if any(not 0 < r < math.inf for r in ratios):
+        raise ValueError("ratio_sweep: ratios must be finite and positive")
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     require_metrics_spacing(grid)
     slot_vals = _slot_term(grid).astype(complex)

@@ -58,6 +58,11 @@ class TestArrayFactor:
             ArrayLayout(count_Ny=-2)
         with pytest.raises(ValueError):
             ArrayLayout(count_Nx=2, spacing_dx=0.0)
+        for count in (math.inf, math.nan, 2.5):
+            with pytest.raises(ValueError, match="count_Nx must be an integer >= 1"):
+                ArrayLayout(count_Nx=count)
+            with pytest.raises(ValueError, match="count_Ny must be an integer >= 1"):
+                ArrayLayout(count_Ny=count)
         # spacing is irrelevant for a single element along that axis
         ArrayLayout(count_Nx=1, spacing_dx=0.0)
 

@@ -52,6 +52,14 @@ class TestPresets:
         with pytest.raises(ValueError):
             SubstrateSpec("x", 2.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("eps_r, tan_delta, message", [
+        (math.nan, 0.01, "eps_r must be >= 1"),
+        (2.0, math.nan, "tan_delta must be >= 0"),
+    ])
+    def test_spec_rejects_nan(self, eps_r, tan_delta, message):
+        with pytest.raises(ValueError, match=message):
+            SubstrateSpec("x", eps_r, tan_delta, 1e-3)
+
 
 class TestEffectivePermittivity:
     def test_air_line(self):
@@ -125,6 +133,14 @@ class TestHalfWaveResonance:
         with pytest.raises(ValueError):
             half_wave_resonance(1e-3, 0.5)
 
+    @pytest.mark.parametrize("length, eps, message", [
+        (1e-3, math.nan, "eps must be >= 1"),
+        (math.nan, 4.4, "length_l must be > 0"),
+    ])
+    def test_rejects_nan(self, length, eps, message):
+        with pytest.raises(ValueError, match=message):
+            half_wave_resonance(length, eps)
+
 
 class TestSkinDepthAndRoughness:
     def test_copper_at_40ghz(self):
@@ -158,6 +174,14 @@ class TestSkinDepthAndRoughness:
             roughness_factor(-1e-6, 1e-7)
         with pytest.raises(ValueError):
             roughness_factor(1e-6, 0.0)
+
+    @pytest.mark.parametrize("rq, depth, message", [
+        (math.nan, 1e-6, "roughness_rq must be >= 0"),
+        (1e-6, math.nan, "depth must be > 0"),
+    ])
+    def test_roughness_rejects_nan(self, rq, depth, message):
+        with pytest.raises(ValueError, match=message):
+            roughness_factor(rq, depth)
 
 
 class TestDielectricAttenuation:
@@ -193,6 +217,14 @@ class TestDielectricAttenuation:
             dielectric_attenuation(sub, 3.4, 0.0)
         with pytest.raises(ValueError):
             dielectric_attenuation(sub, 0.9, 30e9)
+
+    @pytest.mark.parametrize("eps_eff, f, message", [
+        (math.nan, 30e9, "eps_eff must be >= 1"),
+        (3.4, math.nan, "f must be > 0"),
+    ])
+    def test_rejects_nan(self, eps_eff, f, message):
+        with pytest.raises(ValueError, match=message):
+            dielectric_attenuation(SUBSTRATE_PRESETS["FR4"], eps_eff, f)
 
 
 class TestConductorAttenuation:
@@ -291,6 +323,14 @@ class TestLossBudget:
         with pytest.raises(ValueError):
             loss_budget(MicrostripSpec(), 0.0)
 
+    @pytest.mark.parametrize("alpha_c, alpha_d, message", [
+        (math.nan, 0.0, "alpha_c must be >= 0"),
+        (0.0, math.nan, "alpha_d must be >= 0"),
+    ])
+    def test_budget_rejects_nan(self, alpha_c, alpha_d, message):
+        with pytest.raises(ValueError, match=message):
+            LossBudget(alpha_c, alpha_d)
+
     def test_strip_validation(self):
         with pytest.raises(ValueError):
             MicrostripSpec(width_w=0.0)
@@ -300,6 +340,11 @@ class TestLossBudget:
             MicrostripSpec(copper_conductivity=0.0)
         with pytest.raises(ValueError):
             MicrostripSpec(roughness_rq=-1e-6)
+
+    @pytest.mark.parametrize("field", ["width_w", "length_l", "copper_conductivity", "roughness_rq"])
+    def test_strip_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=f"MicrostripSpec: {field} must be"):
+            MicrostripSpec(**{field: math.nan})
 
     def test_substrate_replacement_flows_through(self):
         base = loss_budget(MicrostripSpec(), 30e9)

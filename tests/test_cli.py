@@ -276,6 +276,13 @@ class TestExitCodes:
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_frequency_whose_wavelength_overflows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}})
+        assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "error: FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f" in (
+            capsys.readouterr().err
+        )
+
     def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1e-12}})
         assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2

@@ -117,7 +117,7 @@ class TestFrequencyContext:
         with pytest.raises(ValueError):
             FrequencyContext.from_frequency(0.0)
 
-    @pytest.mark.parametrize("f", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("f", [0.0, -1.0, math.nan, math.inf, 1e-311])
     def test_rejects_non_finite_or_non_positive_frequency(self, f):
         with pytest.raises(ValueError, match="finite and > 0"):
             FrequencyContext(f)

@@ -168,6 +168,9 @@ class TestIntegrateComplex:
             QuadratureSpec(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+        for count in (math.inf, math.nan, 2.5):
+            with pytest.raises(ValueError, match="max_subdivisions must be an integer >= 1"):
+                QuadratureSpec(max_subdivisions=count)
         assert DEFAULT_QUADRATURE.max_subdivisions >= 1000
 
 

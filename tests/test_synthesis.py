@@ -6,11 +6,12 @@ quadrature and a 0.05 degree metrics grid; tolerances reflect the 0.25
 degree grid used here, not model disagreement.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltbeam import (
@@ -21,6 +22,7 @@ from tiltbeam import (
     FrequencyContext,
     MonopoleSpec,
     PatternCut,
+    PatternMetrics,
     SlotSpec,
     beam_stability,
     default_theta_grid,
@@ -316,6 +318,95 @@ class TestPatternMetricsFixtures:
         assert m.sll_dB == pytest.approx(20.0 * math.log10(level), abs=tol)
 
 
+def _refined_argmax(grid_deg, mags):
+    i = int(np.argmax(mags))
+    if 0 < i < mags.size - 1:
+        den = mags[i - 1] - 2.0 * mags[i] + mags[i + 1]
+        if den != 0.0:
+            shift = 0.5 * (mags[i - 1] - mags[i + 1]) / den
+            shift = min(0.5, max(-0.5, shift))
+            return float(grid_deg[i] + shift * 0.5 * (grid_deg[i + 1] - grid_deg[i - 1]))
+    return float(grid_deg[i])
+
+
+def _crossing(grid_deg, mags, i_peak, level, side):
+    j = i_peak
+    while 0 <= j + side < mags.size:
+        k = j + side
+        if mags[k] < level:
+            f = (mags[j] - level) / (mags[j] - mags[k])
+            return float(grid_deg[j] + f * (grid_deg[k] - grid_deg[j]))
+        j = k
+    return None
+
+
+def reference_metrics(cut):
+    """pattern_metrics as a walk over the samples: (tilt, sll, width, peak, one_sided)."""
+    grid_deg = np.degrees(cut.theta_grid)
+    mags = np.abs(cut.values)
+    n = mags.size
+    if n == 1:
+        return float(grid_deg[0]), -math.inf, math.nan, float(mags[0]), True
+    i_peak = int(np.argmax(mags))
+    peak = float(mags[i_peak])
+    tilt = _refined_argmax(grid_deg, mags)
+    left = i_peak
+    while left > 0 and mags[left - 1] <= mags[left]:
+        left -= 1
+    right = i_peak
+    while right < n - 1 and mags[right + 1] <= mags[right]:
+        right += 1
+    padded = np.concatenate(([-math.inf], mags, [-math.inf]))
+    lobes = (mags >= padded[:-2]) & (mags >= padded[2:])
+    lobes[left:right + 1] = False
+    second = float(mags[lobes].max()) if lobes.any() else 0.0
+    sll = -math.inf if second == 0.0 else 20.0 * math.log10(second / peak)
+    level = HALF_POWER * peak
+    lo_cross = _crossing(grid_deg, mags, i_peak, level, -1)
+    hi_cross = _crossing(grid_deg, mags, i_peak, level, +1)
+    if lo_cross is None or hi_cross is None:
+        return tilt, sll, math.nan, peak, True
+    return tilt, sll, hi_cross - lo_cross, peak, False
+
+
+# Exact levels make plateaus, ties and samples right at the -3 dB level.
+_MAGNITUDE = st.one_of(st.sampled_from([0.0, 0.25, 0.5, HALF_POWER, 1.0]), st.floats(0.0, 1.0))
+_SAMPLE = st.builds(complex, _MAGNITUDE, st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def _cuts(draw):
+    values = draw(st.lists(_SAMPLE, min_size=1, max_size=80).filter(any))
+    boundary_peak = draw(st.sampled_from([None, 0, -1]))
+    if boundary_peak is not None:
+        values[boundary_peak] = 2.0
+    step = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    start = draw(st.floats(-90.0, 90.0 - step * (len(values) - 1)))
+    return PatternCut(np.radians(start + step * np.arange(len(values))), np.array(values))
+
+
+class TestPatternMetricsReference:
+    @settings(max_examples=500, deadline=None)
+    @given(cut=_cuts())
+    @example(cut=PatternCut(np.radians([0.0, 0.25, 0.5]), np.array([HALF_POWER, 1.0, 0.0])))
+    @example(cut=PatternCut(np.radians([0.0, 0.25, 0.5, 0.75]), np.array([0.5, 1.0, 1.0, 0.5])))
+    @example(cut=PatternCut(np.radians([0.3]), np.array([2.0j])))
+    def test_equals_the_sample_walk(self, cut):
+        m = pattern_metrics(cut)
+        ref = reference_metrics(cut)
+        assert repr((m.tilt_deg, m.sll_dB, m.beamwidth3dB_deg, m.peak_linear)) == repr(ref[:4])
+        assert m.beamwidth_one_sided == ref[4] == math.isnan(m.beamwidth3dB_deg)
+
+    def test_stores_four_fields(self):
+        names = [f.name for f in dataclasses.fields(PatternMetrics)]
+        assert names == ["tilt_deg", "sll_dB", "beamwidth3dB_deg", "peak_linear"]
+        m = PatternMetrics(0.0, -math.inf, math.nan, 1.0)
+        assert m.beamwidth_one_sided
+        assert not PatternMetrics(0.0, -math.inf, 10.0, 1.0).beamwidth_one_sided
+        with pytest.raises(AttributeError):
+            m.beamwidth_one_sided = False
+
+
 class TestRatioSweep:
     def test_ladder_monotonicity_and_best(self, ctx324, default_geometry):
         result = ratio_sweep(RATIO_LADDER, default_geometry, ctx324)
@@ -351,6 +442,11 @@ class TestRatioSweep:
             ratio_sweep([0.5, 0.0], default_geometry, ctx324)
         with pytest.raises(ValueError):
             ratio_sweep([-0.1], default_geometry, ctx324)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_rejects_non_finite_ratio(self, ctx324, default_geometry, ratio):
+        with pytest.raises(ValueError, match="ratios must be finite and positive"):
+            ratio_sweep([0.5, ratio], default_geometry, ctx324)
 
 
 class TestBeamStability:
