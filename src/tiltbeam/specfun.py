@@ -21,8 +21,9 @@ _SERIES_CUTOFF = 12.0
 _THREE_QUARTER_PI = 2.356194490192345
 
 # J1(x) = (x/2) * sum_m (-1)^m (x^2/4)^m / (m! (m+1)!); 30 terms bring the
-# last one below 1e-17 relative for every |x| <= 12.
-_SERIES_COEFFS = [(-1) ** m / (math.factorial(m) * math.factorial(m + 1)) for m in range(30)]
+# last one below 1e-17 relative for every |x| <= 12. Every coefficient table
+# here runs from the highest power down, as np.polyval takes it.
+_SERIES_COEFFS = [(-1) ** m / (math.factorial(m) * math.factorial(m + 1)) for m in reversed(range(30))]
 
 
 def _hankel_coefficients(terms: int) -> tuple[list, list]:
@@ -33,7 +34,7 @@ def _hankel_coefficients(terms: int) -> tuple[list, list]:
     for k in range(1, terms + 1):
         c *= (4.0 - (2.0 * k - 1.0) ** 2) / (8.0 * k)
         (q if k % 2 else p).append(-c if (k // 2) % 2 else c)
-    return p, q
+    return p[::-1], q[::-1]
 
 
 # Truncated after k = 25: at |x| = 12 that is the smallest term, the usual
@@ -100,38 +101,27 @@ def bessel_j1(x):
     """First-order Bessel function of the first kind, J1(x), elementwise.
 
     Ascending power series up to |x| = 12 and the Hankel asymptotic
-    expansion above, each with a fixed number of terms, so every element
-    is computed alike. Odd in x by construction, so parity is exact. A
-    scalar argument gives a float.
+    expansion above, each with a fixed number of terms and called only on
+    its own arguments, so every element is computed alike. Odd in x by
+    construction, so parity is exact. A scalar argument gives a float.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("bessel_j1: argument must be finite")
     ax = np.abs(x)
-    val = np.empty_like(ax)
-    small = ax <= _SERIES_CUTOFF
-    val[small] = _j1_series(ax[small])
-    val[~small] = _j1_asymptotic(ax[~small])
+    val = np.piecewise(ax, [ax <= _SERIES_CUTOFF], [_j1_series, _j1_asymptotic])
     val = np.where(x < 0.0, -val, val)
     return float(val) if val.ndim == 0 else val
 
 
-def _polyval(coeffs: list, y: np.ndarray) -> np.ndarray:
-    # Horner evaluation of sum_k coeffs[k] y^k, elementwise.
-    total = np.zeros_like(y)
-    for c in reversed(coeffs):
-        total = total * y + c
-    return total
-
-
 def _j1_series(ax: np.ndarray) -> np.ndarray:
-    return 0.5 * ax * _polyval(_SERIES_COEFFS, 0.25 * ax * ax)
+    return 0.5 * ax * np.polyval(_SERIES_COEFFS, 0.25 * ax * ax)
 
 
 def _j1_asymptotic(ax: np.ndarray) -> np.ndarray:
     y = 1.0 / (ax * ax)
     w = ax - _THREE_QUARTER_PI
-    p, q = _polyval(_HANKEL_P, y), _polyval(_HANKEL_Q, y) / ax
+    p, q = np.polyval(_HANKEL_P, y), np.polyval(_HANKEL_Q, y) / ax
     return np.sqrt(2.0 / (math.pi * ax)) * (p * np.cos(w) - q * np.sin(w))
 
 

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+import tiltbeam.radiators as radiators
+import tiltbeam.specfun as specfun
+from tiltbeam.radiators import FrequencyContext, MonopoleSpec
 from tiltbeam.specfun import (
     ConvergenceError,
     DEFAULT_QUADRATURE,
@@ -69,6 +72,34 @@ class TestBesselJ1:
         vals = bessel_j1(xs)
         assert vals.shape == xs.shape
         assert [bessel_j1(float(x)) for x in xs.ravel()] == vals.ravel().tolist()
+
+
+def _refuse(ax):
+    raise AssertionError(f"J1 branch called on {ax.size} arguments that are not its own")
+
+
+class TestBesselJ1Branches:
+    # A call runs a branch only on the arguments it owns, and not at all
+    # when it owns none; the values stay those of the unpatched function.
+    @pytest.mark.parametrize("branch, xs", [
+        ("_j1_asymptotic", np.append(np.linspace(-12.0, 12.0, 97), -0.0)),
+        ("_j1_series", np.concatenate((np.linspace(-300.0, -12.5, 50), [np.nextafter(12.0, 13.0)],
+                                       np.linspace(12.5, 300.0, 50)))),
+    ], ids=["abs-x-up-to-12", "abs-x-above-12"])
+    def test_only_the_branch_owning_the_arguments_runs(self, monkeypatch, branch, xs):
+        batch, alone = bessel_j1(xs), [bessel_j1(float(x)) for x in xs]
+        monkeypatch.setattr(specfun, branch, _refuse)
+        assert bessel_j1(xs).tolist() == batch.tolist()
+        assert [bessel_j1(float(x)) for x in xs] == alone
+        assert [bessel_j1(np.array(x)) for x in xs] == alone
+
+    def test_default_ground_term_runs_only_the_series(self, monkeypatch):
+        ka = FrequencyContext(32.4e9).wavenumber_k * MonopoleSpec().ground_radius_a
+        assert ka < 12.0  # so every J1 argument, v sin(theta) <= ka, is a series one
+        theta = np.radians([0.0, 17.3, 45.0, 90.0])
+        expected = radiators._ground_term(theta, ka)
+        monkeypatch.setattr(specfun, "_j1_asymptotic", _refuse)
+        assert radiators._ground_term(theta, ka).tolist() == expected.tolist()
 
 
 class TestIntegrateComplex:
