@@ -49,8 +49,8 @@ class PatternCut:
     """Sampled complex far-field over a polar-angle grid.
 
     theta_grid is strictly increasing, in radians, within [-pi/2, pi/2].
-    values may have any scale, but not all zero: metrics and plots measure
-    each cut against its own peak magnitude.
+    values may have any finite scale, but not all zero: metrics and plots
+    measure each cut against its own peak magnitude.
     """
 
     theta_grid: np.ndarray
@@ -69,8 +69,11 @@ class PatternCut:
             raise ValueError("PatternCut: theta_grid must be strictly increasing")
         if grid[0] < -0.5 * math.pi - 1e-9 or grid[-1] > 0.5 * math.pi + 1e-9:
             raise ValueError("PatternCut: theta_grid must lie within [-pi/2, pi/2]")
-        if not np.abs(vals).max() > 0:  # also refuses a NaN peak
+        peak = np.abs(vals).max()
+        if not peak > 0:  # also refuses a NaN peak
             raise ValueError("PatternCut: values must not all be zero")
+        if not peak < math.inf:
+            raise ValueError("PatternCut: values must be finite")
 
 
 @dataclass(frozen=True)

@@ -451,9 +451,9 @@ def _python_env():
     return env
 
 
-def _fresh_python(args, cwd):
-    return subprocess.run([sys.executable] + args, cwd=cwd, env=_python_env(), capture_output=True, text=True,
-                          timeout=300)
+def _fresh_python(args, cwd, **env):
+    return subprocess.run([sys.executable] + args, cwd=cwd, env={**_python_env(), **env}, capture_output=True,
+                          text=True, timeout=300)
 
 
 def _spawn_python(args, cwd):
@@ -463,17 +463,18 @@ def _spawn_python(args, cwd):
 
 class TestFreshProcesses:
     def test_artifacts_are_byte_identical_across_cold_processes(self, tmp_path):
-        # criterion 11 reruns inside one process, on warm caches
+        # criterion 11 reruns inside one process, on warm caches; here the
+        # two attempts also differ in their str hash seed
         cfg = write_config(tmp_path, {
             "frequency_grid": {"start_ghz": 26.0, "stop_ghz": 41.0, "step_ghz": 5.0},
         })
         runs = []
-        for attempt in ("a", "b"):
+        for attempt, seed in (("a", "1"), ("b", "2")):
             produced = {}
             for command in cli.COMMANDS:
                 out = tmp_path / attempt / command
                 proc = _fresh_python(["-m", "tiltbeam.cli", command, "--config", str(cfg),
-                                      "--out", str(out), "--svg"], tmp_path)
+                                      "--out", str(out), "--svg"], tmp_path, PYTHONHASHSEED=seed)
                 assert proc.returncode == 0, (command, proc.stderr)
                 produced.update({f"{command}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
             runs.append(produced)

@@ -89,6 +89,17 @@ class TestPatternCut:
         with pytest.raises(ValueError, match="must not all be zero"):
             PatternCut(np.array([0.0, 0.1]), np.full(2, value, complex))
 
+    @pytest.mark.parametrize("mags", [[1.0, math.inf, 1.0, 0.5, 1.0, 0.8], [1.0, math.inf, 0.5], [0.5, -math.inf]],
+                             ids=["inf-peak-with-sidelobes", "inf-peak", "minus-inf"])
+    def test_rejects_infinite_values(self, mags):
+        # against an infinite peak every other sample measures 0, so no
+        # sidelobe level or width can be read from the cut
+        grid = np.linspace(0.0, 0.1, len(mags))
+        with pytest.raises(ValueError, match="PatternCut: values must be finite"):
+            PatternCut(grid, np.array(mags, complex))
+        with pytest.raises(ValueError, match="PatternCut: values must be finite"):
+            PatternCut(grid, np.array([complex(0.0, m) for m in mags]))
+
     def test_unnormalized_cut_allowed(self):
         cut = PatternCut(np.array([0.0, 0.1]), np.array([0.5 + 0j, 0.2 + 0j]))
         assert cut.values.dtype == complex
