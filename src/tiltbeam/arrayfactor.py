@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import require
+
 
 @dataclass(frozen=True)
 class ArrayLayout:
@@ -26,6 +28,10 @@ class ArrayLayout:
             raise ValueError("ArrayLayout: spacing_dx must be > 0 when count_Nx > 1")
         if self.count_Ny > 1 and not self.spacing_dy > 0:
             raise ValueError("ArrayLayout: spacing_dy must be > 0 when count_Ny > 1")
+        if self.count_Nx > 1 and self.spacing_dx == math.inf:
+            raise ValueError("ArrayLayout: spacing_dx must be finite")
+        if self.count_Ny > 1 and self.spacing_dy == math.inf:
+            raise ValueError("ArrayLayout: spacing_dy must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,7 @@ def array_factor(layout: ArrayLayout, theta, phi, lam: float):
     following the separable printed form. Result lies in [0, 1]. theta and
     phi may be numpy arrays, which broadcast; scalars give a float.
     """
-    if not lam > 0:
-        raise ValueError("array_factor: lam must be > 0")
+    require("array_factor", lam=(lam, "> 0"))
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     fx = _factor(layout.count_Nx, math.pi * layout.spacing_dx * np.sin(theta) / lam)
     fy = _factor(layout.count_Ny, math.pi * layout.spacing_dy * np.sin(phi) / lam)
@@ -86,8 +91,7 @@ def steered_array_factor(layout: ArrayLayout, cmd: SteeringCommand, theta, lam: 
     numpy array; the sum is then one (theta x element) outer product, and a
     scalar gives a complex.
     """
-    if not lam > 0:
-        raise ValueError("steered_array_factor: lam must be > 0")
+    require("steered_array_factor", lam=(lam, "> 0"))
     n, d = _line_axis(layout)
     delta = (2.0 * math.pi / lam) * d * (np.sin(np.asarray(theta, dtype=float)) - math.sin(cmd.steer_theta0))
     phasors = np.exp(1j * np.multiply.outer(delta, np.arange(n)))

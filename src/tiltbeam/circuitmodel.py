@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .radiators import SPEED_OF_LIGHT
+from .specfun import require
 
 MU0 = 4.0e-7 * math.pi
 NEPER_TO_DB = 20.0 / math.log(10.0)
@@ -34,12 +35,8 @@ class SubstrateSpec:
     thickness_h: float
 
     def __post_init__(self):
-        if not self.eps_r >= 1.0:
-            raise ValueError("SubstrateSpec: eps_r must be >= 1")
-        if not self.tan_delta >= 0.0:
-            raise ValueError("SubstrateSpec: tan_delta must be >= 0")
-        if not self.thickness_h > 0.0:
-            raise ValueError("SubstrateSpec: thickness_h must be > 0")
+        require("SubstrateSpec", eps_r=(self.eps_r, ">= 1"), tan_delta=(self.tan_delta, ">= 0"),
+                thickness_h=(self.thickness_h, "> 0"))
 
 
 SUBSTRATE_PRESETS: dict = {
@@ -67,14 +64,8 @@ class MicrostripSpec:
     roughness_rq: float = 0.0
 
     def __post_init__(self):
-        if not self.width_w > 0.0:
-            raise ValueError("MicrostripSpec: width_w must be > 0")
-        if not self.length_l > 0.0:
-            raise ValueError("MicrostripSpec: length_l must be > 0")
-        if not self.copper_conductivity > 0.0:
-            raise ValueError("MicrostripSpec: copper_conductivity must be > 0")
-        if not self.roughness_rq >= 0.0:
-            raise ValueError("MicrostripSpec: roughness_rq must be >= 0")
+        require("MicrostripSpec", width_w=(self.width_w, "> 0"), length_l=(self.length_l, "> 0"),
+                copper_conductivity=(self.copper_conductivity, "> 0"), roughness_rq=(self.roughness_rq, ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -88,9 +79,7 @@ class LossBudget:
     note = _BUDGET_NOTE
 
     def __post_init__(self):
-        for label, v in (("alpha_c", self.alpha_c), ("alpha_d", self.alpha_d)):
-            if not v >= 0.0:
-                raise ValueError(f"LossBudget: {label} must be >= 0")
+        require("LossBudget", alpha_c=(self.alpha_c, ">= 0"), alpha_d=(self.alpha_d, ">= 0"))
 
     @property
     def total(self) -> float:
@@ -120,10 +109,7 @@ def characteristic_impedance(strip: MicrostripSpec) -> float:
 
 def skin_depth(f: float, conductivity: float) -> float:
     """Current penetration depth in a conductor, meters."""
-    if not f > 0.0:
-        raise ValueError("skin_depth: f must be > 0")
-    if not conductivity > 0.0:
-        raise ValueError("skin_depth: conductivity must be > 0")
+    require("skin_depth", f=(f, "> 0"), conductivity=(conductivity, "> 0"))
     return 1.0 / math.sqrt(math.pi * f * MU0 * conductivity)
 
 
@@ -134,22 +120,14 @@ def roughness_factor(roughness_rq: float, depth: float) -> float:
     exactly 1, and a surface much rougher than the skin depth doubles the
     loss as the current path folds over the profile.
     """
-    if not roughness_rq >= 0.0:
-        raise ValueError("roughness_factor: roughness_rq must be >= 0")
-    if not depth > 0.0:
-        raise ValueError("roughness_factor: depth must be > 0")
-    if roughness_rq == 0.0:
-        return 1.0
+    require("roughness_factor", roughness_rq=(roughness_rq, ">= 0"), depth=(depth, "> 0"))
     q = roughness_rq / depth
     return 1.0 + (2.0 / math.pi) * math.atan(1.4 * q * q)
 
 
 def half_wave_resonance(length_l: float, eps: float) -> float:
     """First open-open resonance of a line: c / (2 l sqrt(eps)), hertz."""
-    if not length_l > 0.0:
-        raise ValueError("half_wave_resonance: length_l must be > 0")
-    if not eps >= 1.0:
-        raise ValueError("half_wave_resonance: eps must be >= 1")
+    require("half_wave_resonance", length_l=(length_l, "> 0"), eps=(eps, ">= 1"))
     return SPEED_OF_LIGHT / (2.0 * length_l * math.sqrt(eps))
 
 
@@ -160,10 +138,7 @@ def dielectric_attenuation(sub: SubstrateSpec, eps_eff: float, f: float) -> floa
     nepers per meter, converted to dB. Linear in f and in tan_delta. An
     air substrate (er = 1) has nothing to dissipate and returns 0.
     """
-    if not f > 0.0:
-        raise ValueError("dielectric_attenuation: f must be > 0")
-    if not eps_eff >= 1.0:
-        raise ValueError("dielectric_attenuation: eps_eff must be >= 1")
+    require("dielectric_attenuation", f=(f, "> 0"), eps_eff=(eps_eff, ">= 1"))
     if sub.tan_delta == 0.0 or sub.eps_r == 1.0:
         return 0.0
     k0 = 2.0 * math.pi * f / SPEED_OF_LIGHT
@@ -178,8 +153,7 @@ def conductor_attenuation(strip: MicrostripSpec, f: float) -> float:
     Surface resistance spread over the trace width against the line
     impedance, times the roughness multiplier.
     """
-    if not f > 0.0:
-        raise ValueError("conductor_attenuation: f must be > 0")
+    require("conductor_attenuation", f=(f, "> 0"))
     rs = math.sqrt(math.pi * f * MU0 / strip.copper_conductivity)
     z0 = characteristic_impedance(strip)
     alpha_np = rs / (z0 * strip.width_w)
@@ -193,10 +167,7 @@ def plane_wave_attenuation(sub: SubstrateSpec, f: float, path_length: float) -> 
     Low-loss form pi f sqrt(er) tan_delta / c in nepers per meter. Used to
     rank substrates at equal thickness, not to model the microstrip mode.
     """
-    if not f > 0.0:
-        raise ValueError("plane_wave_attenuation: f must be > 0")
-    if not path_length > 0.0:
-        raise ValueError("plane_wave_attenuation: path_length must be > 0")
+    require("plane_wave_attenuation", f=(f, "> 0"), path_length=(path_length, "> 0"))
     alpha_np = math.pi * f * math.sqrt(sub.eps_r) * sub.tan_delta / SPEED_OF_LIGHT
     return NEPER_TO_DB * alpha_np * path_length
 
@@ -208,8 +179,7 @@ def loss_budget(strip: MicrostripSpec, f: float) -> LossBudget:
     zero with the justification carried in the note field. The total is
     the literal sum of the four terms.
     """
-    if not f > 0.0:
-        raise ValueError("loss_budget: f must be > 0")
+    require("loss_budget", f=(f, "> 0"))
     a_c = conductor_attenuation(strip, f) * strip.length_l
     a_d = dielectric_attenuation(strip.substrate, effective_permittivity(strip), f) * strip.length_l
     return LossBudget(a_c, a_d)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import ConvergenceError, bessel_j1, integrate_complex
+from .specfun import ConvergenceError, bessel_j1, integrate_complex, require
 
 # Engineering value used across the model, chosen over the exact SI constant
 # so closed-form frequency predictions land on their conventional values.
@@ -59,10 +59,7 @@ class SlotSpec:
     amplitude_E0: float = 1.0  # V/m
 
     def __post_init__(self):
-        if not self.length_L > 0:
-            raise ValueError("SlotSpec: length_L must be > 0")
-        if not self.amplitude_E0 > 0:
-            raise ValueError("SlotSpec: amplitude_E0 must be > 0")
+        require("SlotSpec", length_L=(self.length_L, "> 0"), amplitude_E0=(self.amplitude_E0, "> 0"))
 
 
 @dataclass(frozen=True)
@@ -74,10 +71,7 @@ class MonopoleSpec:
     current_model: CurrentModel = CurrentModel.SINUSOIDAL
 
     def __post_init__(self):
-        if not self.height_H > 0:
-            raise ValueError("MonopoleSpec: height_H must be > 0")
-        if not self.ground_radius_a > 0:
-            raise ValueError("MonopoleSpec: ground_radius_a must be > 0")
+        require("MonopoleSpec", height_H=(self.height_H, "> 0"), ground_radius_a=(self.ground_radius_a, "> 0"))
         if not isinstance(self.current_model, CurrentModel):
             raise ValueError("MonopoleSpec: current_model must be a CurrentModel")
 

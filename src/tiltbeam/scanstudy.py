@@ -97,8 +97,8 @@ def scan_report(cuts, commands) -> tuple:
     metrics = [pattern_metrics(cut) for cut in cuts]
     peak0 = metrics[bore_idx].peak_linear
     reports = []
-    for i, (m, cmd) in enumerate(zip(metrics, commands)):
-        loss = 0.0 if i == bore_idx else 20.0 * math.log10(peak0 / m.peak_linear)
+    for m, cmd in zip(metrics, commands):
+        loss = 20.0 * math.log10(peak0 / m.peak_linear)
         reports.append(ScanReport(math.degrees(cmd.steer_theta0), m.tilt_deg, loss, m.sll_dB))
     return tuple(reports)
 

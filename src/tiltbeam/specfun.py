@@ -4,6 +4,7 @@ Only what the field models actually need lives here: the first-order Bessel
 function J1 and a composite Gauss-Legendre integrator for complex kernels,
 both vectorized over numpy arrays. Both are deterministic, and each element
 of a batch gets bit-identical results to the same element evaluated alone.
+It also holds the range rule that every model layer applies to its numbers.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ _GL_HALF_WEIGHTS = np.array([0.18945061045506864, 0.18260341504492364, 0.1691565
 _GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
 _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+
+
+def require(owner: str, **checks: tuple) -> None:
+    """Range rule for the model's numbers; each keyword maps a name to (value, bound).
+
+    Raises ValueError "<owner>: <name> must be <bound>" for the first value
+    outside its bound ("> 0", ">= 0" or ">= 1"; NaN and -inf fail each), and
+    only when all pass, "<owner>: <name> must be finite" for the first +inf.
+    """
+    for name, (value, bound) in checks.items():
+        if not _BOUNDS[bound](value):
+            raise ValueError(f"{owner}: {name} must be {bound}")
+    for name, (value, _) in checks.items():
+        if value == math.inf:
+            raise ValueError(f"{owner}: {name} must be finite")
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -67,10 +85,7 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("QuadratureSpec: abs_tol must be > 0")
-        if not self.rel_tol > 0:
-            raise ValueError("QuadratureSpec: rel_tol must be > 0")
+        require("QuadratureSpec", abs_tol=(self.abs_tol, "> 0"), rel_tol=(self.rel_tol, "> 0"))
         if not (self.max_subdivisions >= 1 and self.max_subdivisions % 1 == 0):
             raise ValueError("QuadratureSpec: max_subdivisions must be an integer >= 1")
 

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrayfactor import ArrayLayout, array_factor
-from .radiators import FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
+from .radiators import NORMALIZATION_STEP_DEG, FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
 
 BAND_CENTER_HZ = 32.4e9
 BAND_MIN_HZ = 20.0e9
 BAND_MAX_HZ = 45.0e9
-
-DEFAULT_THETA_STEP_DEG = 0.25
 
 # Field-amplitude level of the -3 dB beamwidth crossings.
 _HALF_POWER_LEVEL = 10.0 ** (-3.0 / 20.0)
@@ -133,8 +131,12 @@ def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
     return np.minimum(np.arange(start, stop + 1e-9 * step, step), stop)
 
 
-def default_theta_grid(step_deg: float = DEFAULT_THETA_STEP_DEG) -> np.ndarray:
-    """Symmetric polar grid over [-90, 90] degrees, in radians."""
+def default_theta_grid(step_deg: float = NORMALIZATION_STEP_DEG) -> np.ndarray:
+    """Symmetric polar grid over [-90, 90] degrees, in radians.
+
+    The default step is the normalization grid's, so monopole_pattern reads
+    every |theta| of the default grid from its per-geometry cache.
+    """
     if not step_deg > 0:
         raise ValueError("default_theta_grid: step must be > 0")
     return np.radians(stepped_grid(-90.0, 90.0, step_deg))

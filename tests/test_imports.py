@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used in its module, and
-every package name the benchmark's tracer wraps exists.
+"""Every module-level import in the package is used in its module, every
+package name the benchmark's tracer wraps exists, and the model modules
+apply their range rule through `specfun.require` only.
 
 No linter ships with the test environment, so these checks parse the
 sources with `ast`. `__init__.py` is exempt: its imports are the public API.
@@ -7,6 +8,7 @@ sources with `ast`. `__init__.py` is exempt: its imports are the public API.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,47 @@ def test_benchmark_tracer_targets_exist():
     assert targets
     missing = {(m, a) for m, a in targets if not hasattr(importlib.import_module(m), a)}
     assert missing - STALE_TRACER_TARGETS == set()
+
+
+# A hand-written copy of specfun.require's rule ends in ": <name> must be <bound>";
+# a message that goes on past the bound, like "... when count_Nx > 1", is another rule.
+RANGE_RULE_MODULES = ["radiators.py", "circuitmodel.py", "specfun.py", "arrayfactor.py"]
+HAND_WRITTEN_BOUND = re.compile(r": (\w+|\{\}) must be (> 0|>= 0|>= 1)$")
+
+
+def hand_written_bound_checks(source: str) -> list:
+    # raise ValueError(...) whose message literal (an f-string's fields read as {}) copies the rule
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ValueError"):
+            continue
+        for arg in node.exc.args:
+            if isinstance(arg, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+            elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                text = arg.value
+            else:
+                continue
+            if HAND_WRITTEN_BOUND.search(text):
+                found.append(f"{text} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("name", RANGE_RULE_MODULES)
+def test_range_checks_go_through_require(name):
+    assert hand_written_bound_checks((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_hand_written_bound_check():
+    source = (
+        "if not f > 0:\n    raise ValueError('skin_depth: f must be > 0')\n"
+        "for n in 'ab':\n    raise ValueError(f'LossBudget: {n} must be >= 0')\n"
+        "raise ValueError('ArrayLayout: spacing_dx must be > 0 when count_Nx > 1')\n"
+        "raise ValueError(f'{owner}: {name} must be {bound}')\n"
+        "raise TypeError('eps: x must be >= 1')\n"
+    )
+    assert hand_written_bound_checks(source) == [
+        "skin_depth: f must be > 0 (line 2)",
+        "LossBudget: {} must be >= 0 (line 4)",
+    ]
