@@ -38,13 +38,7 @@ from .radiators import (
     slot_pattern,
 )
 from .scanstudy import ScanReport, ScanStudyResult, default_scan_study, scan_pattern, scan_report
-from .specfun import (
-    DEFAULT_QUADRATURE,
-    ConvergenceError,
-    QuadratureSpec,
-    bessel_j1,
-    integrate_complex,
-)
+from .specfun import ConvergenceError, bessel_j1, integrate_complex
 from .svgplot import render_polar_svg
 from .synthesis import (
     BAND_CENTER_HZ,

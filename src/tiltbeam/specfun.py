@@ -10,7 +10,6 @@ It also holds the range rule that every model layer applies to its numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -71,26 +70,12 @@ def require(owner: str, **checks: tuple) -> None:
             raise ValueError(f"{owner}: {name} must be finite")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error-control settings for integrate_complex.
-
-    A value is accepted once its n-panel and 2n-panel estimates differ by at
-    most max(abs_tol, rel_tol * |2n-panel estimate|); max_subdivisions
-    bounds the panel count of the finer estimate after the first comparison.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        require("QuadratureSpec", abs_tol=(self.abs_tol, "> 0"), rel_tol=(self.rel_tol, "> 0"))
-        if not (self.max_subdivisions >= 1 and self.max_subdivisions % 1 == 0):
-            raise ValueError("QuadratureSpec: max_subdivisions must be an integer >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# integrate_complex accepts a value once its n-panel and 2n-panel estimates
+# differ by at most max(_ABS_TOL, _REL_TOL * |2n-panel estimate|), and gives
+# up when the finer estimate would need more than _MAX_PANELS panels.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_MAX_PANELS = 4000
 
 
 class ConvergenceError(ArithmeticError):
@@ -150,21 +135,16 @@ def _composite(f, a: float, b: float, panels: int) -> np.ndarray:
     return np.asarray(total, dtype=complex)
 
 
-def integrate_complex(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-):
+def integrate_complex(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Composite 16-point Gauss-Legendre integral of a complex kernel over [a, b].
 
     f maps a 1-d array of abscissae to values whose last axis runs over
     them; leading axes (angles, say) are integrated together. Starting near
     one panel per pi of width, the panel count doubles until each value's
-    n- and 2n-panel estimates agree within `spec`; each value keeps its
-    first passing estimate, independent of the rest of the batch. Raises
-    ConvergenceError past max_subdivisions panels. Returns a complex, or an
-    array of the leading shape.
+    n- and 2n-panel estimates agree within max(1e-10, 1e-9 * |estimate|);
+    each value keeps its first passing estimate, independent of the rest of
+    the batch. Raises ConvergenceError past 4000 panels. Returns a complex,
+    or an array of the leading shape.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_complex: bounds must be finite")
@@ -174,20 +154,20 @@ def integrate_complex(
         zero = np.zeros(np.shape(f(np.array([a])))[:-1], dtype=complex)
         return complex(zero) if zero.ndim == 0 else zero
 
-    n = max(1, min(math.ceil((b - a) / math.pi), spec.max_subdivisions // 2))
+    n = max(1, min(math.ceil((b - a) / math.pi), _MAX_PANELS // 2))
     coarse = _composite(f, a, b, n)
     result = np.zeros_like(coarse)
     done = np.zeros(coarse.shape, dtype=bool)
     while True:
         fine = _composite(f, a, b, 2 * n)
         err = np.abs(fine - coarse)
-        passed = ~done & (err <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine)))
+        passed = ~done & (err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(fine)))
         result[passed] = fine[passed]
         done |= passed
         if done.all():
             return complex(result) if result.ndim == 0 else result
         n *= 2
-        if 2 * n > spec.max_subdivisions:
+        if 2 * n > _MAX_PANELS:
             worst = np.unravel_index(np.argmax(np.where(done, -1.0, err)), err.shape)
             raise ConvergenceError("integrate_complex", complex(fine[worst]), float(err[worst]), worst)
         coarse = fine

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import fcntl
-import functools
 import json
 import math
 import os
@@ -13,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import tiltbeam.cli as cli
-from tiltbeam import radiators, synthesis
+from tiltbeam import radiators, specfun, synthesis
 from tiltbeam.config import parse_config
-from tiltbeam.specfun import ConvergenceError, QuadratureSpec, integrate_complex
+from tiltbeam.specfun import ConvergenceError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -360,8 +359,7 @@ class TestExitCodes:
         assert not (out / ".tiltbeam.lock").exists()
 
     def test_exhausted_quadrature_names_term_and_angle(self, tmp_path, capsys, monkeypatch):
-        starved = functools.partial(integrate_complex, spec=QuadratureSpec(max_subdivisions=16))
-        monkeypatch.setattr(radiators, "integrate_complex", starved)
+        monkeypatch.setattr(specfun, "_MAX_PANELS", 16)
         radiators._peak_reference.cache_clear()  # the geometry may be cached at full accuracy
         cfg = write_config(tmp_path, {"geometry": {"monopole": {"ground_radius_mm": 300.0}}})
         assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 3

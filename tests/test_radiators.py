@@ -7,7 +7,6 @@ between the two is the main correctness argument here.
 """
 
 import ast
-import functools
 import math
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 
 import tiltbeam.radiators as radiators
 import tiltbeam.scanstudy as scanstudy
+import tiltbeam.specfun as specfun
 import tiltbeam.synthesis as synthesis
 from tiltbeam import (
     CurrentModel,
@@ -29,7 +29,7 @@ from tiltbeam import (
     slot_aperture_field,
     slot_pattern,
 )
-from tiltbeam.specfun import ConvergenceError, QuadratureSpec, integrate_complex
+from tiltbeam.specfun import ConvergenceError, integrate_complex
 
 NORM_GRID = np.radians(np.arange(0.0, 90.0 + 0.125, 0.25))
 
@@ -178,8 +178,9 @@ class TestMonopolePattern:
     def test_calibration_constant_is_rederived(self, gl_oracle, monkeypatch):
         """The J0 literal is the peak ratio of the two terms on the reference geometry."""
         # Both terms integrated to a tenth of the default tolerances.
-        cal_quad = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)
-        monkeypatch.setattr(radiators, "integrate_complex", functools.partial(integrate_complex, spec=cal_quad))
+        monkeypatch.setattr(specfun, "_ABS_TOL", 1e-11)
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-10)
+        monkeypatch.setattr(specfun, "_MAX_PANELS", 8000)
         grid = radiators._NORM_GRID_RAD
         post = np.abs(radiators._post_term(grid, radiators._CAL_KH, CurrentModel.SINUSOIDAL)).max()
         ground = np.abs(radiators._ground_term(grid, radiators._CAL_KA)).max()
@@ -313,8 +314,7 @@ class TestMonopoleValues:
                 monopole_pattern(np.array(bad), MonopoleSpec(), ctx324)
 
     def test_exhausted_budget_names_term_and_angle(self, ctx324, monkeypatch):
-        starved = functools.partial(integrate_complex, spec=QuadratureSpec(max_subdivisions=16))
-        monkeypatch.setattr(radiators, "integrate_complex", starved)
+        monkeypatch.setattr(specfun, "_MAX_PANELS", 16)
         radiators._peak_reference.cache_clear()  # the geometry may be cached at full accuracy
         mono = MonopoleSpec(ground_radius_a=0.3)
         with pytest.raises(ConvergenceError) as info:
@@ -354,8 +354,8 @@ class TestMonopoleValues:
 
     @pytest.mark.parametrize("module", [synthesis, scanstudy], ids=lambda m: m.__name__)
     def test_study_layer_does_not_import_specfun(self, module):
-        # monopole_pattern owns the quadrature accuracy; the study functions
-        # take no QuadratureSpec, so their modules need nothing from specfun.
+        # The study layer reaches the field only through monopole_pattern and
+        # does no numerics of its own, so its modules need nothing from specfun.
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imported = set()
         for node in ast.walk(tree):
@@ -366,20 +366,3 @@ class TestMonopoleValues:
                 imported.update(alias.name for alias in node.names)
         assert "specfun" not in imported
 
-
-def test_no_function_outside_specfun_takes_a_quadrature_spec():
-    # The field model integrates at one accuracy: a QuadratureSpec is a
-    # parameter of specfun's numerics API and of nothing else in the package.
-    offenders = []
-    for path in sorted(Path(radiators.__file__).parent.glob("*.py")):
-        if path.name == "specfun.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-                notes = [p.annotation for p in params if p is not None and p.annotation is not None]
-                text = " ".join(ast.unparse(n) for n in notes + args.defaults + [d for d in args.kw_defaults if d])
-                if "QuadratureSpec" in text or "DEFAULT_QUADRATURE" in text:
-                    offenders.append(f"{path.name}:{node.lineno} {node.name}")
-    assert offenders == []

@@ -8,7 +8,6 @@ Each site is a value-type field or function argument that must be > 0,
 
 import math
 
-import numpy as np
 import pytest
 
 from tiltbeam import (
@@ -18,7 +17,6 @@ from tiltbeam import (
     LossBudget,
     MicrostripSpec,
     MonopoleSpec,
-    QuadratureSpec,
     SlotSpec,
     SteeringCommand,
     SubstrateSpec,
@@ -26,7 +24,6 @@ from tiltbeam import (
     conductor_attenuation,
     dielectric_attenuation,
     half_wave_resonance,
-    integrate_complex,
     loss_budget,
     monopole_pattern,
     plane_wave_attenuation,
@@ -55,8 +52,6 @@ SITES = [
     ("MicrostripSpec", "roughness_rq", ">= 0", lambda v: MicrostripSpec(roughness_rq=v)),
     ("LossBudget", "alpha_c", ">= 0", lambda v: LossBudget(v, 0.1)),
     ("LossBudget", "alpha_d", ">= 0", lambda v: LossBudget(0.1, v)),
-    ("QuadratureSpec", "abs_tol", "> 0", lambda v: QuadratureSpec(abs_tol=v)),
-    ("QuadratureSpec", "rel_tol", "> 0", lambda v: QuadratureSpec(rel_tol=v)),
     ("skin_depth", "f", "> 0", lambda v: skin_depth(v, 5.8e7)),
     ("skin_depth", "conductivity", "> 0", lambda v: skin_depth(F, v)),
     ("roughness_factor", "roughness_rq", ">= 0", lambda v: roughness_factor(v, 1e-6)),
@@ -81,7 +76,7 @@ def site_id(site):
 
 
 def test_sites_are_distinct():
-    assert len({site_id(s) for s in SITES}) == len(SITES) == 29
+    assert len({site_id(s) for s in SITES}) == len(SITES) == 27
 
 
 @pytest.mark.parametrize("value", ["below", math.nan, -math.inf], ids=["below", "nan", "minus-inf"])
@@ -127,9 +122,6 @@ LATE_FAILURES = {
                            "MicrostripSpec: copper_conductivity must be finite"),
     # LossBudget(inf, inf)
     "strip-length": (lambda: loss_budget(MicrostripSpec(length_l=math.inf), F), "MicrostripSpec: length_l must be finite"),
-    # the first estimate, accepted unchecked
-    "abs-tol": (lambda: integrate_complex(np.exp, 0.0, 10.0, QuadratureSpec(abs_tol=math.inf)),
-                "QuadratureSpec: abs_tol must be finite"),
     # 0.0 m
     "skin-depth": (lambda: skin_depth(math.inf, 5.8e7), "skin_depth: f must be finite"),
 }

@@ -13,8 +13,6 @@ import tiltbeam.specfun as specfun
 from tiltbeam.radiators import FrequencyContext, MonopoleSpec
 from tiltbeam.specfun import (
     ConvergenceError,
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     _GL_NODES,
     _GL_WEIGHTS,
     bessel_j1,
@@ -168,10 +166,12 @@ class TestIntegrateComplex:
         alone = [integrate_complex(kernel(np.array([x])), 0.0, 3.0)[0] for x in k]
         assert batch.tolist() == alone
 
-    def test_budget_exhaustion_reports_state(self):
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=4)
+    def test_budget_exhaustion_reports_state(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_ABS_TOL", 1e-15)
+        monkeypatch.setattr(specfun, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(specfun, "_MAX_PANELS", 4)
         with pytest.raises(ConvergenceError) as info:
-            integrate_complex(lambda x: np.sin(1.0 / (x + 1e-3)), 0.0, 1.0, spec)
+            integrate_complex(lambda x: np.sin(1.0 / (x + 1e-3)), 0.0, 1.0)
         err = info.value
         assert err.operation == "integrate_complex"
         assert isinstance(err.estimate, complex)
@@ -179,12 +179,12 @@ class TestIntegrateComplex:
         assert err.index == ()
         assert "integrate_complex" in str(err)
 
-    def test_budget_exhaustion_names_the_worst_value(self):
+    def test_budget_exhaustion_names_the_worst_value(self, monkeypatch):
         # only the fastest oscillation cannot converge on 8 panels
         k = np.array([1.0, 2.0, 300.0, 3.0])
-        spec = QuadratureSpec(max_subdivisions=8)
+        monkeypatch.setattr(specfun, "_MAX_PANELS", 8)
         with pytest.raises(ConvergenceError) as info:
-            integrate_complex(lambda x: np.exp(1j * np.multiply.outer(k, x)), 0.0, 3.0, spec)
+            integrate_complex(lambda x: np.exp(1j * np.multiply.outer(k, x)), 0.0, 3.0)
         assert info.value.index == (2,)
 
     def test_gauss_legendre_table_matches_numpy(self):
@@ -193,16 +193,7 @@ class TestIntegrateComplex:
         assert np.array_equal(_GL_WEIGHTS, weights)
 
     def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-        for count in (math.inf, math.nan, 2.5):
-            with pytest.raises(ValueError, match="max_subdivisions must be an integer >= 1"):
-                QuadratureSpec(max_subdivisions=count)
-        assert DEFAULT_QUADRATURE.max_subdivisions >= 1000
+        assert specfun._MAX_PANELS >= 1000
 
 
 class TestAgainstRiemannSums:
