@@ -74,9 +74,10 @@ def array_factor(layout: ArrayLayout, theta, phi, lam: float):
 
 
 def _line_axis(layout: ArrayLayout) -> tuple[int, float]:
-    # A scanned array must be a single line of elements along one axis.
+    # A scanned array must be a single line of elements along one axis. A
+    # lone element has no spacing (its unchecked value may be inf or NaN).
     if layout.count_Nx == 1:
-        return layout.count_Ny, layout.spacing_dy
+        return layout.count_Ny, layout.spacing_dy if layout.count_Ny > 1 else 0.0
     if layout.count_Ny == 1:
         return layout.count_Nx, layout.spacing_dx
     raise ValueError("layout must be a 1xN line along one axis")

@@ -20,7 +20,7 @@ import numpy as np
 from .arrayfactor import ArrayLayout
 from .circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec, SubstrateSpec
 from .radiators import CurrentModel, MonopoleSpec, SlotSpec
-from .synthesis import AntennaGeometry, ExcitationWeights, stepped_grid
+from .synthesis import MAX_GRID_POINTS, AntennaGeometry, ExcitationWeights, stepped_grid
 
 
 class ConfigError(ValueError):
@@ -28,9 +28,6 @@ class ConfigError(ValueError):
 
 
 _CURRENT_MODELS = tuple(model.value for model in CurrentModel)
-
-# Most points a theta or frequency grid may expand to.
-MAX_GRID_POINTS = 100_000
 
 # The per-field rules, by name. A field's annotation (text, by the
 # __future__ import) names its JSON type and its metadata may name one value
@@ -254,12 +251,15 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
+    try:  # read() decodes the whole file in one call, so exc.start is a file offset
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config parse error: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config parse error: nesting too deep") from exc
     return parse_config(data)
 
 

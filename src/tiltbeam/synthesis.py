@@ -126,6 +126,10 @@ class StabilityResult:
         return max(abs(row.tilt_deg - self.reference_tilt_deg) for row in self.rows)
 
 
+# Most points a theta or frequency grid may expand to.
+MAX_GRID_POINTS = 100_000
+
+
 def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... through stop; a last point rounded past stop is stop."""
     return np.minimum(np.arange(start, stop + 1e-9 * step, step), stop)
@@ -139,6 +143,10 @@ def default_theta_grid(step_deg: float = NORMALIZATION_STEP_DEG) -> np.ndarray:
     """
     if not step_deg > 0:
         raise ValueError("default_theta_grid: step must be > 0")
+    if step_deg == math.inf:
+        raise ValueError("default_theta_grid: step must be finite")
+    if 180.0 / step_deg + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
+        raise ValueError(f"default_theta_grid: grid must have at most {MAX_GRID_POINTS} points")
     return np.radians(stepped_grid(-90.0, 90.0, step_deg))
 
 

@@ -80,6 +80,14 @@ class TestSteeredArrayFactor:
         layout = ArrayLayout(1, 1, LAM, LAM)
         assert steered_array_factor(layout, SteeringCommand(0.4), 0.2, LAM) == 1 + 0j
 
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, 1e308], ids=["inf", "nan", "1e308"])
+    def test_single_element_is_unity_whatever_its_spacing(self, spacing):
+        # a lone element's spacing goes unchecked; it once gave nan+nanj here
+        layout = ArrayLayout(1, 1, 1e-3, spacing)
+        theta = np.linspace(-1.5, 1.5, 7)
+        assert np.abs(steered_array_factor(layout, SteeringCommand(0.4), theta, LAM)).tolist() == [1.0] * 7
+        assert abs(steered_array_factor(layout, SteeringCommand(0.4), 0.2, LAM)) == 1.0
+
     def test_unit_magnitude_at_commanded_angle(self):
         layout = ArrayLayout(1, 4, LAM, 0.5 * LAM)
         for deg in (-45.0, -10.0, 0.0, 30.0, 45.0):

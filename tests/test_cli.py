@@ -242,6 +242,13 @@ class TestExitCodes:
         assert run(["pattern", "--config", p]) == 2
         assert "config parse error at line 1 column 13" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000], ids=["not-utf8", "deep"])
+    def test_unparsable_config_bytes(self, tmp_path, capsys, data):
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        assert run(["pattern", "--config", p, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: config parse error")
+
     def test_bad_step_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 0}})
         assert run(["pattern", "--config", cfg]) == 2

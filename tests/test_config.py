@@ -219,6 +219,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="config parse error at line 1 column 13"):
             load_config(p)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfe{}", "config parse error: not UTF-8 text (byte 0)"),
+        (b" " * 10000 + b"{\xe9}", "config parse error: not UTF-8 text (byte 10001)"),
+        (b"[" * 100000 + b"]" * 100000, "config parse error: nesting too deep"),
+    ], ids=["utf16-bom", "late-byte", "deep-nesting"])
+    def test_unreadable_text_is_a_config_error(self, tmp_path, data, message):
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value) == message
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(tmp_path / "absent.json")

@@ -1,9 +1,11 @@
-"""Every module-level import in the package is used in its module, every
-package name the benchmark's tracer wraps exists, and the model modules
-apply their range rule through `specfun.require` only.
+"""Every module-level import in the package and its tests is used in its
+module, every package name the benchmark's tracer wraps exists, and the
+model modules apply their range rule through `specfun.require` only.
 
 No linter ships with the test environment, so these checks parse the
 sources with `ast`. `__init__.py` is exempt: its imports are the public API.
+So is `test_acceptance.py`, which is kept byte-identical with the acceptance
+criteria.
 """
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tiltbeam"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name != "test_acceptance.py")
 TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 
 # Listed by the tracer but gone from the package: the J0 calibration became
@@ -35,7 +38,7 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
