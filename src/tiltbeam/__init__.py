@@ -37,7 +37,7 @@ from .radiators import (
     slot_aperture_field,
     slot_pattern,
 )
-from .scanstudy import ScanReport, ScanStudyResult, default_scan_study, scan_pattern, scan_report
+from .scanstudy import ScanReport, ScanStudyResult, default_scan_study
 from .specfun import ConvergenceError, bessel_j1, integrate_complex
 from .svgplot import render_polar_svg
 from .synthesis import (

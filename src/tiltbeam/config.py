@@ -20,7 +20,7 @@ import numpy as np
 from .arrayfactor import ArrayLayout
 from .circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec, SubstrateSpec
 from .radiators import CurrentModel, MonopoleSpec, SlotSpec
-from .synthesis import MAX_GRID_POINTS, AntennaGeometry, ExcitationWeights, stepped_grid
+from .synthesis import AntennaGeometry, ExcitationWeights, stepped_grid
 
 
 class ConfigError(ValueError):
@@ -28,6 +28,9 @@ class ConfigError(ValueError):
 
 
 _CURRENT_MODELS = tuple(model.value for model in CurrentModel)
+
+# Most points a theta or frequency grid may expand to.
+MAX_GRID_POINTS = 100_000
 
 # The per-field rules, by name. A field's annotation (text, by the
 # __future__ import) names its JSON type and its metadata may name one value
@@ -244,6 +247,8 @@ def parse_config(data: dict) -> RunConfig:
     for path, (start, stop, step) in (("frequency_grid", astuple(freq)), ("theta_grid", astuple(theta))):
         if (stop - start) / step + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
             raise ConfigError(f"{path}: grid must have at most {MAX_GRID_POINTS} points")
+        if step < abs(np.spacing(stop)):  # stepped_grid would repeat values
+            raise ConfigError(f"{path}: step must be at least the float spacing at stop")
     cfg = replace(cfg, frequency_grid=freq, output_dir=out_dir)
     cfg.strip_spec()  # referenced substrate preset must resolve
     return cfg

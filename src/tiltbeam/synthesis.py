@@ -126,28 +126,23 @@ class StabilityResult:
         return max(abs(row.tilt_deg - self.reference_tilt_deg) for row in self.rows)
 
 
-# Most points a theta or frequency grid may expand to.
-MAX_GRID_POINTS = 100_000
-
-
 def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start + step, ... through stop; a last point rounded past stop is stop."""
-    return np.minimum(np.arange(start, stop + 1e-9 * step, step), stop)
+    """start, start + step, ... through stop; a last point rounded past stop is stop.
+
+    The bound lies past stop even when 1e-9 * step is below stop's float
+    spacing, so for a step of at least that spacing the grid holds start.
+    """
+    bound = max(stop + 1e-9 * step, np.nextafter(stop, math.inf))
+    return np.minimum(np.arange(start, bound, step), stop)
 
 
-def default_theta_grid(step_deg: float = NORMALIZATION_STEP_DEG) -> np.ndarray:
+def default_theta_grid() -> np.ndarray:
     """Symmetric polar grid over [-90, 90] degrees, in radians.
 
-    The default step is the normalization grid's, so monopole_pattern reads
-    every |theta| of the default grid from its per-geometry cache.
+    The step is the normalization grid's, so monopole_pattern reads every
+    |theta| of the grid from its per-geometry cache.
     """
-    if not step_deg > 0:
-        raise ValueError("default_theta_grid: step must be > 0")
-    if step_deg == math.inf:
-        raise ValueError("default_theta_grid: step must be finite")
-    if 180.0 / step_deg + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
-        raise ValueError(f"default_theta_grid: grid must have at most {MAX_GRID_POINTS} points")
-    return np.radians(stepped_grid(-90.0, 90.0, step_deg))
+    return np.radians(stepped_grid(-90.0, 90.0, NORMALIZATION_STEP_DEG))
 
 
 def _slot_term(theta_grid: np.ndarray) -> np.ndarray:

@@ -282,6 +282,35 @@ class TestExitCodes:
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "resonance"])
+    def test_one_point_grids_ignore_a_fine_step(self, tmp_path, capsys, command):
+        # start + 1e-9 * step rounds back to start, which once left both grids
+        # empty; resonance reads neither grid
+        artifacts = []
+        for name, step in (("fine", 1e-9), ("coarse", 0.25)):
+            cfg = write_config(tmp_path, {
+                "frequency_grid": {"start_ghz": 32.4, "step_ghz": step},
+                "theta_grid": {"start_deg": 30.0, "stop_deg": 30.0, "step_deg": step},
+            }, name=f"{name}.json")
+            assert run([command, "--config", cfg, "--out", tmp_path / name]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert capsys.readouterr().err == ""
+        assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize("command, artifact, rows", [
+        ("pattern", "pattern.csv", [["30"]]),
+        ("stability", "stability.csv", [["row", "32.4"], ["summary", "32.4"]]),
+        ("loss", "loss.csv", [["32.4"]]),
+    ])
+    def test_fine_step_gives_one_row(self, tmp_path, command, artifact, rows):
+        cfg = write_config(tmp_path, {
+            "frequency_grid": {"start_ghz": 32.4, "step_ghz": 1e-9},
+            "theta_grid": {"start_deg": 30.0, "stop_deg": 30.0, "step_deg": 1e-9},
+        })
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 0
+        _, written = read_csv(tmp_path / "out" / artifact)
+        assert [row[:len(rows[0])] for row in written] == rows
+
     def test_frequency_whose_wavelength_overflows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}})
         assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2

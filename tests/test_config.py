@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltbeam.circuitmodel import SUBSTRATE_PRESETS
@@ -161,9 +161,11 @@ class TestOverridesAndGrids:
         assert (grid.size, float(grid[-1])) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
-    @given(start=st.floats(-90.0, 90.0), span=st.floats(0.0, 180.0), step=st.floats(0.01, 10.0))
-    def test_grids_end_at_or_before_stop(self, start, span, step):
-        stop = min(start + span, 90.0)
+    @given(start=st.floats(-90.0, 90.0), span=st.floats(0.0, 180.0), step_exp=st.floats(-9.0, 1.0))
+    @example(start=30.0, span=0.0, step_exp=-9.0)  # 30 + 1e-9 * step rounds back to 30
+    def test_grids_end_at_or_before_stop(self, start, span, step_exp):
+        step = 10.0 ** step_exp
+        stop = min(start + min(span, step * (MAX_GRID_POINTS // 2)), 90.0)
         cfg = parse_config({
             "theta_grid": {"start_deg": start, "stop_deg": stop, "step_deg": step},
             "frequency_grid": {"start_ghz": start + 91.0, "stop_ghz": stop + 91.0, "step_ghz": step},
@@ -172,7 +174,10 @@ class TestOverridesAndGrids:
         # which dividing back by 1e9 need not.
         hz = (np.array(cfg.frequencies_hz()), (stop + 91.0) * 1e9, step * 1e9)
         for grid, end, spacing in ((cfg.theta_grid_deg(), stop, step), hz):
-            assert end - spacing * (1.0 + 1e-6) < grid[-1] <= end
+            # np.arange adds i * ((start + step) - start), whose rounding
+            # drifts each point by up to one float spacing of the grid's values
+            drift = grid.size * np.abs(np.spacing(grid)).max()
+            assert end - spacing * (1.0 + 1e-6) - drift < grid[-1] <= end
 
     def test_single_point_theta_grid(self):
         cfg = parse_config({"theta_grid": {"start_deg": 30.0, "stop_deg": 30.0, "step_deg": 0.25}})
@@ -404,6 +409,16 @@ class TestGridCap:
         with pytest.raises(ConfigError) as exc:
             parse_config(data)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("data", [
+        {"frequency_grid": {"start_ghz": 32.4, "step_ghz": 1e-15}},
+        {"theta_grid": {"start_deg": -90.0, "stop_deg": -90.0, "step_deg": 1e-300}},
+    ], ids=["1e-15-ghz", "1e-300-deg"])
+    def test_step_below_the_float_spacing_rejected(self, data):
+        # np.arange would repeat stop, or allocate some 1e286 points
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert str(exc.value) == f"{next(iter(data))}: step must be at least the float spacing at stop"
 
     def test_cap_is_inclusive(self):
         cfg = parse_config({"frequency_grid": {"start_ghz": 1.0, "stop_ghz": float(MAX_GRID_POINTS), "step_ghz": 1.0}})

@@ -67,7 +67,6 @@ def test_benchmark_tracer_targets_exist():
 
 # A hand-written copy of specfun.require's rule ends in ": <name> must be <bound>";
 # a message that goes on past the bound, like "... when count_Nx > 1", is another rule.
-RANGE_RULE_MODULES = ["radiators.py", "circuitmodel.py", "specfun.py", "arrayfactor.py"]
 HAND_WRITTEN_BOUND = re.compile(r": (\w+|\{\}) must be (> 0|>= 0|>= 1)$")
 
 
@@ -90,9 +89,9 @@ def hand_written_bound_checks(source: str) -> list:
     return found
 
 
-@pytest.mark.parametrize("name", RANGE_RULE_MODULES)
-def test_range_checks_go_through_require(name):
-    assert hand_written_bound_checks((PACKAGE / name).read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_range_checks_go_through_require(path):
+    assert hand_written_bound_checks(path.read_text(encoding="utf-8")) == []
 
 
 def test_detects_a_hand_written_bound_check():

@@ -31,7 +31,7 @@ from tiltbeam import (
     ratio_sweep,
     synthesize_pattern,
 )
-from tiltbeam.synthesis import MAX_GRID_POINTS, _monopole_term, _slot_term
+from tiltbeam.synthesis import _monopole_term, _slot_term, stepped_grid
 
 HALF_POWER = 10.0 ** (-3.0 / 20.0)
 
@@ -112,29 +112,10 @@ class TestDefaultGrid:
         assert grid[0] == pytest.approx(math.radians(-90.0), abs=1e-15)
         assert grid[-1] == pytest.approx(math.radians(90.0), abs=1e-15)
 
-    def test_custom_step(self):
-        assert default_theta_grid(0.5).size == 361
-
-    @settings(max_examples=200, deadline=None)
-    @given(step=st.floats(0.01, 5.0))
-    def test_last_point_at_or_before_90(self, step):
-        # e.g. step 0.38 once ended at 90.12 degrees, past the half space
-        last = math.degrees(default_theta_grid(step)[-1])
-        assert 90.0 - step * (1.0 + 1e-9) < last <= 90.0 + 1e-9
-
-    @pytest.mark.parametrize("step, message", [
-        (math.inf, "default_theta_grid: step must be finite"),
-        (1e-300, f"default_theta_grid: grid must have at most {MAX_GRID_POINTS} points"),
-        (1e-3, f"default_theta_grid: grid must have at most {MAX_GRID_POINTS} points"),
-    ], ids=["inf", "1e-300", "1e-3"])
-    def test_refused_step(self, step, message):
-        # refused before np.arange allocates the grid
-        with pytest.raises(ValueError) as exc:
-            default_theta_grid(step)
-        assert str(exc.value) == message
-
-    def test_fine_step_under_the_cap(self):
-        assert default_theta_grid(0.0019).size == 94737
+    @pytest.mark.parametrize("value, step", [(32.4, 1e-9), (30.0, 1e-9), (-90.0, 2e-14), (0.0, 5e-324)])
+    def test_one_point_grid_holds_start(self, value, step):
+        # stop + 1e-9 * step rounds back to stop for these steps
+        assert stepped_grid(value, value, step).tolist() == [value]
 
 
 class TestDegenerateWeights:
