@@ -32,9 +32,7 @@ from .radiators import (
     FrequencyContext,
     MonopoleSpec,
     SlotSpec,
-    monopole_coupling_weight,
     monopole_pattern,
-    slot_aperture_field,
     slot_pattern,
 )
 from .scanstudy import ScanReport, ScanStudyResult, default_scan_study

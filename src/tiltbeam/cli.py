@@ -191,7 +191,7 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     try:
         out.mkdir(parents=True, exist_ok=True)
         dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"error: cannot prepare output directory '{out}': {exc}", file=sys.stderr)
         return 2
     staged = []

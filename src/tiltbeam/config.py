@@ -190,7 +190,7 @@ def _object(value, path: str, known=None) -> dict:
 
 
 def _scalar(kind: str, check, value, where: str):
-    for rule in (kind, check, "finite" if kind == "float" else None):
+    for rule in (kind, check, "finite" if kind in ("float", "int") else None):
         if rule and not _RULES[rule][0](value):
             raise ConfigError(f"{where}: {_RULES[rule][1]}")
     return float(value) if kind == "float" else value
@@ -250,7 +250,10 @@ def parse_config(data: dict) -> RunConfig:
         if step < abs(np.spacing(stop)):  # stepped_grid would repeat values
             raise ConfigError(f"{path}: step must be at least the float spacing at stop")
     cfg = replace(cfg, frequency_grid=freq, output_dir=out_dir)
-    cfg.strip_spec()  # referenced substrate preset must resolve
+    try:  # the substrate must resolve, and each length stay > 0 in metres (1e-322 mm is 0.0 m)
+        cfg.strip_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 

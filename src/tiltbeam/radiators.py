@@ -99,14 +99,6 @@ class FrequencyContext:
         return cls(frequency_hz)
 
 
-def slot_aperture_field(y: float, slot: SlotSpec) -> float:
-    """Aperture field E0 * cos(pi y / L) across the slot extent."""
-    half = 0.5 * slot.length_L
-    if not -half <= y <= half:
-        raise ValueError("slot_aperture_field: y outside [-L/2, L/2]")
-    return slot.amplitude_E0 * math.cos(math.pi * y / slot.length_L)
-
-
 def slot_pattern(theta: float) -> float:
     """Slot far-field cut in its raw convention: sin((pi/2) sin theta).
 
@@ -116,18 +108,6 @@ def slot_pattern(theta: float) -> float:
     if not math.isfinite(theta):
         raise ValueError("slot_pattern: theta must be finite")
     return math.sin(0.5 * math.pi * math.sin(theta))
-
-
-def monopole_coupling_weight(position_y: float, slot: SlotSpec) -> float:
-    """Normalized coupling amplitude |cos(pi y / L)| for a post at offset y.
-
-    Posts are fed by proximity to the slot field, so a post near the slot
-    center couples most strongly and one at the slot edge not at all.
-    """
-    half = 0.5 * slot.length_L
-    if not -half <= position_y <= half:
-        raise ValueError("monopole_coupling_weight: position outside slot extent")
-    return abs(math.cos(math.pi * position_y / slot.length_L))
 
 
 def _integrate(kernel, a: float, b: float, theta: np.ndarray, term: str) -> np.ndarray:

@@ -178,8 +178,7 @@ def synthesize_pattern(
     Per sample the un-normalized field is s1 * slot_term + s2 * post_term;
     the returned cut is normalized to unit peak magnitude. Both sources are
     treated as sharing one phase center, so the weights add coherently.
-    The slot term is the fixed half-wave form, so `slot` changes nothing
-    here; SlotSpec feeds only slot_aperture_field and monopole_coupling_weight.
+    The slot term is the fixed half-wave form, so `slot` changes nothing.
     """
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:

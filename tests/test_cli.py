@@ -249,6 +249,20 @@ class TestExitCodes:
         assert run(["pattern", "--config", p, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("error: config parse error")
 
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_length_that_rounds_to_zero_metres(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"geometry": {"strip": {"length_mm": 1e-322}}})
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: MicrostripSpec: length_l must be > 0\n"
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_nul_byte_in_output_dir(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"output_dir": "a\u0000b"})
+        assert run([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: cannot prepare output directory 'a\x00b': embedded null byte\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_bad_step_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 0}})
         assert run(["pattern", "--config", cfg]) == 2

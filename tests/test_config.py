@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltbeam.circuitmodel import SUBSTRATE_PRESETS
+from tiltbeam.circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec
 from tiltbeam.config import (
     MAX_GRID_POINTS,
     ConfigError,
@@ -20,6 +20,7 @@ from tiltbeam.config import (
     parse_config,
     serialize_config,
 )
+from tiltbeam.synthesis import BAND_CENTER_HZ, AntennaGeometry, default_theta_grid
 
 
 class TestDefaults:
@@ -67,6 +68,15 @@ class TestDefaults:
         assert deg[0] == -90.0
         assert deg[-1] == 90.0
         assert np.array_equal(cfg.theta_grid_rad(), np.radians(deg))
+
+    def test_cli_defaults_are_the_api_defaults(self):
+        # Written twice, in millimetres here and in SI units in the model's
+        # specs: `tiltbeam pattern` and the Python API describe one antenna.
+        cfg = RunConfig()
+        assert cfg.geometry() == AntennaGeometry()
+        assert cfg.strip_spec() == MicrostripSpec()
+        assert cfg.frequencies_hz() == [BAND_CENTER_HZ]
+        assert np.array_equal(cfg.theta_grid_rad(), default_theta_grid())
 
 
 class TestStrictness:
@@ -328,6 +338,11 @@ def _message_cases():
         (_substrate(tan_delta=-0.1), "substrates.X.tan_delta: must be >= 0"),
         (_substrate(thickness_mm="1"), "substrates.X.thickness_mm: must be a number"),
         (_substrate(thickness_mm=0.0), "substrates.X.thickness_mm: must be > 0"),
+        # > 0 in millimetres, but 0.0 in metres; X is refused though no strip uses it
+        (_at("strip", "length_mm", 1e-322), "MicrostripSpec: length_l must be > 0"),
+        (_at("strip", "width_mm", 1e-322), "MicrostripSpec: width_w must be > 0"),
+        (_at("strip", "substrate_thickness_mm", 1e-322), "SubstrateSpec: thickness_h must be > 0"),
+        (_substrate(thickness_mm=1e-322), "SubstrateSpec: thickness_h must be > 0"),
         (_substrate(bogus=1), "unknown key: substrates.X.bogus"),
         ({"substrates": {"X": 3}}, "substrates.X: must be an object"),
         ({"substrates": []}, "substrates: must be an object"),
@@ -378,6 +393,8 @@ class TestNonFiniteNumbers:
         ('{"substrates": {"X": {"eps_r": Infinity, "tan_delta": 0, "thickness_mm": 1}}}',
          "substrates.X.eps_r: must be finite"),
         ('{"geometry": {"slot": {"length_mm": 1' + "0" * 400 + '}}}', "geometry.slot.length_mm: must be finite"),
+        ('{"geometry": {"array": {"count_nx": 1' + "0" * 400 + '}}}', "geometry.array.count_nx: must be finite"),
+        ('{"geometry": {"array": {"count_ny": 1' + "0" * 400 + '}}}', "geometry.array.count_ny: must be finite"),
     ])
     def test_rejected_at_load(self, tmp_path, text, message):
         p = tmp_path / "run.json"

@@ -1,11 +1,12 @@
 """Every module-level import in the package and its tests is used in its
-module, every package name the benchmark's tracer wraps exists, and the
-model modules apply their range rule through `specfun.require` only.
+module, every public name has a user outside the unit tests, every package
+name the benchmark's tracer wraps exists, and the model modules apply their
+range rule through `specfun.require` only.
 
 No linter ships with the test environment, so these checks parse the
-sources with `ast`. `__init__.py` is exempt: its imports are the public API.
-So is `test_acceptance.py`, which is kept byte-identical with the acceptance
-criteria.
+sources with `ast`. `__init__.py` is exempt from the unused-import check:
+its imports are the public API. So is `test_acceptance.py`, which is kept
+byte-identical with the acceptance criteria.
 """
 
 import ast
@@ -18,7 +19,16 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tiltbeam"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name != "test_acceptance.py")
-TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+# The sources whose use of a public name counts: the package, the benchmark
+# and the acceptance criteria, not the unit tests.
+EXPORT_USERS = MODULES + sorted(PERFBENCH.glob("*.py")) + [Path(__file__).parent / "test_acceptance.py"]
+
+# Public names that no user reads, each with the reason it stays.
+EXPORTS_WITHOUT_A_USER = {
+    "serialize_config": "the inverse of parse_config, which the config round-trip tests check",
+}
 
 # Listed by the tracer but gone from the package: the J0 calibration became
 # a literal, and the tracer skips the missing name.
@@ -46,6 +56,32 @@ def test_module_imports_are_used(path):
 def test_detects_an_unused_import():
     source = "import math\nimport numpy as np\nfrom os import path, sep\nprint(np.pi, sep)\n"
     assert unused_imports(source) == ["math (line 1)", "path (line 3)"]
+
+
+def unused_exports(init_source: str, user_sources: list) -> list:
+    # names the package's __init__ imports that no user reads as a name or an attribute
+    exported = [alias.asname or alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set()
+    for source in user_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return sorted(name for name in exported if name not in used)
+
+
+def test_every_export_has_a_user():
+    users = [path.read_text(encoding="utf-8") for path in EXPORT_USERS]
+    unused = unused_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"), users)
+    assert set(unused) - set(EXPORTS_WITHOUT_A_USER) == set()
+
+
+def test_detects_an_unused_export():
+    init = "from .a import f, g, h\nfrom .b import K as L, M\n"
+    users = ["f(1)\nh = 2\ndef M(): pass\n", "import m\nprint(m.g, L)\n"]
+    assert unused_exports(init, users) == ["M", "h"]
 
 
 def tracer_targets() -> set:

@@ -1,4 +1,4 @@
-"""Slot aperture model and the grounded-post far field.
+"""Slot pattern and the grounded-post far field.
 
 The post field implementation integrates with composite 16-point
 Gauss-Legendre, refined until n and 2n panels agree, and its own J1; the
@@ -24,9 +24,7 @@ from tiltbeam import (
     FrequencyContext,
     MonopoleSpec,
     SlotSpec,
-    monopole_coupling_weight,
     monopole_pattern,
-    slot_aperture_field,
     slot_pattern,
 )
 from tiltbeam.specfun import ConvergenceError, integrate_complex
@@ -38,53 +36,6 @@ def cal_monopole(ctx):
     # quarter-wave post over a two-wavelength ground disc
     lam = ctx.wavelength_lambda0
     return MonopoleSpec(height_H=0.25 * lam, ground_radius_a=2.0 * lam)
-
-
-class TestSlotAperture:
-    def test_center_value(self):
-        slot = SlotSpec()
-        assert slot_aperture_field(0.0, slot) == slot.amplitude_E0
-
-    def test_vanishes_at_edges(self):
-        slot = SlotSpec()
-        half = 0.5 * slot.length_L
-        assert abs(slot_aperture_field(half, slot)) < 1e-12
-        assert abs(slot_aperture_field(-half, slot)) < 1e-12
-
-    def test_even_in_position(self):
-        slot = SlotSpec()
-        for y in (0.5e-3, 1.0e-3, 2.0e-3):
-            assert slot_aperture_field(y, slot) == slot_aperture_field(-y, slot)
-
-    def test_outside_extent_rejected(self):
-        slot = SlotSpec()
-        with pytest.raises(ValueError):
-            slot_aperture_field(0.51 * slot.length_L, slot)
-
-    def test_scales_with_amplitude(self):
-        a = slot_aperture_field(1.0e-3, SlotSpec(amplitude_E0=1.0))
-        b = slot_aperture_field(1.0e-3, SlotSpec(amplitude_E0=2.0))
-        assert b == 2.0 * a
-
-
-class TestCouplingWeight:
-    def test_strongest_at_center(self):
-        slot = SlotSpec()
-        assert monopole_coupling_weight(0.0, slot) == 1.0
-
-    def test_vanishes_at_edge(self):
-        slot = SlotSpec()
-        assert monopole_coupling_weight(0.5 * slot.length_L, slot) < 1e-12
-
-    def test_decreases_toward_edge(self):
-        slot = SlotSpec()
-        ys = np.linspace(0.0, 0.5 * slot.length_L, 20)
-        w = [monopole_coupling_weight(float(y), slot) for y in ys]
-        assert all(w[i] > w[i + 1] for i in range(len(w) - 1))
-
-    def test_outside_extent_rejected(self):
-        with pytest.raises(ValueError):
-            monopole_coupling_weight(3.0e-3, SlotSpec())
 
 
 class TestSlotPattern:
