@@ -24,14 +24,9 @@ class ArrayLayout:
         for name, count in (("count_Nx", self.count_Nx), ("count_Ny", self.count_Ny)):
             if not (count >= 1 and count % 1 == 0):
                 raise ValueError(f"ArrayLayout: {name} must be an integer >= 1")
-        if self.count_Nx > 1 and not self.spacing_dx > 0:
-            raise ValueError("ArrayLayout: spacing_dx must be > 0 when count_Nx > 1")
-        if self.count_Ny > 1 and not self.spacing_dy > 0:
-            raise ValueError("ArrayLayout: spacing_dy must be > 0 when count_Ny > 1")
-        if self.count_Nx > 1 and self.spacing_dx == math.inf:
-            raise ValueError("ArrayLayout: spacing_dx must be finite")
-        if self.count_Ny > 1 and self.spacing_dy == math.inf:
-            raise ValueError("ArrayLayout: spacing_dy must be finite")
+        # only an axis with more than one element has a spacing to check
+        axes = (("spacing_dx", self.count_Nx, self.spacing_dx), ("spacing_dy", self.count_Ny, self.spacing_dy))
+        require("ArrayLayout", **{name: (d, "> 0") for name, count, d in axes if count > 1})
 
 
 @dataclass(frozen=True)

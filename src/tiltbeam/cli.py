@@ -63,12 +63,8 @@ def _mag_db(value: complex) -> float:
     return max(20.0 * math.log10(m), _DB_FLOOR)
 
 
-def _first_frequency(cfg: RunConfig) -> float:
-    return cfg.frequencies_hz()[0]
-
-
 def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
-    ctx = FrequencyContext.from_frequency(_first_frequency(cfg))
+    ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
     grid_deg = cfg.theta_grid_deg()
     theta = cfg.theta_grid_rad()
     if svg:
@@ -88,7 +84,7 @@ def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
 
 
 def _build_ratio_sweep(cfg: RunConfig, svg: bool) -> dict:
-    ctx = FrequencyContext.from_frequency(_first_frequency(cfg))
+    ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
     result = ratio_sweep(cfg.weights.ratios, cfg.geometry(), ctx, cfg.theta_grid_rad())
     rows = [("row", r.ratio, r.tilt_deg, r.sll_dB) for r in result.rows]
     best = next(r for r in result.rows if r.ratio == result.best_ratio)
@@ -118,7 +114,7 @@ def _scan_label(commanded_deg: float) -> str:
 
 
 def _build_scan(cfg: RunConfig, svg: bool) -> dict:
-    ctx = FrequencyContext.from_frequency(_first_frequency(cfg))
+    ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
     study = default_scan_study(cfg.geometry(), ctx, theta_grid=cfg.theta_grid_rad())
     rows = [
         (r.commanded_deg, r.achieved_deg, r.pointing_error_deg, r.scan_loss_dB, r.sll_dB)
@@ -192,7 +188,7 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
         out.mkdir(parents=True, exist_ok=True)
         dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        print(f"error: cannot prepare output directory '{out}': {exc}", file=sys.stderr)
+        print(f"error: cannot prepare output directory {str(out)!r}: {exc}", file=sys.stderr)
         return 2
     staged = []
     try:
@@ -212,7 +208,7 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
         for tmp in staged:
             os.replace(tmp, tmp.with_suffix(""))
     except BlockingIOError:  # only the flock raises it here
-        print(f"error: output directory '{out}' is locked by another run", file=sys.stderr)
+        print(f"error: output directory {str(out)!r} is locked by another run", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(
@@ -227,7 +223,7 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     except OSError as exc:
         for tmp in staged:
             tmp.unlink(missing_ok=True)
-        print(f"error: cannot write artifacts to '{out}': {exc}", file=sys.stderr)
+        print(f"error: cannot write artifacts to {str(out)!r}: {exc}", file=sys.stderr)
         return 2
     finally:
         os.close(dir_fd)

@@ -20,6 +20,7 @@ import numpy as np
 from .arrayfactor import ArrayLayout
 from .circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec, SubstrateSpec
 from .radiators import CurrentModel, MonopoleSpec, SlotSpec
+from .specfun import _BOUNDS
 from .synthesis import AntennaGeometry, ExcitationWeights, stepped_grid
 
 
@@ -32,18 +33,15 @@ _CURRENT_MODELS = tuple(model.value for model in CurrentModel)
 # Most points a theta or frequency grid may expand to.
 MAX_GRID_POINTS = 100_000
 
-# The per-field rules, by name. A field's annotation (text, by the
-# __future__ import) names its JSON type and its metadata may name one value
-# check; a field with no default is required. Numbers are checked for
-# finiteness last, so a value that also fails its own check reports that check.
+# The per-field rules, by name. A field's annotation (text, by the __future__
+# import) names its JSON type, its metadata may name one check (a bound of
+# specfun.require, or the current model), and a field with no default is
+# required. Finiteness is checked last: a value failing both reports its check.
 _RULES = {
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
     "str": (lambda v: isinstance(v, str), "must be a string"),
-    "positive": (lambda v: v > 0, "must be > 0"),
-    "step": (lambda v: v > 0, "step must be > 0"),
-    "non_negative": (lambda v: v >= 0, "must be >= 0"),
-    "at_least_one": (lambda v: v >= 1, "must be >= 1"),
+    **{bound: (test, f"must be {bound}") for bound, test in _BOUNDS.items()},
     "current_model": (lambda v: v in _CURRENT_MODELS, f"must be one of {_CURRENT_MODELS}"),
     # also rejects integers too large for a float
     "finite": (lambda v: abs(v) <= sys.float_info.max, "must be finite"),
@@ -56,64 +54,64 @@ def _checked(check, default=MISSING, **kwargs):
 
 @dataclass(frozen=True)
 class SlotConfig:
-    length_mm: float = _checked("positive", 4.8)
-    amplitude_e0: float = _checked("positive", 1.0)
+    length_mm: float = _checked("> 0", 4.8)
+    amplitude_e0: float = _checked("> 0", 1.0)
 
 
 @dataclass(frozen=True)
 class MonopoleConfig:
-    height_mm: float = _checked("positive", 1.2)
-    ground_radius_mm: float = _checked("positive", 5.0)
+    height_mm: float = _checked("> 0", 1.2)
+    ground_radius_mm: float = _checked("> 0", 5.0)
     current_model: str = _checked("current_model", "sinusoidal")
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    count_nx: int = _checked("at_least_one", 1)
-    count_ny: int = _checked("at_least_one", 2)
-    spacing_dx_mm: float = _checked("positive", 1.2)
-    spacing_dy_mm: float = _checked("positive", 1.2)
+    count_nx: int = _checked(">= 1", 1)
+    count_ny: int = _checked(">= 1", 2)
+    spacing_dx_mm: float = _checked("> 0", 1.2)
+    spacing_dy_mm: float = _checked("> 0", 1.2)
 
 
 @dataclass(frozen=True)
 class StripConfig:
-    width_mm: float = _checked("positive", 0.24)
-    length_mm: float = _checked("positive", 1.98)
+    width_mm: float = _checked("> 0", 0.24)
+    length_mm: float = _checked("> 0", 1.98)
     substrate: str = "FR4"
     # dielectric height under the strip (the thin top layer of the stack),
     # independent of the named substrate's slab thickness
-    substrate_thickness_mm: float = _checked("positive", 0.1)
-    conductivity_s_per_m: float = _checked("positive", 5.8e7)
-    roughness_um: float = _checked("non_negative", 0.0)
+    substrate_thickness_mm: float = _checked("> 0", 0.1)
+    conductivity_s_per_m: float = _checked("> 0", 5.8e7)
+    roughness_um: float = _checked(">= 0", 0.0)
 
 
 @dataclass(frozen=True)
 class SubstrateConfig:
-    eps_r: float = _checked("at_least_one")
-    tan_delta: float = _checked("non_negative")
-    thickness_mm: float = _checked("positive")
+    eps_r: float = _checked(">= 1")
+    tan_delta: float = _checked(">= 0")
+    thickness_mm: float = _checked("> 0")
 
 
 @dataclass(frozen=True)
 class FrequencyGridConfig:
-    start_ghz: float = _checked("positive", 32.4)
+    start_ghz: float = _checked("> 0", 32.4)
     stop_ghz: float = 32.4  # when absent: max(32.4, start_ghz)
-    step_ghz: float = _checked("step", 1.0)
+    step_ghz: float = _checked("> 0", 1.0)
 
 
 @dataclass(frozen=True)
 class ThetaGridConfig:
     start_deg: float = -90.0
     stop_deg: float = 90.0
-    step_deg: float = _checked("step", 0.25)
+    step_deg: float = _checked("> 0", 0.25)
 
 
 @dataclass(frozen=True)
 class WeightsConfig:
-    s1: float = _checked("non_negative", 1.0)
-    s2: float = _checked("non_negative", 0.3)
+    s1: float = _checked(">= 0", 1.0)
+    s2: float = _checked(">= 0", 0.3)
     # a non-empty array whose every entry passes the check
-    ratios: tuple = _checked("positive", default_factory=lambda: tuple(i / 10 for i in range(1, 11)))
+    ratios: tuple = _checked("> 0", default_factory=lambda: tuple(i / 10 for i in range(1, 11)))
 
 
 # RunConfig sections that sit under "geometry" in the JSON form

@@ -83,7 +83,8 @@ class FrequencyContext:
     frequency_f: float  # Hz
 
     def __post_init__(self):
-        if not (0 < self.frequency_f < math.inf and self.wavelength_lambda0 < math.inf):
+        require("FrequencyContext", frequency_f=(self.frequency_f, "> 0"))
+        if self.wavelength_lambda0 == math.inf:  # c / f overflows for f below about 1.7e-300 Hz
             raise ValueError("FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f")
 
     @property

@@ -4,7 +4,7 @@ Only what the field models actually need lives here: the first-order Bessel
 function J1 and a composite Gauss-Legendre integrator for complex kernels,
 both vectorized over numpy arrays. Both are deterministic, and each element
 of a batch gets bit-identical results to the same element evaluated alone.
-It also holds the range rule that every model layer applies to its numbers.
+It also holds the range rule for the model's numbers and the config's bounds.
 """
 
 from __future__ import annotations
@@ -150,9 +150,6 @@ def integrate_complex(f: Callable[[np.ndarray], np.ndarray], a: float, b: float)
         raise ValueError("integrate_complex: bounds must be finite")
     if a > b:
         raise ValueError("integrate_complex: requires a <= b")
-    if a == b:  # one kernel call at a gives the leading shape
-        zero = np.zeros(np.shape(f(np.array([a])))[:-1], dtype=complex)
-        return complex(zero) if zero.ndim == 0 else zero
 
     n = max(1, min(math.ceil((b - a) / math.pi), _MAX_PANELS // 2))
     coarse = _composite(f, a, b, n)

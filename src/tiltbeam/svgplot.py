@@ -103,17 +103,8 @@ def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
 
     sll_text = "none" if annotations.sll_dB == -math.inf else f"{annotations.sll_dB:.2f} dB"
     bw_text = "n/a" if math.isnan(annotations.beamwidth3dB_deg) else f"{annotations.beamwidth3dB_deg:.2f}&#176;"
-    parts.append(
-        f'<text x="16" y="24" font-family="monospace" font-size="13" fill="#222222">'
-        f'tilt {annotations.tilt_deg:.2f}&#176;</text>'
-    )
-    parts.append(
-        f'<text x="16" y="42" font-family="monospace" font-size="13" fill="#222222">'
-        f'SLL {sll_text}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="60" font-family="monospace" font-size="13" fill="#222222">'
-        f'beamwidth {bw_text}</text>'
-    )
+    for y, text in ((24, f"tilt {annotations.tilt_deg:.2f}&#176;"), (42, f"SLL {sll_text}"),
+                    (60, f"beamwidth {bw_text}")):
+        parts.append(f'<text x="16" y="{y}" font-family="monospace" font-size="13" fill="#222222">{text}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -208,12 +208,12 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     parabola, except at a cut boundary. The main lobe spans the first local
     minima flanking the peak, plateaus included; the strongest local maximum
     outside that span sets the sidelobe level, with boundary samples counting
-    as lobe candidates. With no secondary lobe the sidelobe level is -inf.
-    Each -3 dB crossing interpolates linearly between the nearest sample
-    below the level and its neighbour toward the peak; a flank that never
-    drops below it leaves the width nan (beamwidth_one_sided), as in a
-    single-sample cut. Scaling the cut by a power of two scales peak_linear
-    alone.
+    as lobe candidates. With no secondary lobe, or one whose ratio to the
+    peak underflows to 0, the sidelobe level is -inf. Each -3 dB crossing
+    interpolates linearly between the nearest sample below the level and its
+    neighbour toward the peak; a flank that never drops below it leaves the
+    width nan (beamwidth_one_sided), as in a single-sample cut. Scaling the
+    cut by a power of two scales peak_linear alone.
     """
     grid_deg = np.degrees(cut.theta_grid)
     mags = np.abs(cut.values)
@@ -242,7 +242,7 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     lobes = (mags >= padded[:-2]) & (mags >= padded[2:])
     lobes[left:right + 1] = False
     second = float(mags[lobes].max()) if lobes.any() else 0.0
-    sll = -math.inf if second == 0.0 else 20.0 * math.log10(second / peak)
+    sll = -math.inf if second / peak == 0.0 else 20.0 * math.log10(second / peak)
 
     level = _HALF_POWER_LEVEL * peak
     below = np.flatnonzero(mags < level)

@@ -66,14 +66,6 @@ class TestArrayFactor:
         # spacing is irrelevant for a single element along that axis
         ArrayLayout(count_Nx=1, spacing_dx=0.0)
 
-    @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_rejects_infinite_spacing(self, axis):
-        # let through, it makes array_factor nan and steered_array_factor nan+nanj
-        with pytest.raises(ValueError, match=f"^ArrayLayout: spacing_d{axis} must be finite$"):
-            ArrayLayout(4, 4, **{f"spacing_d{axis}": math.inf})
-        with pytest.raises(ValueError, match=f"^ArrayLayout: spacing_d{axis} must be > 0 when count_N{axis} > 1$"):
-            ArrayLayout(4, 4, **{f"spacing_d{axis}": -math.inf})
-
 
 class TestSteeredArrayFactor:
     def test_single_element_is_unity(self):

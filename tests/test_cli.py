@@ -260,13 +260,15 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, {"output_dir": "a\u0000b"})
         assert run([command, "--config", cfg]) == 2
-        assert capsys.readouterr().err == "error: cannot prepare output directory 'a\x00b': embedded null byte\n"
+        err = capsys.readouterr().err
+        assert err == "error: cannot prepare output directory 'a\\x00b': embedded null byte\n"
+        assert "\x00" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_step_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 0}})
         assert run(["pattern", "--config", cfg]) == 2
-        assert "theta_grid.step_deg: step must be > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: theta_grid.step_deg: must be > 0\n"
 
     @pytest.mark.parametrize("args", [["ratio-sweep"], ["stability"], ["pattern", "--svg"]])
     def test_coarse_grid_fails_before_field_evaluation(self, tmp_path, capsys, monkeypatch, args):
@@ -395,6 +397,14 @@ class TestExitCodes:
         assert f"error: cannot prepare output directory '{out}': " in err
         assert "locked" not in err
         assert out.read_bytes() == b"not a directory\n"
+
+    @pytest.mark.parametrize("name, quoted", [("f\nx", "'f\\nx'"), ("it's", '"it\'s"')], ids=["newline", "quote"])
+    def test_output_path_is_quoted_on_one_line(self, tmp_path, default_config, capsys, monkeypatch, name, quoted):
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_bytes(b"not a directory\n")
+        assert run(["pattern", "--config", default_config, "--out", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot prepare output directory {quoted}: ") and err.count("\n") == 1
 
     def test_convergence_failure_maps_to_three(self, tmp_path, default_config, capsys, monkeypatch):
         def exploding_builder(cfg, svg):

@@ -89,11 +89,11 @@ class TestStrictness:
             parse_config({"geometry": {"slot": {"length_mm": 4.8, "bogus": 1}}})
 
     def test_zero_frequency_step(self):
-        with pytest.raises(ConfigError, match="frequency_grid.step_ghz: step must be > 0"):
+        with pytest.raises(ConfigError, match="^frequency_grid.step_ghz: must be > 0$"):
             parse_config({"frequency_grid": {"start_ghz": 26.0, "stop_ghz": 41.0, "step_ghz": 0}})
 
     def test_zero_theta_step(self):
-        with pytest.raises(ConfigError, match="theta_grid.step_deg: step must be > 0"):
+        with pytest.raises(ConfigError, match="^theta_grid.step_deg: must be > 0$"):
             parse_config({"theta_grid": {"step_deg": 0}})
 
     def test_booleans_are_not_numbers(self):
@@ -287,28 +287,27 @@ def _substrate(**entry):
 # One single-fault input per field and rule, with the exact message each
 # must keep producing.
 _FIELD_RULES = [
-    ("slot", "length_mm", "positive"),
-    ("slot", "amplitude_e0", "positive"),
-    ("monopole", "height_mm", "positive"),
-    ("monopole", "ground_radius_mm", "positive"),
-    ("array", "spacing_dx_mm", "positive"),
-    ("array", "spacing_dy_mm", "positive"),
-    ("strip", "width_mm", "positive"),
-    ("strip", "length_mm", "positive"),
-    ("strip", "substrate_thickness_mm", "positive"),
-    ("strip", "conductivity_s_per_m", "positive"),
-    ("strip", "roughness_um", "non_negative"),
-    ("frequency_grid", "start_ghz", "positive"),
+    ("slot", "length_mm", "> 0"),
+    ("slot", "amplitude_e0", "> 0"),
+    ("monopole", "height_mm", "> 0"),
+    ("monopole", "ground_radius_mm", "> 0"),
+    ("array", "spacing_dx_mm", "> 0"),
+    ("array", "spacing_dy_mm", "> 0"),
+    ("strip", "width_mm", "> 0"),
+    ("strip", "length_mm", "> 0"),
+    ("strip", "substrate_thickness_mm", "> 0"),
+    ("strip", "conductivity_s_per_m", "> 0"),
+    ("strip", "roughness_um", ">= 0"),
+    ("frequency_grid", "start_ghz", "> 0"),
     ("frequency_grid", "stop_ghz", None),
-    ("frequency_grid", "step_ghz", "step"),
+    ("frequency_grid", "step_ghz", "> 0"),
     ("theta_grid", "start_deg", None),
     ("theta_grid", "stop_deg", None),
-    ("theta_grid", "step_deg", "step"),
-    ("weights", "s1", "non_negative"),
-    ("weights", "s2", "non_negative"),
+    ("theta_grid", "step_deg", "> 0"),
+    ("weights", "s1", ">= 0"),
+    ("weights", "s2", ">= 0"),
 ]
-_BAD_VALUE = {"positive": (0.0, "must be > 0"), "non_negative": (-1.0, "must be >= 0"),
-              "step": (0.0, "step must be > 0")}
+_BAD_VALUE = {"> 0": 0.0, ">= 0": -1.0}
 
 
 def _message_cases():
@@ -318,8 +317,7 @@ def _message_cases():
         cases.append((_at(section, key, "1"), f"{prefix}.{key}: must be a number"))
         cases.append((_at(section, key, True), f"{prefix}.{key}: must be a number"))
         if rule:
-            value, message = _BAD_VALUE[rule]
-            cases.append((_at(section, key, value), f"{prefix}.{key}: {message}"))
+            cases.append((_at(section, key, _BAD_VALUE[rule]), f"{prefix}.{key}: must be {rule}"))
     for key in ("count_nx", "count_ny"):
         cases.append((_at("array", key, 2.0), f"geometry.array.{key}: must be an integer"))
         cases.append((_at("array", key, 0), f"geometry.array.{key}: must be >= 1"))

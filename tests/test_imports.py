@@ -101,9 +101,9 @@ def test_benchmark_tracer_targets_exist():
     assert missing - STALE_TRACER_TARGETS == set()
 
 
-# A hand-written copy of specfun.require's rule ends in ": <name> must be <bound>";
-# a message that goes on past the bound, like "... when count_Nx > 1", is another rule.
-HAND_WRITTEN_BOUND = re.compile(r": (\w+|\{\}) must be (> 0|>= 0|>= 1)$")
+# A hand-written copy of specfun.require's rule ends in ": <name> must be <bound>",
+# or goes on past the bound with a condition: "... when count_Nx > 1".
+HAND_WRITTEN_BOUND = re.compile(r": (\w+|\{\}) must be (> 0|>= 0|>= 1)( when .*)?$")
 
 
 def hand_written_bound_checks(source: str) -> list:
@@ -139,6 +139,7 @@ def test_detects_a_hand_written_bound_check():
         "raise TypeError('eps: x must be >= 1')\n"
     )
     assert hand_written_bound_checks(source) == [
+        "ArrayLayout: spacing_dx must be > 0 when count_Nx > 1 (line 5)",  # ast.walk reaches top-level nodes first
         "skin_depth: f must be > 0 (line 2)",
         "LossBudget: {} must be >= 0 (line 4)",
     ]

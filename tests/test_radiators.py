@@ -68,12 +68,16 @@ class TestFrequencyContext:
         with pytest.raises(ValueError):
             FrequencyContext.from_frequency(0.0)
 
-    @pytest.mark.parametrize("f", [0.0, -1.0, math.nan, math.inf, 1e-311])
-    def test_rejects_non_finite_or_non_positive_frequency(self, f):
-        with pytest.raises(ValueError, match="finite and > 0"):
-            FrequencyContext(f)
-        with pytest.raises(ValueError, match="finite and > 0"):
-            FrequencyContext.from_frequency(f)
+    @pytest.mark.parametrize("f, message", [
+        (-1.0, "frequency_f must be > 0"),
+        (1e-311, "frequency_f must be finite and > 0, with a finite wavelength c / f"),
+    ], ids=["negative", "wavelength-overflows"])
+    def test_rejects_a_negative_frequency_or_an_infinite_wavelength(self, f, message):
+        # 0, NaN and +-inf are rows of tests/test_range_rule.py
+        for make in (FrequencyContext, FrequencyContext.from_frequency):
+            with pytest.raises(ValueError) as exc:
+                make(f)
+            assert str(exc.value) == f"FrequencyContext: {message}"
 
     @settings(max_examples=200, deadline=None)
     @given(f=st.floats(min_value=1e9, max_value=1e12))

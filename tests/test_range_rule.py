@@ -43,6 +43,7 @@ SITES = [
     ("SlotSpec", "amplitude_E0", "> 0", lambda v: SlotSpec(amplitude_E0=v)),
     ("MonopoleSpec", "height_H", "> 0", lambda v: MonopoleSpec(height_H=v)),
     ("MonopoleSpec", "ground_radius_a", "> 0", lambda v: MonopoleSpec(ground_radius_a=v)),
+    ("FrequencyContext", "frequency_f", "> 0", lambda v: FrequencyContext(v)),
     ("SubstrateSpec", "eps_r", ">= 1", lambda v: SubstrateSpec("X", v, 0.02, 1e-4)),
     ("SubstrateSpec", "tan_delta", ">= 0", lambda v: SubstrateSpec("X", 4.4, v, 1e-4)),
     ("SubstrateSpec", "thickness_h", "> 0", lambda v: SubstrateSpec("X", 4.4, 0.02, v)),
@@ -64,6 +65,8 @@ SITES = [
     ("plane_wave_attenuation", "f", "> 0", lambda v: plane_wave_attenuation(FR4, v, 1e-3)),
     ("plane_wave_attenuation", "path_length", "> 0", lambda v: plane_wave_attenuation(FR4, F, v)),
     ("loss_budget", "f", "> 0", lambda v: loss_budget(STRIP, v)),
+    ("ArrayLayout", "spacing_dx", "> 0", lambda v: ArrayLayout(4, 4, v, 1e-3)),
+    ("ArrayLayout", "spacing_dy", "> 0", lambda v: ArrayLayout(4, 4, 1e-3, v)),
     ("array_factor", "lam", "> 0", lambda v: array_factor(LINE, 0.1, 0.2, v)),
     ("steered_array_factor", "lam", "> 0", lambda v: steered_array_factor(LINE, SteeringCommand(), 0.1, v)),
 ]
@@ -76,7 +79,7 @@ def site_id(site):
 
 
 def test_sites_are_distinct():
-    assert len({site_id(s) for s in SITES}) == len(SITES) == 27
+    assert len({site_id(s) for s in SITES}) == len(SITES) == 30
 
 
 @pytest.mark.parametrize("value", ["below", math.nan, -math.inf], ids=["below", "nan", "minus-inf"])

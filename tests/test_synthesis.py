@@ -366,7 +366,7 @@ def reference_metrics(cut):
     lobes = (mags >= padded[:-2]) & (mags >= padded[2:])
     lobes[left:right + 1] = False
     second = float(mags[lobes].max()) if lobes.any() else 0.0
-    sll = -math.inf if second == 0.0 else 20.0 * math.log10(second / peak)
+    sll = -math.inf if second / peak == 0.0 else 20.0 * math.log10(second / peak)
     level = HALF_POWER * peak
     lo_cross = _crossing(grid_deg, mags, i_peak, level, -1)
     hi_cross = _crossing(grid_deg, mags, i_peak, level, +1)
@@ -397,6 +397,7 @@ class TestPatternMetricsReference:
     @example(cut=PatternCut(np.radians([0.0, 0.25, 0.5]), np.array([HALF_POWER, 1.0, 0.0])))
     @example(cut=PatternCut(np.radians([0.0, 0.25, 0.5, 0.75]), np.array([0.5, 1.0, 1.0, 0.5])))
     @example(cut=PatternCut(np.radians([0.3]), np.array([2.0j])))
+    @example(cut=PatternCut(np.radians([0.0, 0.1, 0.2]), np.array([5e-324, 0.0, 2.0])))  # 5e-324 / 2 is 0.0
     def test_equals_the_sample_walk(self, cut):
         m = pattern_metrics(cut)
         ref = reference_metrics(cut)
