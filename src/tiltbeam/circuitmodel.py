@@ -102,6 +102,7 @@ def characteristic_impedance(strip: MicrostripSpec) -> float:
     """Hammerstad's impedance closed form, wide and narrow branches."""
     eps_eff = effective_permittivity(strip)
     u = strip.width_w / strip.substrate.thickness_h
+    require("characteristic_impedance", width_to_height=(u, "> 0"))
     if u <= 1.0:
         return 60.0 / math.sqrt(eps_eff) * math.log(8.0 / u + 0.25 * u)
     return 120.0 * math.pi / (math.sqrt(eps_eff) * (u + 1.393 + 0.667 * math.log(u + 1.444)))
@@ -109,8 +110,10 @@ def characteristic_impedance(strip: MicrostripSpec) -> float:
 
 def skin_depth(f: float, conductivity: float) -> float:
     """Current penetration depth in a conductor, meters."""
-    require("skin_depth", f=(f, "> 0"), conductivity=(conductivity, "> 0"))
-    return 1.0 / math.sqrt(math.pi * f * MU0 * conductivity)
+    product = math.pi * f * MU0 * conductivity  # underflows to 0 for a small enough f * sigma
+    require("skin_depth", f=(f, "> 0"), conductivity=(conductivity, "> 0"),
+            pi_f_mu0_conductivity=(product, "> 0"))
+    return 1.0 / math.sqrt(product)
 
 
 def roughness_factor(roughness_rq: float, depth: float) -> float:

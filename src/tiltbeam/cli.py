@@ -86,9 +86,8 @@ def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
 def _build_ratio_sweep(cfg: RunConfig, svg: bool) -> dict:
     ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
     result = ratio_sweep(cfg.weights.ratios, cfg.geometry(), ctx, cfg.theta_grid_rad())
-    rows = [("row", r.ratio, r.tilt_deg, r.sll_dB) for r in result.rows]
-    best = next(r for r in result.rows if r.ratio == result.best_ratio)
-    rows.append(("best", best.ratio, best.tilt_deg, best.sll_dB))
+    rows = [("row", ratio, m.tilt_deg, m.sll_dB) for ratio, m in zip(result.ratios, result.rows)]
+    rows.append(("best", *rows[result.ratios.index(result.best_ratio)][1:]))
     return {"ratio_sweep.csv": _csv(("kind", "ratio", "tilt_deg", "sll_db"), rows)}
 
 
@@ -97,9 +96,8 @@ def _build_stability(cfg: RunConfig, svg: bool) -> dict:
         cfg.frequencies_hz(), cfg.geometry(), cfg.excitation_weights(), cfg.theta_grid_rad()
     )
     rows = [
-        ("row", r.frequency_hz / 1e9, r.tilt_deg, r.sll_dB, r.beamwidth3dB_deg,
-         abs(r.tilt_deg - result.reference_tilt_deg))
-        for r in result.rows
+        ("row", f / 1e9, m.tilt_deg, m.sll_dB, m.beamwidth3dB_deg, abs(m.tilt_deg - result.reference_tilt_deg))
+        for f, m in zip(result.frequencies_hz, result.rows)
     ]
     rows.append(
         ("summary", BAND_CENTER_HZ / 1e9, result.reference_tilt_deg, math.nan, math.nan,

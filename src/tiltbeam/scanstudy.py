@@ -46,7 +46,6 @@ class ScanReport:
 
 @dataclass(frozen=True)
 class ScanStudyResult:
-    element: PatternCut
     cuts: tuple
     reports: tuple
 
@@ -80,9 +79,8 @@ def default_scan_study(
     peak0 = float(np.abs(products[bore]).max())
     cuts = tuple(PatternCut(element.theta_grid, product / peak0) for product in products)
     metrics = [pattern_metrics(cut) for cut in cuts]
-    boresight_metrics = metrics[bore]
     reports = []
     for cmd, m in zip(commands, metrics):
-        loss = 20.0 * math.log10(boresight_metrics.peak_linear / m.peak_linear)
+        loss = 20.0 * math.log10(metrics[bore].peak_linear / m.peak_linear)
         reports.append(ScanReport(math.degrees(cmd.steer_theta0), m.tilt_deg, loss, m.sll_dB))
-    return ScanStudyResult(element, cuts, tuple(reports))
+    return ScanStudyResult(cuts, tuple(reports))

@@ -83,42 +83,25 @@ class PatternMetrics:
     beamwidth3dB_deg: float
     peak_linear: float
 
-    @property
-    def beamwidth_one_sided(self) -> bool:
-        return math.isnan(self.beamwidth3dB_deg)
-
-
-@dataclass(frozen=True)
-class RatioSweepRow:
-    ratio: float
-    tilt_deg: float
-    sll_dB: float
-
 
 @dataclass(frozen=True)
 class RatioSweepResult:
-    """Metrics per excitation ratio plus the sidelobe-minimizing ratio."""
+    """Metrics per excitation ratio, rows[i] for ratios[i], and the sidelobe-minimizing ratio."""
 
-    rows: tuple[RatioSweepRow, ...]
+    ratios: tuple[float, ...]
+    rows: tuple[PatternMetrics, ...]
 
     @property
     def best_ratio(self) -> float:
-        return min(self.rows, key=lambda row: (row.sll_dB, row.ratio)).ratio
-
-
-@dataclass(frozen=True)
-class StabilityRow:
-    frequency_hz: float
-    tilt_deg: float
-    sll_dB: float
-    beamwidth3dB_deg: float
+        return min((row.sll_dB, ratio) for ratio, row in zip(self.ratios, self.rows))[1]
 
 
 @dataclass(frozen=True)
 class StabilityResult:
-    """Metrics per frequency plus the worst tilt deviation from band center."""
+    """Metrics per frequency, rows[i] for frequencies_hz[i], and the band-center tilt."""
 
-    rows: tuple[StabilityRow, ...]
+    frequencies_hz: tuple[float, ...]
+    rows: tuple[PatternMetrics, ...]
     reference_tilt_deg: float
 
     @property
@@ -175,7 +158,8 @@ def synthesize_pattern(
 ) -> PatternCut:
     """Weighted superposition of the slot and post-array terms on a grid.
 
-    Per sample the un-normalized field is s1 * slot_term + s2 * post_term;
+    Per sample the un-normalized field is s1 * slot_term + s2 * post_term,
+    each weight divided by the larger first (so a subnormal one acts as 1);
     the returned cut is normalized to unit peak magnitude. Both sources are
     treated as sharing one phase center, so the weights add coherently.
     The slot term is the fixed half-wave form, so `slot` changes nothing.
@@ -183,11 +167,10 @@ def synthesize_pattern(
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("synthesize_pattern: theta_grid must be non-empty")
-    vals = np.zeros(grid.size, dtype=complex)
-    if weights.s1_slot != 0.0:
-        vals = vals + weights.s1_slot * _slot_term(grid)
+    scale = max(weights.s1_slot, weights.s2_monopole)
+    vals = weights.s1_slot / scale * _slot_term(grid)
     if weights.s2_monopole != 0.0:
-        vals = vals + weights.s2_monopole * _monopole_term(grid, mono, layout, ctx)
+        vals = vals + weights.s2_monopole / scale * _monopole_term(grid, mono, layout, ctx)
     peak = np.abs(vals).max()
     if peak == 0.0:
         raise ValueError("synthesize_pattern: field is zero everywhere on the grid")
@@ -212,8 +195,8 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     peak underflows to 0, the sidelobe level is -inf. Each -3 dB crossing
     interpolates linearly between the nearest sample below the level and its
     neighbour toward the peak; a flank that never drops below it leaves the
-    width nan (beamwidth_one_sided), as in a single-sample cut. Scaling the
-    cut by a power of two scales peak_linear alone.
+    width nan, as in a single-sample cut. Scaling the cut by a power of two
+    scales peak_linear alone.
     """
     grid_deg = np.degrees(cut.theta_grid)
     mags = np.abs(cut.values)
@@ -279,7 +262,7 @@ def ratio_sweep(
     for every ratio. best_ratio is the sidelobe-minimizing entry; the
     smallest ratio wins ties, including ties at -inf.
     """
-    ratios = [float(r) for r in ratios]
+    ratios = tuple(float(r) for r in ratios)
     if not ratios:
         raise ValueError("ratio_sweep: ratios must be non-empty")
     if any(not 0 < r < math.inf for r in ratios):
@@ -288,11 +271,8 @@ def ratio_sweep(
     require_metrics_spacing(grid)
     slot_vals = _slot_term(grid).astype(complex)
     mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx)
-    rows = []
-    for r in ratios:
-        m = pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals))
-        rows.append(RatioSweepRow(r, m.tilt_deg, m.sll_dB))
-    return RatioSweepResult(tuple(rows))
+    rows = tuple(pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals)) for r in ratios)
+    return RatioSweepResult(ratios, rows)
 
 
 def beam_stability(
@@ -308,7 +288,7 @@ def beam_stability(
     at the 32.4 GHz band center, which is computed on the side when absent
     from the list.
     """
-    freqs = [float(f) for f in freqs]
+    freqs = tuple(float(f) for f in freqs)
     if not freqs:
         raise ValueError("beam_stability: freqs must be non-empty")
     for f in freqs:
@@ -321,9 +301,6 @@ def beam_stability(
     metrics = {
         f: pattern_metrics(synthesize_pattern(weights, grid, geometry.slot, geometry.monopole, geometry.layout,
                                               FrequencyContext.from_frequency(f)))
-        for f in dict.fromkeys(freqs + [BAND_CENTER_HZ])
+        for f in dict.fromkeys(freqs + (BAND_CENTER_HZ,))
     }
-    rows = tuple(
-        StabilityRow(f, metrics[f].tilt_deg, metrics[f].sll_dB, metrics[f].beamwidth3dB_deg) for f in freqs
-    )
-    return StabilityResult(rows, metrics[BAND_CENTER_HZ].tilt_deg)
+    return StabilityResult(freqs, tuple(metrics[f] for f in freqs), metrics[BAND_CENTER_HZ].tilt_deg)

@@ -107,6 +107,15 @@ class TestCharacteristicImpedance:
              for w in (0.05e-3, 0.1e-3, 0.24e-3, 1.0e-3)]
         assert all(z[i] > z[i + 1] for i in range(len(z) - 1))
 
+    @pytest.mark.parametrize("width, thickness, message", [
+        (0.24e-3, 1e-314, "width_to_height must be finite"),  # once 0 ohms
+        (1e-320, 1e10, "width_to_height must be > 0"),  # once a ZeroDivisionError
+    ], ids=["overflow", "underflow"])
+    def test_refuses_a_width_to_height_ratio_out_of_range(self, width, thickness, message):
+        strip = MicrostripSpec(width_w=width, substrate=SubstrateSpec("X", 4.4, 0.02, thickness))
+        with pytest.raises(ValueError, match=f"^characteristic_impedance: {message}$"):
+            characteristic_impedance(strip)
+
 
 class TestHalfWaveResonance:
     def test_airline_identity(self):
@@ -164,6 +173,11 @@ class TestSkinDepthAndRoughness:
         ks = [roughness_factor(rq, depth) for rq in rqs]
         assert all(ks[i] < ks[i + 1] for i in range(len(ks) - 1))
         assert all(1.0 <= k < 2.0 for k in ks)
+
+    def test_refuses_a_product_that_underflows(self):
+        # pi f mu0 sigma rounds to 0.0, which once divided by zero
+        with pytest.raises(ValueError, match="^skin_depth: pi_f_mu0_conductivity must be > 0$"):
+            skin_depth(5e-315, 9.26e-5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,13 @@ def read_csv(path):
     return header, rows
 
 
+# Accepted configs that once crashed with a traceback or warned before their error line.
+SKIN_DEPTH_UNDERFLOW = {"geometry": {"strip": {"conductivity_s_per_m": 9.26e-05}},
+                        "frequency_grid": {"start_ghz": 5e-324}}
+WIDTH_TO_HEIGHT_OVERFLOW = {"geometry": {"strip": {"substrate_thickness_mm": 1e-311}}}
+SUBNORMAL_WEIGHT = {"weights": {"s1": 0, "s2": 5e-324}}
+
+
 @pytest.fixture()
 def default_config(tmp_path):
     return write_config(tmp_path, {})
@@ -264,6 +271,37 @@ class TestExitCodes:
         assert err == "error: cannot prepare output directory 'a\\x00b': embedded null byte\n"
         assert "\x00" not in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("data", [SKIN_DEPTH_UNDERFLOW, WIDTH_TO_HEIGHT_OVERFLOW, SUBNORMAL_WEIGHT],
+                             ids=["skin-depth-underflow", "width-to-height-overflow", "subnormal-weight"])
+    def test_no_traceback_or_warning(self, tmp_path, capsys, data, command):
+        cfg = write_config(tmp_path, data)
+        status = run([command, "--config", cfg, "--out", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert (status, err) == (0, "") or (status == 2 and err.startswith("error: ") and err.count("\n") == 1)
+
+    @pytest.mark.parametrize("data, message", [
+        (SKIN_DEPTH_UNDERFLOW, "skin_depth: pi_f_mu0_conductivity must be > 0"),
+        (WIDTH_TO_HEIGHT_OVERFLOW, "characteristic_impedance: width_to_height must be finite"),
+        ({"geometry": {"strip": {"width_mm": 1e-317, "substrate_thickness_mm": 1e13}}},
+         "characteristic_impedance: width_to_height must be > 0"),
+    ], ids=["skin-depth-underflow", "width-to-height-overflow", "width-to-height-underflow"])
+    def test_loss_refuses_a_strip_term_out_of_range(self, tmp_path, capsys, data, message):
+        cfg = write_config(tmp_path, data)
+        assert run(["loss", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["pattern", "stability"])
+    def test_subnormal_weight_works_like_a_unit_one(self, tmp_path, command):
+        artifacts = []
+        for name, s2 in (("subnormal", 5e-324), ("unit", 1.0)):
+            cfg = write_config(tmp_path, {"weights": {"s1": 0, "s2": s2}}, name=f"{name}.json")
+            assert run([command, "--config", cfg, "--out", tmp_path / name, "--svg"]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert artifacts[0] == artifacts[1]
 
     def test_bad_step_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 0}})

@@ -1,7 +1,7 @@
 """Scanned line array built on the broadside element component."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,14 +30,21 @@ def study(default_geometry, ctx324):
     return default_scan_study(default_geometry, ctx324)
 
 
+@pytest.fixture(scope="module")
+def element(default_geometry, ctx324):
+    g = default_geometry
+    return synthesize_pattern(ExcitationWeights(1.0, 0.0), default_theta_grid(), g.slot, g.monopole, g.layout, ctx324)
+
+
 class TestDefaultStudy:
     def test_shape(self, study):
+        assert [f.name for f in fields(study)] == ["cuts", "reports"]
         assert len(study.cuts) == 3
         assert len(study.reports) == 3
         assert [r.commanded_deg for r in study.reports] == [-45.0, 0.0, 45.0]
 
-    def test_element_is_broadside(self, study):
-        m = pattern_metrics(study.element)
+    def test_element_is_broadside(self, element):
+        m = pattern_metrics(element)
         assert m.tilt_deg == 0.0
 
     def test_boresight_anchor(self, study):
@@ -82,12 +89,12 @@ class TestScaleFreeCuts:
     """Metrics and plots measure a cut against its own peak."""
 
     @pytest.fixture(scope="class")
-    def cuts(self, study, default_geometry, ctx324):
+    def cuts(self, study, element, default_geometry, ctx324):
         g = default_geometry
         tilted = synthesize_pattern(
             ExcitationWeights(1.0, 0.3), default_theta_grid(), g.slot, g.monopole, g.layout, ctx324
         )
-        return (tilted, study.element, study.cuts[0])  # the last peaks below 1
+        return (tilted, element, study.cuts[0])  # the last peaks below 1
 
     @settings(max_examples=40, deadline=None)
     @given(exponent=st.integers(-60, 60))

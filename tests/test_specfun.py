@@ -64,6 +64,21 @@ class TestBesselJ1:
         with pytest.raises(ValueError):
             bessel_j1(np.array([1.0, math.nan]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_arguments_are_finite_and_warning_free(self):
+        # x * x overflows past 1.3e154, and pi * x past 5.7e307
+        xs = np.array([1e300, -1e300, np.finfo(float).max, -np.finfo(float).max])
+        vals = bessel_j1(xs)
+        assert np.all(np.isfinite(vals))
+        assert vals[1] == -vals[0] and vals[3] == -vals[2]
+        assert np.all(np.abs(vals) <= np.sqrt(2.0 / math.pi / np.abs(xs)))
+
+    def test_far_branch_continues_the_expansion(self):
+        # from 1e10 up, the terms the far branch drops are below rounding
+        xs = np.geomspace(1e10, 1e154, 200)
+        gap = np.abs(specfun._j1_far(xs) - specfun._j1_asymptotic(xs))
+        assert np.all(gap <= 1e-15 * np.sqrt(2.0 / (math.pi * xs)))
+
     def test_scalar_gives_float_and_array_gives_array(self):
         assert type(bessel_j1(2.5)) is float
         xs = np.array([[0.5, -3.0], [12.5, 40.0]])
@@ -83,7 +98,9 @@ class TestBesselJ1Branches:
         ("_j1_asymptotic", np.append(np.linspace(-12.0, 12.0, 97), -0.0)),
         ("_j1_series", np.concatenate((np.linspace(-300.0, -12.5, 50), [np.nextafter(12.0, 13.0)],
                                        np.linspace(12.5, 300.0, 50)))),
-    ], ids=["abs-x-up-to-12", "abs-x-above-12"])
+        ("_j1_asymptotic", np.array([np.nextafter(1e154, 2e154), -1e300, np.finfo(float).max])),
+        ("_j1_far", np.array([-1e154, -300.0, 0.0, 12.0, 12.5, 1e154])),
+    ], ids=["abs-x-up-to-12", "abs-x-above-12", "abs-x-above-1e154", "abs-x-up-to-1e154"])
     def test_only_the_branch_owning_the_arguments_runs(self, monkeypatch, branch, xs):
         batch, alone = bessel_j1(xs), [bessel_j1(float(x)) for x in xs]
         monkeypatch.setattr(specfun, branch, _refuse)
