@@ -156,9 +156,9 @@ def conductor_attenuation(strip: MicrostripSpec, f: float) -> float:
     Surface resistance spread over the trace width against the line
     impedance, times the roughness multiplier.
     """
-    require("conductor_attenuation", f=(f, "> 0"))
+    z0 = characteristic_impedance(strip)  # z0 * w underflows for a tiny strip on a huge eps_r
+    require("conductor_attenuation", f=(f, "> 0"), z0_width_w=(z0 * strip.width_w, "> 0"))
     rs = math.sqrt(math.pi * f * MU0 / strip.copper_conductivity)
-    z0 = characteristic_impedance(strip)
     alpha_np = rs / (z0 * strip.width_w)
     k = roughness_factor(strip.roughness_rq, skin_depth(f, strip.copper_conductivity))
     return NEPER_TO_DB * alpha_np * k

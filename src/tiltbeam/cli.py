@@ -228,36 +228,28 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     return 0
 
 
+_VALUE_OPTIONS = {"--config": "a path", "--out": "a directory"}
+
+
 def _parse_argv(argv):
     if not argv:
         raise _UsageError("missing command")
-    command = argv[0]
-    config_path = None
-    out_dir = None
-    svg = False
-    i = 1
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise _UsageError("--config requires a path")
-            config_path = argv[i + 1]
-            i += 2
-        elif arg == "--out":
-            if i + 1 >= len(argv):
-                raise _UsageError("--out requires a directory")
-            out_dir = argv[i + 1]
-            i += 2
+    command, rest = argv[0], iter(argv[1:])
+    values, svg = {}, False
+    for arg in rest:
+        if arg in _VALUE_OPTIONS:
+            values[arg] = next(rest, None)
+            if values[arg] is None:
+                raise _UsageError(f"{arg} requires {_VALUE_OPTIONS[arg]}")
         elif arg == "--svg":
             svg = True
-            i += 1
         else:
             raise _UsageError(f"unrecognized argument '{arg}'")
     if command not in COMMANDS:
         raise _UsageError(f"unknown command '{command}'")
-    if config_path is None:
+    if "--config" not in values:
         raise _UsageError("--config is required")
-    return command, config_path, out_dir, svg
+    return command, values["--config"], values.get("--out"), svg
 
 
 def main(argv=None) -> int:

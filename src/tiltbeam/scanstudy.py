@@ -17,6 +17,7 @@ from .synthesis import (
     PatternCut,
     default_theta_grid,
     pattern_metrics,
+    require_metrics_spacing,
     synthesize_pattern,
 )
 
@@ -67,6 +68,7 @@ def default_scan_study(
     encodes its scan loss: a cut peaking at 0.8 means 1.9 dB.
     """
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
+    require_metrics_spacing(grid)
     element = synthesize_pattern(
         ExcitationWeights(1.0, 0.0), grid, geometry.slot, geometry.monopole, geometry.layout, ctx
     )

@@ -100,16 +100,16 @@ class ConvergenceError(ArithmeticError):
 def bessel_j1(x):
     """First-order Bessel function of the first kind, J1(x), elementwise.
 
-    Ascending power series up to |x| = 12, the Hankel asymptotic expansion
-    above and its leading terms past 1e154, each called only on its own
-    arguments, so every element is computed alike. Odd in x by
-    construction, so parity is exact. A scalar argument gives a float.
+    Ascending power series up to |x| = 12 and the Hankel asymptotic
+    expansion above, each called only on its own arguments, so every
+    element is computed alike. Odd in x by construction, so parity is
+    exact. A scalar argument gives a float.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("bessel_j1: argument must be finite")
     ax = np.abs(x)
-    val = np.piecewise(ax, [ax <= _SERIES_CUTOFF, ax > 1e154], [_j1_series, _j1_far, _j1_asymptotic])
+    val = np.piecewise(ax, [ax <= _SERIES_CUTOFF], [_j1_series, _j1_asymptotic])
     val = np.where(x < 0.0, -val, val)
     return float(val) if val.ndim == 0 else val
 
@@ -119,16 +119,11 @@ def _j1_series(ax: np.ndarray) -> np.ndarray:
 
 
 def _j1_asymptotic(ax: np.ndarray) -> np.ndarray:
-    y = 1.0 / (ax * ax)
-    w = ax - _THREE_QUARTER_PI
-    p, q = np.polyval(_HANKEL_P, y), np.polyval(_HANKEL_Q, y) / ax
-    return np.sqrt(2.0 / (math.pi * ax)) * (p * np.cos(w) - q * np.sin(w))
-
-
-def _j1_far(ax: np.ndarray) -> np.ndarray:
-    # Past 1e154, 1/x^2 vanishes against P's and Q's leading terms; x * x and pi * x would overflow.
-    w = ax - _THREE_QUARTER_PI
-    return np.sqrt(2.0 / math.pi / ax) * (np.cos(w) - _HANKEL_Q[-1] / ax * np.sin(w))
+    # In powers of r = 1/x, which underflow quietly, so no finite x overflows.
+    r = 1.0 / ax
+    y, w = r * r, ax - _THREE_QUARTER_PI
+    p, q = np.polyval(_HANKEL_P, y), r * np.polyval(_HANKEL_Q, y)
+    return np.sqrt(2.0 / math.pi * r) * (p * np.cos(w) - q * np.sin(w))
 
 
 def _composite(f, a: float, b: float, panels: int) -> np.ndarray:

@@ -265,6 +265,12 @@ class TestConductorAttenuation:
         with pytest.raises(ValueError):
             conductor_attenuation(MicrostripSpec(), -1.0)
 
+    def test_refuses_an_impedance_width_product_that_underflows(self):
+        # w/h is 1, but z0 ~ 1.6e-148 ohm times w = 1e-303 m rounds to 0.0, which once divided by zero
+        strip = MicrostripSpec(width_w=1e-303, substrate=SubstrateSpec("X", 1e300, 0.02, 1e-303))
+        with pytest.raises(ValueError, match="^conductor_attenuation: z0_width_w must be > 0$"):
+            conductor_attenuation(strip, 30e9)
+
 
 class TestPlaneWaveAttenuation:
     def test_lossy_glass_epoxy_slab(self):

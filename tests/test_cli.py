@@ -41,6 +41,9 @@ SKIN_DEPTH_UNDERFLOW = {"geometry": {"strip": {"conductivity_s_per_m": 9.26e-05}
                         "frequency_grid": {"start_ghz": 5e-324}}
 WIDTH_TO_HEIGHT_OVERFLOW = {"geometry": {"strip": {"substrate_thickness_mm": 1e-311}}}
 SUBNORMAL_WEIGHT = {"weights": {"s1": 0, "s2": 5e-324}}
+IMPEDANCE_WIDTH_UNDERFLOW = {"substrates": {"X": {"eps_r": 1e300, "tan_delta": 0.02, "thickness_mm": 1}},
+                             "geometry": {"strip": {"substrate": "X", "width_mm": 1e-300,
+                                                    "substrate_thickness_mm": 1e-300}}}
 
 
 @pytest.fixture()
@@ -274,8 +277,10 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", cli.COMMANDS)
-    @pytest.mark.parametrize("data", [SKIN_DEPTH_UNDERFLOW, WIDTH_TO_HEIGHT_OVERFLOW, SUBNORMAL_WEIGHT],
-                             ids=["skin-depth-underflow", "width-to-height-overflow", "subnormal-weight"])
+    @pytest.mark.parametrize("data", [SKIN_DEPTH_UNDERFLOW, WIDTH_TO_HEIGHT_OVERFLOW, SUBNORMAL_WEIGHT,
+                                      IMPEDANCE_WIDTH_UNDERFLOW],
+                             ids=["skin-depth-underflow", "width-to-height-overflow", "subnormal-weight",
+                                  "impedance-width-underflow"])
     def test_no_traceback_or_warning(self, tmp_path, capsys, data, command):
         cfg = write_config(tmp_path, data)
         status = run([command, "--config", cfg, "--out", tmp_path / "out"])
@@ -287,7 +292,9 @@ class TestExitCodes:
         (WIDTH_TO_HEIGHT_OVERFLOW, "characteristic_impedance: width_to_height must be finite"),
         ({"geometry": {"strip": {"width_mm": 1e-317, "substrate_thickness_mm": 1e13}}},
          "characteristic_impedance: width_to_height must be > 0"),
-    ], ids=["skin-depth-underflow", "width-to-height-overflow", "width-to-height-underflow"])
+        (IMPEDANCE_WIDTH_UNDERFLOW, "conductor_attenuation: z0_width_w must be > 0"),
+    ], ids=["skin-depth-underflow", "width-to-height-overflow", "width-to-height-underflow",
+            "impedance-width-underflow"])
     def test_loss_refuses_a_strip_term_out_of_range(self, tmp_path, capsys, data, message):
         cfg = write_config(tmp_path, data)
         assert run(["loss", "--config", cfg, "--out", tmp_path / "out"]) == 2
@@ -308,13 +315,15 @@ class TestExitCodes:
         assert run(["pattern", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: theta_grid.step_deg: must be > 0\n"
 
-    @pytest.mark.parametrize("args", [["ratio-sweep"], ["stability"], ["pattern", "--svg"]])
+    @pytest.mark.parametrize("args", [["ratio-sweep"], ["stability"], ["pattern", "--svg"],
+                                      ["scan"], ["scan", "--svg"]])
     def test_coarse_grid_fails_before_field_evaluation(self, tmp_path, capsys, monkeypatch, args):
-        def no_post(*a, **k):
-            raise AssertionError("post field evaluated")
+        def no_field(*a, **k):
+            raise AssertionError("field evaluated")
 
-        monkeypatch.setattr(radiators, "monopole_pattern", no_post)
-        monkeypatch.setattr(synthesis, "monopole_pattern", no_post)
+        monkeypatch.setattr(radiators, "monopole_pattern", no_field)
+        monkeypatch.setattr(synthesis, "monopole_pattern", no_field)
+        monkeypatch.setattr(synthesis, "_slot_term", no_field)  # the scan study's element is slot-only
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1.0}})
         out = tmp_path / "out"
         assert run(args + ["--config", cfg, "--out", out]) == 2

@@ -84,6 +84,14 @@ class TestDefaultStudy:
         default_scan_study(default_geometry, ctx324)
         assert commands == [-45.0, 0.0, 45.0]
 
+    def test_coarse_grid_fails_before_the_element_is_synthesized(self, default_geometry, ctx324, monkeypatch):
+        def no_element(*args):
+            raise AssertionError("element synthesized")
+
+        monkeypatch.setattr(scanstudy, "synthesize_pattern", no_element)
+        with pytest.raises(ValueError, match=r"^pattern_metrics: grid spacing must be <= 0\.5 degrees$"):
+            default_scan_study(default_geometry, ctx324, np.radians(np.arange(-90.0, 90.5, 1.0)))
+
 
 class TestScaleFreeCuts:
     """Metrics and plots measure a cut against its own peak."""

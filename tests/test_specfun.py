@@ -74,10 +74,18 @@ class TestBesselJ1:
         assert np.all(np.abs(vals) <= np.sqrt(2.0 / math.pi / np.abs(xs)))
 
     def test_far_branch_continues_the_expansion(self):
-        # from 1e10 up, the terms the far branch drops are below rounding
-        xs = np.geomspace(1e10, 1e154, 200)
-        gap = np.abs(specfun._j1_far(xs) - specfun._j1_asymptotic(xs))
-        assert np.all(gap <= 1e-15 * np.sqrt(2.0 / (math.pi * xs)))
+        # Hankel expansion sqrt(2/(pi x)) (P(1/x^2) cos w - Q(1/x^2)/x sin w), w = x - 3pi/4,
+        # in the form that holds while x * x stays finite; past 1e154 1/x^2 is below
+        # rounding against P's and Q's leading terms 1 and 3/8
+        near = np.geomspace(np.nextafter(12.0, 13.0), 1e154, 20001)
+        far = np.append(np.geomspace(np.nextafter(1e154, 2e154), 1e308, 20000), np.finfo(float).max)
+        w_near, w_far = near - 0.75 * math.pi, far - 0.75 * math.pi
+        y = 1.0 / (near * near)
+        p, q = np.polyval(specfun._HANKEL_P, y), np.polyval(specfun._HANKEL_Q, y) / near
+        ref_near = np.sqrt(2.0 / (math.pi * near)) * (p * np.cos(w_near) - q * np.sin(w_near))
+        ref_far = np.sqrt(2.0 / math.pi / far) * (np.cos(w_far) - 0.375 / far * np.sin(w_far))
+        for xs, ref in ((near, ref_near), (far, ref_far)):
+            assert np.all(np.abs(bessel_j1(xs) - ref) <= 1e-15 * np.sqrt(2.0 / math.pi / xs))
 
     def test_scalar_gives_float_and_array_gives_array(self):
         assert type(bessel_j1(2.5)) is float
@@ -98,9 +106,8 @@ class TestBesselJ1Branches:
         ("_j1_asymptotic", np.append(np.linspace(-12.0, 12.0, 97), -0.0)),
         ("_j1_series", np.concatenate((np.linspace(-300.0, -12.5, 50), [np.nextafter(12.0, 13.0)],
                                        np.linspace(12.5, 300.0, 50)))),
-        ("_j1_asymptotic", np.array([np.nextafter(1e154, 2e154), -1e300, np.finfo(float).max])),
-        ("_j1_far", np.array([-1e154, -300.0, 0.0, 12.0, 12.5, 1e154])),
-    ], ids=["abs-x-up-to-12", "abs-x-above-12", "abs-x-above-1e154", "abs-x-up-to-1e154"])
+        ("_j1_series", np.array([np.nextafter(1e154, 2e154), -1e300, np.finfo(float).max])),
+    ], ids=["abs-x-up-to-12", "abs-x-above-12", "abs-x-above-1e154"])
     def test_only_the_branch_owning_the_arguments_runs(self, monkeypatch, branch, xs):
         batch, alone = bessel_j1(xs), [bessel_j1(float(x)) for x in xs]
         monkeypatch.setattr(specfun, branch, _refuse)
