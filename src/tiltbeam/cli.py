@@ -208,16 +208,9 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     except BlockingIOError:  # only the flock raises it here
         print(f"error: output directory {str(out)!r} is locked by another run", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(
-            f"error: convergence failure in {exc.operation} "
-            f"(best estimate {exc.estimate}, error bound {exc.error_bound})",
-            file=sys.stderr,
-        )
-        return 3
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ConvergenceError) else 2
     except OSError as exc:
         for tmp in staged:
             tmp.unlink(missing_ok=True)

@@ -239,7 +239,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("theta_grid: angles must lie within [-90, 90] degrees")
     if cfg.weights.s1 == 0 and cfg.weights.s2 == 0:
         raise ConfigError("weights: s1 and s2 must not both be zero")
-    out_dir = _scalar("str", None, top.get("output_dir", "out"), "config.output_dir")
+    out_dir = _scalar("str", None, top.get("output_dir", "out"), "output_dir")
     if not out_dir:
         raise ConfigError("output_dir: must be a non-empty string")
     for path, (start, stop, step) in (("frequency_grid", astuple(freq)), ("theta_grid", astuple(theta))):

@@ -1,4 +1,4 @@
-"""Phased line array of the synthesized element: steer the beam, then
+"""Phased line array of the slot element: steer the beam, then
 report pointing error and scan loss per command.
 """
 
@@ -13,12 +13,11 @@ from .arrayfactor import ArrayLayout, SteeringCommand, steered_array_factor
 from .radiators import FrequencyContext
 from .synthesis import (
     AntennaGeometry,
-    ExcitationWeights,
     PatternCut,
+    _slot_term,
     default_theta_grid,
     pattern_metrics,
     require_metrics_spacing,
-    synthesize_pattern,
 )
 
 SCAN_COMMANDS_DEG = (-45.0, 0.0, 45.0)
@@ -47,6 +46,8 @@ class ScanReport:
 
 @dataclass(frozen=True)
 class ScanStudyResult:
+    """One cut and one report per steering command, in SCAN_COMMANDS_DEG order."""
+
     cuts: tuple
     reports: tuple
 
@@ -59,9 +60,10 @@ def default_scan_study(
     """Four-element line scan at half-wave pitch over SCAN_COMMANDS_DEG.
 
     The scan sweeps the plane orthogonal to the element's tilt plane, where
-    the element presents its even broadside component; only that choice
-    keeps the commanded angles inside the element's rolloff on both sides.
-    The scan layout pitch is half the context wavelength.
+    the element presents its even broadside component, the fixed slot term;
+    only that choice keeps the commanded angles inside the element's rolloff
+    on both sides. The pitch is half the context wavelength; the result
+    depends only on the frequency and the grid, so `geometry` changes nothing.
 
     Each cut is the element times the steered array-factor magnitude,
     divided by the peak of the boresight cut, so the peak of each cut
@@ -69,17 +71,14 @@ def default_scan_study(
     """
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     require_metrics_spacing(grid)
-    element = synthesize_pattern(
-        ExcitationWeights(1.0, 0.0), grid, geometry.slot, geometry.monopole, geometry.layout, ctx
-    )
+    element = _slot_term(grid)
     lam = ctx.wavelength_lambda0
-    scan_layout = ArrayLayout(1, SCAN_ELEMENT_COUNT, geometry.layout.spacing_dx, 0.5 * lam)
+    scan_layout = ArrayLayout(1, SCAN_ELEMENT_COUNT, spacing_dy=0.5 * lam)
     commands = [SteeringCommand(math.radians(c)) for c in SCAN_COMMANDS_DEG]
-    products = [element.values * np.abs(steered_array_factor(scan_layout, cmd, element.theta_grid, lam))
-                for cmd in commands]
+    products = [element * np.abs(steered_array_factor(scan_layout, cmd, grid, lam)) for cmd in commands]
     bore = SCAN_COMMANDS_DEG.index(0.0)
-    peak0 = float(np.abs(products[bore]).max())
-    cuts = tuple(PatternCut(element.theta_grid, product / peak0) for product in products)
+    peak0 = float(np.abs(products[bore]).max(initial=0.0))  # an empty grid reaches PatternCut's refusal
+    cuts = tuple(PatternCut(grid, product / peak0) for product in products)
     metrics = [pattern_metrics(cut) for cut in cuts]
     reports = []
     for cmd, m in zip(commands, metrics):

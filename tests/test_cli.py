@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tiltbeam.cli as cli
-from tiltbeam import radiators, specfun, synthesis
+from tiltbeam import radiators, scanstudy, specfun, synthesis
 from tiltbeam.config import parse_config
 from tiltbeam.specfun import ConvergenceError
 
@@ -44,6 +44,9 @@ SUBNORMAL_WEIGHT = {"weights": {"s1": 0, "s2": 5e-324}}
 IMPEDANCE_WIDTH_UNDERFLOW = {"substrates": {"X": {"eps_r": 1e300, "tan_delta": 0.02, "thickness_mm": 1}},
                              "geometry": {"strip": {"substrate": "X", "width_mm": 1e-300,
                                                     "substrate_thickness_mm": 1e-300}}}
+
+# The post term alone on the broadside-only grid, where it is 0: commands that synthesize it refuse.
+POST_ONLY_AT_BROADSIDE = {"weights": {"s1": 0, "s2": 1}, "theta_grid": {"start_deg": 0, "stop_deg": 0}}
 
 
 @pytest.fixture()
@@ -278,9 +281,9 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", cli.COMMANDS)
     @pytest.mark.parametrize("data", [SKIN_DEPTH_UNDERFLOW, WIDTH_TO_HEIGHT_OVERFLOW, SUBNORMAL_WEIGHT,
-                                      IMPEDANCE_WIDTH_UNDERFLOW],
+                                      IMPEDANCE_WIDTH_UNDERFLOW, POST_ONLY_AT_BROADSIDE],
                              ids=["skin-depth-underflow", "width-to-height-overflow", "subnormal-weight",
-                                  "impedance-width-underflow"])
+                                  "impedance-width-underflow", "post-only-at-broadside"])
     def test_no_traceback_or_warning(self, tmp_path, capsys, data, command):
         cfg = write_config(tmp_path, data)
         status = run([command, "--config", cfg, "--out", tmp_path / "out"])
@@ -323,7 +326,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(radiators, "monopole_pattern", no_field)
         monkeypatch.setattr(synthesis, "monopole_pattern", no_field)
-        monkeypatch.setattr(synthesis, "_slot_term", no_field)  # the scan study's element is slot-only
+        monkeypatch.setattr(synthesis, "_slot_term", no_field)
+        monkeypatch.setattr(scanstudy, "_slot_term", no_field)  # the scan study's element is slot-only
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1.0}})
         out = tmp_path / "out"
         assert run(args + ["--config", cfg, "--out", out]) == 2
@@ -471,7 +475,9 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"geometry": {"monopole": {"ground_radius_mm": 300.0}}})
         assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 3
         err = capsys.readouterr().err
-        assert "error: convergence failure in ground term (ka = 203.575) at theta = " in err
+        assert err.startswith("error: ground term (ka = 203.575) at theta = ")
+        assert "subdivision budget exhausted; best estimate " in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_failed_run_writes_nothing(self, tmp_path, default_config, monkeypatch):
         def exploding_builder(cfg, svg):

@@ -354,7 +354,7 @@ def _message_cases():
         (_at("weights", "ratios", 0.5), "weights.ratios: must be a non-empty array of numbers"),
         (_at("weights", "ratios", [0.5, "1"]), "weights.ratios[1]: must be a number"),
         (_at("weights", "ratios", [0.5, 0.0]), "weights.ratios[1]: must be > 0"),
-        ({"output_dir": 7}, "config.output_dir: must be a string"),
+        ({"output_dir": 7}, "output_dir: must be a string"),
         ({"output_dir": ""}, "output_dir: must be a non-empty string"),
         ([1, 2], "config: must be an object"),
         ({"bogus": {}}, "unknown key: bogus"),

@@ -88,9 +88,13 @@ class TestDefaultStudy:
         def no_element(*args):
             raise AssertionError("element synthesized")
 
-        monkeypatch.setattr(scanstudy, "synthesize_pattern", no_element)
+        monkeypatch.setattr(scanstudy, "_slot_term", no_element)
         with pytest.raises(ValueError, match=r"^pattern_metrics: grid spacing must be <= 0\.5 degrees$"):
             default_scan_study(default_geometry, ctx324, np.radians(np.arange(-90.0, 90.5, 1.0)))
+
+    def test_rejects_empty_grid(self, default_geometry, ctx324):
+        with pytest.raises(ValueError, match=r"^PatternCut: theta_grid must be a non-empty 1-d array$"):
+            default_scan_study(default_geometry, ctx324, np.array([]))
 
 
 class TestScaleFreeCuts:

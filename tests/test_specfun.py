@@ -211,6 +211,14 @@ class TestIntegrateComplex:
             integrate_complex(lambda x: np.exp(1j * np.multiply.outer(k, x)), 0.0, 3.0)
         assert info.value.index == (2,)
 
+    def test_a_width_beyond_the_panel_budget_in_pi_can_converge(self):
+        # wider than _MAX_PANELS panels of width pi, yet e^{-jv} passes on the
+        # 2000- and 4000-panel levels, so width alone is no ground to refuse
+        width = 6000 * math.pi + 1.0
+        assert width > specfun._MAX_PANELS * math.pi
+        val = integrate_complex(lambda v: np.cos(v) - 1j * np.sin(v), 0.0, width)
+        assert abs(val - 1j * (np.exp(-1j * width) - 1.0)) < 1e-9
+
     def test_gauss_legendre_table_matches_numpy(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
         assert np.array_equal(_GL_NODES, nodes)

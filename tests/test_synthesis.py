@@ -59,7 +59,7 @@ class TestExcitationWeights:
             ExcitationWeights(s1, s2)
 
     def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ExcitationWeights: s1 and s2 must not both be zero$"):
             ExcitationWeights(0.0, 0.0)
 
     def test_single_source_allowed(self):
@@ -229,11 +229,16 @@ class TestSuperposition:
 
     def test_rejects_empty_grid(self, ctx324):
         geo = AntennaGeometry()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^synthesize_pattern: theta_grid must be non-empty$"):
             synthesize_pattern(
                 ExcitationWeights(1.0, 0.3), np.array([]),
                 geo.slot, geo.monopole, geo.layout, ctx324,
             )
+
+    def test_rejects_a_field_zero_on_every_sample(self, ctx324):
+        # the post term alone is odd in theta, so it is exactly 0 at broadside
+        with pytest.raises(ValueError, match=r"^synthesize_pattern: field is zero everywhere on the grid$"):
+            synth(ExcitationWeights(0.0, 1.0), np.array([0.0]), ctx324)
 
     def test_default_weights_tilt_the_beam(self, ctx324):
         cut = synth(ExcitationWeights(1.0, 0.3), default_theta_grid(), ctx324)
@@ -449,7 +454,7 @@ class TestRatioSweep:
         assert row.sll_dB < -100.0
 
     def test_validation(self, ctx324, default_geometry):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ratio_sweep: ratios must be non-empty$"):
             ratio_sweep([], default_geometry, ctx324)
         with pytest.raises(ValueError):
             ratio_sweep([0.5, 0.0], default_geometry, ctx324)
@@ -497,7 +502,7 @@ class TestBeamStability:
             beam_stability([19.0e9], default_geometry, self.WEIGHTS)
         with pytest.raises(ValueError):
             beam_stability([46.0e9], default_geometry, self.WEIGHTS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beam_stability: freqs must be non-empty$"):
             beam_stability([], default_geometry, self.WEIGHTS)
 
 
