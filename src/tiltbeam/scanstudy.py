@@ -28,8 +28,8 @@ SCAN_ELEMENT_COUNT = 4
 class ScanReport:
     """Pointing and loss summary for one steering command.
 
-    scan_loss_dB is the boresight-scan peak minus this command's peak, in
-    dB. It is positive when the element rolls off toward the commanded
+    scan_loss_dB is the ideal boresight peak, 1, over this command's peak,
+    in dB. It is positive when the element rolls off toward the commanded
     angle; an element whose own peak sits near the command can make it
     negative (scan gain), which is reported as-is.
     """
@@ -65,23 +65,20 @@ def default_scan_study(
     on both sides. The pitch is half the context wavelength; the result
     depends only on the frequency and the grid, so `geometry` changes nothing.
 
-    Each cut is the element times the steered array-factor magnitude,
-    divided by the peak of the boresight cut, so the peak of each cut
-    encodes its scan loss: a cut peaking at 0.8 means 1.9 dB.
+    Each cut is the element times the steered array-factor magnitude. The
+    element is 1 at 0 degrees and the factor is 1 at its command, so the
+    boresight beam peaks at 1, and each cut's sampled peak gives its scan
+    loss against that: a cut peaking at 0.8 means 1.9 dB.
     """
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     require_metrics_spacing(grid)
     element = _slot_term(grid)
     lam = ctx.wavelength_lambda0
     scan_layout = ArrayLayout(1, SCAN_ELEMENT_COUNT, spacing_dy=0.5 * lam)
-    commands = [SteeringCommand(math.radians(c)) for c in SCAN_COMMANDS_DEG]
-    products = [element * np.abs(steered_array_factor(scan_layout, cmd, grid, lam)) for cmd in commands]
-    bore = SCAN_COMMANDS_DEG.index(0.0)
-    peak0 = float(np.abs(products[bore]).max(initial=0.0))  # an empty grid reaches PatternCut's refusal
-    cuts = tuple(PatternCut(grid, product / peak0) for product in products)
-    metrics = [pattern_metrics(cut) for cut in cuts]
-    reports = []
-    for cmd, m in zip(commands, metrics):
-        loss = 20.0 * math.log10(metrics[bore].peak_linear / m.peak_linear)
-        reports.append(ScanReport(math.degrees(cmd.steer_theta0), m.tilt_deg, loss, m.sll_dB))
-    return ScanStudyResult(cuts, tuple(reports))
+    cuts, reports = [], []
+    for deg in SCAN_COMMANDS_DEG:
+        factor = steered_array_factor(scan_layout, SteeringCommand(math.radians(deg)), grid, lam)
+        cuts.append(PatternCut(grid, element * np.abs(factor)))
+        m = pattern_metrics(cuts[-1])
+        reports.append(ScanReport(deg, m.tilt_deg, 20.0 * math.log10(1.0 / m.peak_linear), m.sll_dB))
+    return ScanStudyResult(tuple(cuts), tuple(reports))

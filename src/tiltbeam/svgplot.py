@@ -25,8 +25,6 @@ _SPOKE_DEG = (-90.0, -60.0, -30.0, 0.0, 30.0, 60.0, 90.0)
 
 
 def _fmt(value: float) -> str:
-    if value == 0.0:
-        value = 0.0  # collapse negative zero
     return f"{value:.3f}"
 
 

@@ -269,7 +269,7 @@ def ratio_sweep(
         raise ValueError("ratio_sweep: ratios must be finite and positive")
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     require_metrics_spacing(grid)
-    slot_vals = _slot_term(grid).astype(complex)
+    slot_vals = _slot_term(grid)
     mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx)
     rows = tuple(pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals)) for r in ratios)
     return RatioSweepResult(ratios, rows)

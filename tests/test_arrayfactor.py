@@ -112,6 +112,13 @@ class TestSteeredArrayFactor:
             b = abs(steered_array_factor(layout, minus, -float(t), LAM))
             assert a == pytest.approx(b, abs=1e-13)
 
+    def test_line_along_x_matches_line_along_y(self):
+        theta = np.linspace(-1.5, 1.5, 61)
+        cmd = SteeringCommand(math.radians(30.0))
+        along_x = steered_array_factor(ArrayLayout(4, 1, 0.5 * LAM, 0.7 * LAM), cmd, theta, LAM)
+        along_y = steered_array_factor(ArrayLayout(1, 4, 0.7 * LAM, 0.5 * LAM), cmd, theta, LAM)
+        assert along_x.tobytes() == along_y.tobytes()
+
     def test_requires_line_layout(self):
         with pytest.raises(ValueError):
             steered_array_factor(ArrayLayout(2, 2, LAM, LAM), SteeringCommand(0.0), 0.1, LAM)

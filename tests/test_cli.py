@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import errno
 import fcntl
 import json
 import math
@@ -244,6 +245,11 @@ class TestExitCodes:
     def test_unrecognized_flag(self, default_config, capsys):
         assert run(["pattern", "--config", default_config, "--fast"]) == 2
         assert "unrecognized argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--config", "a path"), ("--out", "a directory")])
+    def test_value_option_at_the_end(self, capsys, flag, value):
+        assert cli.main(["pattern", flag]) == 2
+        assert capsys.readouterr().err == f"error: {flag} requires {value}\n{cli._USAGE}\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["pattern", "--config", tmp_path / "absent.json"]) == 2
@@ -509,6 +515,37 @@ class TestExitCodes:
         assert (out / "pattern.csv").read_bytes() == stale
         assert not (out / "pattern.svg").exists()
         assert [p.name for p in out.glob("*.tmp")] == ["pattern.svg.tmp"]  # not this run's; left alone
+
+    def test_write_cut_short_removes_its_temp_file(self, tmp_path, default_config, capsys, monkeypatch):
+        class FullDisk:
+            """A file whose write stores half its text, then finds the disk full."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_disk_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return FullDisk(fh) if Path(path).name == "pattern.svg.tmp" else fh
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = b"theta_deg,re,im,mag_db\nstale\n"
+        (out / "pattern.csv").write_bytes(stale)
+        assert run(["pattern", "--config", default_config, "--out", out, "--svg"]) == 2
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert (out / "pattern.csv").read_bytes() == stale
+        assert [p.name for p in out.iterdir()] == ["pattern.csv"]
 
     def test_directory_target_is_refused_before_any_rename(self, tmp_path, default_config, capsys):
         out = tmp_path / "out"

@@ -8,7 +8,8 @@ that moves an artifact on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and states which artifacts changed, and by how much, in CHANGES.md. The
+which prints each entry it adds, changes or drops against the old table;
+the change states which artifacts changed, and by how much, in CHANGES.md. The
 table records the numpy version and machine it was written on, since
 floating-point digests are compared only on the same toolchain.
 """
@@ -87,7 +88,18 @@ def test_cli_runs_match_the_golden_table(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    old = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {"runs": {}}
     with tempfile.TemporaryDirectory() as root:
         runs = record(Path(root))
+    old_toolchain = {key: old.get(key) for key in toolchain()}
+    if old_toolchain != toolchain():
+        print(f"changed toolchain: {old_toolchain} -> {toolchain()}")
+    for key in sorted(old["runs"].keys() | runs.keys()):
+        if key not in runs:
+            print(f"dropped {key}: {old['runs'][key]!r}")
+        elif key not in old["runs"]:
+            print(f"added {key}: {runs[key]!r}")
+        elif old["runs"][key] != runs[key]:
+            print(f"changed {key}: {old['runs'][key]!r} -> {runs[key]!r}")
     TABLE.write_text(json.dumps({**toolchain(), "runs": runs}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(RUNS)} runs, {len(runs)} entries to {TABLE}")

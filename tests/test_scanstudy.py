@@ -73,7 +73,7 @@ class TestDefaultStudy:
         assert left.achieved_deg == pytest.approx(-right.achieved_deg, abs=1e-9)
 
     def test_one_array_factor_per_command(self, default_geometry, ctx324, monkeypatch):
-        # the boresight peak reuses the boresight command's product
+        # each command's factor is computed once
         commands = []
 
         def counted(layout, cmd, theta, lam):
@@ -83,6 +83,18 @@ class TestDefaultStudy:
         monkeypatch.setattr(scanstudy, "steered_array_factor", counted)
         default_scan_study(default_geometry, ctx324)
         assert commands == [-45.0, 0.0, 45.0]
+
+    def test_one_point_grid_measures_against_the_unit_boresight_peak(self, default_geometry, ctx324):
+        # At 30 degrees the boresight factor is a rounding residue of 1 + j - 1 - j;
+        # a loss taken against that residue once read about -300 dB at +-45.
+        theta = math.radians(30.0)
+        left, bore, right = default_scan_study(default_geometry, ctx324, np.array([theta])).reports
+        assert left.scan_loss_dB > 0.0 and right.scan_loss_dB > 0.0
+        assert bore.scan_loss_dB > 300.0
+        # element sin((pi/2) cos theta) times |sin(N psi / 2) / (N sin(psi / 2))|, N = 4
+        psi = math.pi * (math.sin(theta) - math.sin(math.radians(45.0)))
+        peak = math.sin(0.5 * math.pi * math.cos(theta)) * abs(math.sin(2.0 * psi) / (4.0 * math.sin(0.5 * psi)))
+        assert right.scan_loss_dB == pytest.approx(-20.0 * math.log10(peak), abs=1e-9)
 
     def test_coarse_grid_fails_before_the_element_is_synthesized(self, default_geometry, ctx324, monkeypatch):
         def no_element(*args):
