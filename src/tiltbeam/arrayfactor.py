@@ -40,11 +40,14 @@ class SteeringCommand:
             raise ValueError("SteeringCommand: |steer_theta0| must be < pi/2")
 
 
-def _factor(n: int, psi: np.ndarray) -> np.ndarray:
-    # |sin(n psi) / (n sin psi)| with the removable singularity filled by
-    # its limit: psi at a multiple of pi means all element phasors align.
+def _factor(n: int, d: float, sin_angle: np.ndarray, lam: float) -> np.ndarray:
+    # |sin(n psi) / (n sin psi)| with psi = pi d sin(angle) / lam and the
+    # removable singularity filled by its limit: psi at a multiple of pi
+    # means all element phasors align. A lone element has no spacing.
     if n == 1:
-        return np.ones_like(psi)
+        return np.ones_like(sin_angle)
+    require("array_factor", phase=(n * (math.pi * d / lam), ">= 0"))  # bounds n psi
+    psi = math.pi * d * sin_angle / lam
     aligned = np.abs(psi - math.pi * np.round(psi / math.pi)) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(aligned, 1.0, np.abs(np.sin(n * psi) / (n * np.sin(psi))))
@@ -59,12 +62,13 @@ def array_factor(layout: ArrayLayout, theta, phi, lam: float):
 
     The x axis factor depends on sin(theta), the y axis factor on sin(phi),
     following the separable printed form. Result lies in [0, 1]. theta and
-    phi may be numpy arrays, which broadcast; scalars give a float.
+    phi may be numpy arrays, which broadcast; scalars give a float. A
+    spacing so large against lam that the phase overflows is refused.
     """
     require("array_factor", lam=(lam, "> 0"))
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    fx = _factor(layout.count_Nx, math.pi * layout.spacing_dx * np.sin(theta) / lam)
-    fy = _factor(layout.count_Ny, math.pi * layout.spacing_dy * np.sin(phi) / lam)
+    fx = _factor(layout.count_Nx, layout.spacing_dx, np.sin(theta), lam)
+    fy = _factor(layout.count_Ny, layout.spacing_dy, np.sin(phi), lam)
     return _scalar_or_array(np.minimum(fx * fy, 1.0))
 
 
@@ -85,10 +89,13 @@ def steered_array_factor(layout: ArrayLayout, cmd: SteeringCommand, theta, lam: 
     sum rather than a shifted closed form, so grating lobes and scan squint
     emerge on their own. Magnitude is 1 at theta = theta0. theta may be a
     numpy array; the sum is then one (theta x element) outer product, and a
-    scalar gives a complex.
+    scalar gives a complex. A phase that overflows is refused.
     """
     require("steered_array_factor", lam=(lam, "> 0"))
     n, d = _line_axis(layout)
-    delta = (2.0 * math.pi / lam) * d * (np.sin(np.asarray(theta, dtype=float)) - math.sin(cmd.steer_theta0))
+    kd = (2.0 * math.pi / lam) * d
+    # |delta| < 2 kd, so this bounds the last element's phase (n - 1) delta
+    require("steered_array_factor", phase=(2.0 * (n - 1) * kd, ">= 0"))
+    delta = kd * (np.sin(np.asarray(theta, dtype=float)) - math.sin(cmd.steer_theta0))
     phasors = np.exp(1j * np.multiply.outer(delta, np.arange(n)))
     return _scalar_or_array(phasors.sum(axis=-1) / n)

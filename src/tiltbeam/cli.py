@@ -1,11 +1,13 @@
 """Command-line entry point: config in, CSV and SVG artifacts out.
 
 Every command computes its full result, then stages every file as a temp
-file before renaming any into place: a failed write leaves no temp file
-and the previous artifacts as they were. A target that is a directory is
-refused before anything is written. A flock on the output directory itself
-serializes runs (POSIX only); no file holds it, and the kernel releases it
-when the process exits or is killed. Identical inputs give identical bytes.
+file before renaming any into place: a failed write leaves the previous
+artifacts as they were. A target that is a directory is refused before any
+artifact is replaced. Any failure or interrupt removes the run's temp
+files, but an interrupt between two renames can still leave a mix of old
+and new artifacts. A flock on the output directory itself serializes runs
+(POSIX only); no file holds it, and the kernel releases it when the process
+exits or is killed. Identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -167,13 +169,8 @@ _USAGE = "usage: tiltbeam <command> --config <path> [--out <dir>] [--svg]\ncomma
 
 
 def _write_text(path: Path, text: str) -> None:
-    fh = open(path, "w", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(text)
-    except OSError:  # a file this run created but could not fill
-        path.unlink()
-        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> int:
@@ -191,18 +188,15 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     staged = []
     try:
         fcntl.flock(dir_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        artifacts = _BUILDERS[name](cfg, svg)
-        # A rename onto a directory fails only after the earlier renames
-        # have replaced their files, so refuse such a target up front.
-        for fname in artifacts:
+        # Stage the whole set first, so a failed write leaves the old one
+        # intact. A rename onto a directory would fail only after the earlier
+        # renames had replaced their files, so such a target is refused here.
+        for fname, text in sorted(_BUILDERS[name](cfg, svg).items()):
             target = out / fname
             if target.is_dir() and not target.is_symlink():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-        # Stage the whole set first, so a failed write leaves the old one intact.
-        for fname, text in sorted(artifacts.items()):
-            tmp = out / (fname + ".tmp")
-            _write_text(tmp, text)
-            staged.append(tmp)
+            staged.append(out / (fname + ".tmp"))
+            _write_text(staged[-1], text)
         for tmp in staged:
             os.replace(tmp, tmp.with_suffix(""))
     except BlockingIOError:  # only the flock raises it here
@@ -212,12 +206,15 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceError) else 2
     except OSError as exc:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
         print(f"error: cannot write artifacts to {str(out)!r}: {exc}", file=sys.stderr)
         return 2
     finally:
-        os.close(dir_fd)
+        try:  # after any failure or interrupt, under the lock; a directory there is not this run's
+            for tmp in staged:
+                if not tmp.is_dir():
+                    tmp.unlink(missing_ok=True)
+        finally:
+            os.close(dir_fd)
     return 0
 
 

@@ -12,6 +12,7 @@ rejection and serialization all walk their fields.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 
@@ -245,7 +246,8 @@ def parse_config(data: dict) -> RunConfig:
     for path, (start, stop, step) in (("frequency_grid", astuple(freq)), ("theta_grid", astuple(theta))):
         if (stop - start) / step + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
             raise ConfigError(f"{path}: grid must have at most {MAX_GRID_POINTS} points")
-        if step < abs(np.spacing(stop)):  # stepped_grid would repeat values
+        # stepped_grid would repeat values; the spacing above the largest float is inf
+        if step < math.nextafter(abs(stop), math.inf) - abs(stop):
             raise ConfigError(f"{path}: step must be at least the float spacing at stop")
     cfg = replace(cfg, frequency_grid=freq, output_dir=out_dir)
     try:  # the substrate must resolve, and each length stay > 0 in metres (1e-322 mm is 0.0 m)

@@ -10,6 +10,7 @@ of the weights trades sidelobe level against a nearly constant tilt.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,10 @@ def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
 
     The bound lies past stop even when 1e-9 * step is below stop's float
     spacing, so for a step of at least that spacing the grid holds start.
+    The bound is capped at the largest float, so a stop just below it
+    still gives a grid.
     """
-    bound = max(stop + 1e-9 * step, np.nextafter(stop, math.inf))
+    bound = min(max(stop + 1e-9 * step, np.nextafter(stop, math.inf)), sys.float_info.max)
     return np.minimum(np.arange(start, bound, step), stop)
 
 
@@ -174,6 +177,9 @@ def synthesize_pattern(
     peak = np.abs(vals).max()
     if peak == 0.0:
         raise ValueError("synthesize_pattern: field is zero everywhere on the grid")
+    if peak < sys.float_info.min:  # 1 / peak would overflow; a power-of-two scale is exact
+        vals = vals * 2.0 ** 600
+        peak = np.abs(vals).max()
     return PatternCut(grid, vals / peak)
 
 
@@ -207,9 +213,11 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
 
     tilt = float(grid_deg[i])
     if 0 < i < n - 1:
-        den = mags[i - 1] - 2.0 * mags[i] + mags[i + 1]
+        # 2 * peak must not overflow; halving the three samples keeps the vertex
+        prev, top, nxt = mags[i - 1:i + 2] * (0.5 if peak > 0.5 * sys.float_info.max else 1.0)
+        den = prev - 2.0 * top + nxt
         if den != 0.0:
-            shift = min(0.5, max(-0.5, 0.5 * (mags[i - 1] - mags[i + 1]) / den))
+            shift = min(0.5, max(-0.5, 0.5 * (prev - nxt) / den))
             tilt = float(grid_deg[i] + shift * 0.5 * (grid_deg[i + 1] - grid_deg[i - 1]))
 
     # Main lobe: from just past the last fall before the peak to the first

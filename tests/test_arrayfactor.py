@@ -47,6 +47,14 @@ class TestArrayFactor:
         for t in (0.2, 0.5, 1.1):
             assert array_factor(layout, t, 0.0, LAM) == array_factor(layout, -t, 0.0, LAM)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, 1e308], ids=["inf", "nan", "1e308"])
+    def test_lone_element_axis_ignores_its_spacing(self, spacing):
+        # an axis with one element has an unchecked spacing, which once warned here
+        theta = np.linspace(-1.5, 1.5, 7)
+        expected = array_factor(ArrayLayout(1, 2, LAM, 0.5 * LAM), theta, 0.3, LAM)
+        assert np.array_equal(array_factor(ArrayLayout(1, 2, spacing, 0.5 * LAM), theta, 0.3, LAM), expected)
+
     def test_rejects_bad_wavelength(self):
         with pytest.raises(ValueError):
             array_factor(ArrayLayout(), 0.0, 0.0, 0.0)

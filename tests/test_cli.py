@@ -48,6 +48,28 @@ IMPEDANCE_WIDTH_UNDERFLOW = {"substrates": {"X": {"eps_r": 1e300, "tan_delta": 0
 
 # The post term alone on the broadside-only grid, where it is 0: commands that synthesize it refuse.
 POST_ONLY_AT_BROADSIDE = {"weights": {"s1": 0, "s2": 1}, "theta_grid": {"start_deg": 0, "stop_deg": 0}}
+LARGEST = sys.float_info.max
+LARGEST_STOP = {"frequency_grid": {"stop_ghz": LARGEST, "step_ghz": LARGEST}}
+LARGEST_RATIO = {"weights": {"ratios": [LARGEST, 0.5]}}
+# With the post term 0 at broadside, the field there is the slot term over the largest weight: a subnormal.
+LARGEST_WEIGHT_AT_BROADSIDE = {"theta_grid": {"start_deg": 0, "stop_deg": 0}, "weights": {"s2": LARGEST}}
+
+
+class _CutShort:
+    """A file whose write stores half its text, then raises `exc`."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc = fh, exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise self.exc
 
 
 @pytest.fixture()
@@ -287,9 +309,11 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", cli.COMMANDS)
     @pytest.mark.parametrize("data", [SKIN_DEPTH_UNDERFLOW, WIDTH_TO_HEIGHT_OVERFLOW, SUBNORMAL_WEIGHT,
-                                      IMPEDANCE_WIDTH_UNDERFLOW, POST_ONLY_AT_BROADSIDE],
+                                      IMPEDANCE_WIDTH_UNDERFLOW, POST_ONLY_AT_BROADSIDE, LARGEST_STOP,
+                                      LARGEST_RATIO, LARGEST_WEIGHT_AT_BROADSIDE],
                              ids=["skin-depth-underflow", "width-to-height-overflow", "subnormal-weight",
-                                  "impedance-width-underflow", "post-only-at-broadside"])
+                                  "impedance-width-underflow", "post-only-at-broadside", "largest-stop",
+                                  "largest-ratio", "largest-weight-at-broadside"])
     def test_no_traceback_or_warning(self, tmp_path, capsys, data, command):
         cfg = write_config(tmp_path, data)
         status = run([command, "--config", cfg, "--out", tmp_path / "out"])
@@ -369,6 +393,26 @@ class TestExitCodes:
             artifacts.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
         assert capsys.readouterr().err == ""
         assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["pattern", "stability"])
+    def test_largest_weight_at_broadside_works_like_a_unit_one(self, tmp_path, capsys, command):
+        artifacts = []
+        for name, s2 in (("largest", LARGEST), ("unit", 1.0)):
+            data = {**LARGEST_WEIGHT_AT_BROADSIDE, "weights": {"s2": s2}}
+            cfg = write_config(tmp_path, data, name=f"{name}.json")
+            assert run([command, "--config", cfg, "--out", tmp_path / name, "--svg"]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert capsys.readouterr().err == ""
+        assert artifacts[0] == artifacts[1]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_largest_float_stop_is_a_config_error(self, tmp_path, capsys, command):
+        # the float spacing above the largest float is inf, so no finite step clears it
+        cfg = write_config(tmp_path, LARGEST_STOP)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: frequency_grid: step must be at least the float spacing at stop\n"
 
     @pytest.mark.parametrize("command, artifact, rows", [
         ("pattern", "pattern.csv", [["30"]]),
@@ -517,25 +561,10 @@ class TestExitCodes:
         assert [p.name for p in out.glob("*.tmp")] == ["pattern.svg.tmp"]  # not this run's; left alone
 
     def test_write_cut_short_removes_its_temp_file(self, tmp_path, default_config, capsys, monkeypatch):
-        class FullDisk:
-            """A file whose write stores half its text, then finds the disk full."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
         def full_disk_open(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
-            return FullDisk(fh) if Path(path).name == "pattern.svg.tmp" else fh
+            full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return _CutShort(fh, full) if Path(path).name == "pattern.svg.tmp" else fh
 
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
         out = tmp_path / "out"
@@ -546,6 +575,47 @@ class TestExitCodes:
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert (out / "pattern.csv").read_bytes() == stale
         assert [p.name for p in out.iterdir()] == ["pattern.csv"]
+
+    @pytest.mark.parametrize("exc_type", [OSError, KeyboardInterrupt], ids=["oserror", "interrupt"])
+    @pytest.mark.parametrize("step", ["write", "rename"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_failure_or_interrupt_leaves_no_temp_file(self, tmp_path, default_config, monkeypatch, capsys,
+                                                      k, step, exc_type):
+        # scan --svg stages four artifacts; the k-th write or rename raises
+        calls = []
+
+        def kth(real, failing):
+            def call(*args, **kwargs):
+                calls.append(args[0])
+                return (failing if len(calls) == k else real)(*args, **kwargs)
+            return call
+
+        def cut_short_open(*args, **kwargs):
+            return _CutShort(open(*args, **kwargs), exc_type("injected"))
+
+        def raising(*args):
+            raise exc_type("injected")
+
+        if step == "write":
+            monkeypatch.setattr(cli, "open", kth(open, cut_short_open), raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", kth(os.replace, raising))
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {name: f"old {name}\n".encode() for name in ("scan.csv", "scan_0.svg", "scan_45.svg", "scan_m45.svg")}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        args = ["scan", "--config", default_config, "--out", out, "--svg"]
+        if exc_type is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run(args)
+        else:
+            assert run(args) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to '{out}': injected")
+        assert len(calls) == k
+        assert sorted(p.name for p in out.iterdir()) == sorted(old)
+        replaced = {name for name in old if (out / name).read_bytes() != old[name]}
+        assert replaced == (set() if step == "write" else set(sorted(old)[:k - 1]))
 
     def test_directory_target_is_refused_before_any_rename(self, tmp_path, default_config, capsys):
         out = tmp_path / "out"

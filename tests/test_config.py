@@ -425,12 +425,15 @@ class TestGridCap:
             parse_config(data)
         assert str(exc.value) == message
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("data", [
         {"frequency_grid": {"start_ghz": 32.4, "step_ghz": 1e-15}},
         {"theta_grid": {"start_deg": -90.0, "stop_deg": -90.0, "step_deg": 1e-300}},
-    ], ids=["1e-15-ghz", "1e-300-deg"])
+        {"frequency_grid": {"stop_ghz": 1.7976931348623157e308, "step_ghz": 1.7976931348623157e308}},
+    ], ids=["1e-15-ghz", "1e-300-deg", "largest-stop"])
     def test_step_below_the_float_spacing_rejected(self, data):
-        # np.arange would repeat stop, or allocate some 1e286 points
+        # np.arange would repeat stop, or allocate some 1e286 points; above
+        # the largest float the spacing is inf
         with pytest.raises(ConfigError) as exc:
             parse_config(data)
         assert str(exc.value) == f"{next(iter(data))}: step must be at least the float spacing at stop"

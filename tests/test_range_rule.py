@@ -136,3 +136,22 @@ def test_plus_inf_fails_at_its_owner(case):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# A derived phase that overflows to inf would turn sin or exp into nan.
+PHASE_OVERFLOWS = {
+    "array-factor": (lambda: array_factor(ArrayLayout(2, 1, 1e300, 1.0), 0.5, 0.0, 1e-10),
+                     "array_factor: phase must be finite"),
+    "steered-array-factor": (lambda: steered_array_factor(ArrayLayout(1, 4, 1.0, 1e300), SteeringCommand(0.3), 0.5,
+                                                          1e-10),
+                             "steered_array_factor: phase must be finite"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", PHASE_OVERFLOWS.values(), ids=PHASE_OVERFLOWS.keys())
+def test_overflowing_phase_is_refused_at_its_owner(case):
+    call, message = case
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -8,6 +8,7 @@ degree grid used here, not model disagreement.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ HALF_POWER = 10.0 ** (-3.0 / 20.0)
 STEP = math.radians(0.25)
 
 RATIO_LADDER = tuple(i / 10 for i in range(1, 11))
+
+LARGEST = sys.float_info.max
 
 
 def synth(weights, grid, ctx):
@@ -116,6 +119,11 @@ class TestDefaultGrid:
     def test_one_point_grid_holds_start(self, value, step):
         # stop + 1e-9 * step rounds back to stop for these steps
         assert stepped_grid(value, value, step).tolist() == [value]
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_stays_finite_below_the_largest_float(self):
+        # stop + 1e-9 * step overflows; the bound is then the largest float
+        assert stepped_grid(1.79e308, 1.7976931348623e308, 1e308).tolist() == [1.79e308]
 
 
 class TestDegenerateWeights:
@@ -214,6 +222,14 @@ class TestSuperposition:
         b = synth(ExcitationWeights(scale * s1, scale * s2), grid, ctx324)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.filterwarnings("error")
+    def test_largest_weight_over_a_subnormal_peak_works_like_unit_ones(self, ctx324):
+        # the post term is 0 at broadside, so the field there is slot / LARGEST,
+        # a subnormal peak whose reciprocal overflows
+        grid = np.array([0.0])
+        assert synth(ExcitationWeights(1.0, LARGEST), grid, ctx324).values.tolist() == [1.0 + 0j]
+        assert synth(ExcitationWeights(1.0, 1.0), grid, ctx324).values.tolist() == [1.0 + 0j]
+
     def test_matches_manual_superposition(self, ctx324):
         grid = default_theta_grid()
         cut = synth(ExcitationWeights(1.0, 0.45), grid, ctx324)
@@ -290,6 +306,19 @@ class TestPatternMetricsFixtures:
         m = pattern_metrics(PatternCut(grid, vals))
         assert math.isnan(m.beamwidth3dB_deg)
         assert m.tilt_deg == pytest.approx(85.0, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_of_two_scale_near_the_largest_float(self):
+        # 2 * peak overflows for the large cut; its parabola step must still run
+        grid = default_theta_grid()
+        deg = np.degrees(grid)
+        shape = self.gauss(deg, -10.1, 5.0) + 10.0 ** -0.5 * self.gauss(deg, 40.0, 5.0)
+        large = pattern_metrics(PatternCut(grid, LARGEST * shape))
+        small = pattern_metrics(PatternCut(grid, 2.0 ** -1000 * (LARGEST * shape)))
+        assert repr((large.tilt_deg, large.sll_dB, large.beamwidth3dB_deg)) == repr(
+            (small.tilt_deg, small.sll_dB, small.beamwidth3dB_deg))
+        assert small.peak_linear == 2.0 ** -1000 * large.peak_linear
+        assert small.tilt_deg == pytest.approx(-10.1, abs=1e-3)
 
     def test_single_point_cut(self):
         m = pattern_metrics(PatternCut(np.array([0.3]), np.array([1.0 + 0j])))
@@ -447,6 +476,14 @@ class TestRatioSweep:
         result = ratio_sweep(ratios, default_geometry, ctx324, grid)
         assert all(row.sll_dB == -math.inf for row in result.rows)
         assert result.best_ratio == min(ratios)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_ratio_refines_its_tilt(self, ctx324, default_geometry):
+        # the slot term is lost beside either post term, so the two cuts differ by a factor of 2
+        top, half = ratio_sweep([LARGEST, LARGEST / 2], default_geometry, ctx324).rows
+        assert (top.tilt_deg, top.sll_dB, top.beamwidth3dB_deg) == (half.tilt_deg, half.sll_dB,
+                                                                    half.beamwidth3dB_deg)
+        assert top.tilt_deg % 0.25 != 0.0  # not a bare grid sample
 
     def test_tiny_ratio_approaches_slot_limit(self, ctx324, default_geometry):
         row = ratio_sweep([1e-12], default_geometry, ctx324).rows[0]
