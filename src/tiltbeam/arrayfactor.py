@@ -73,10 +73,9 @@ def array_factor(layout: ArrayLayout, theta, phi, lam: float):
 
 
 def _line_axis(layout: ArrayLayout) -> tuple[int, float]:
-    # A scanned array must be a single line of elements along one axis. A
-    # lone element has no spacing (its unchecked value may be inf or NaN).
+    # A scanned array must be a single line of elements along one axis.
     if layout.count_Nx == 1:
-        return layout.count_Ny, layout.spacing_dy if layout.count_Ny > 1 else 0.0
+        return layout.count_Ny, layout.spacing_dy
     if layout.count_Ny == 1:
         return layout.count_Nx, layout.spacing_dx
     raise ValueError("layout must be a 1xN line along one axis")
@@ -93,6 +92,8 @@ def steered_array_factor(layout: ArrayLayout, cmd: SteeringCommand, theta, lam: 
     """
     require("steered_array_factor", lam=(lam, "> 0"))
     n, d = _line_axis(layout)
+    if n == 1:  # a lone element has no spacing (its unchecked value may be inf or NaN)
+        return _scalar_or_array(np.ones(np.shape(theta), dtype=complex))
     kd = (2.0 * math.pi / lam) * d
     # |delta| < 2 kd, so this bounds the last element's phase (n - 1) delta
     require("steered_array_factor", phase=(2.0 * (n - 1) * kd, ">= 0"))

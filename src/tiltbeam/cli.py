@@ -28,9 +28,9 @@ from .svgplot import render_polar_svg
 from .synthesis import (
     BAND_CENTER_HZ,
     beam_stability,
+    metrics_grid,
     pattern_metrics,
     ratio_sweep,
-    require_metrics_spacing,
     synthesize_pattern,
 )
 
@@ -68,9 +68,7 @@ def _mag_db(value: complex) -> float:
 def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
     ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
     grid_deg = cfg.theta_grid_deg()
-    theta = cfg.theta_grid_rad()
-    if svg:
-        require_metrics_spacing(theta)
+    theta = metrics_grid(cfg.theta_grid_rad()) if svg else cfg.theta_grid_rad()
     cut = synthesize_pattern(
         cfg.excitation_weights(), theta,
         cfg.slot_spec(), cfg.monopole_spec(), cfg.array_layout(), ctx,

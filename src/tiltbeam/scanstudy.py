@@ -11,14 +11,7 @@ import numpy as np
 
 from .arrayfactor import ArrayLayout, SteeringCommand, steered_array_factor
 from .radiators import FrequencyContext
-from .synthesis import (
-    AntennaGeometry,
-    PatternCut,
-    _slot_term,
-    default_theta_grid,
-    pattern_metrics,
-    require_metrics_spacing,
-)
+from .synthesis import AntennaGeometry, PatternCut, _slot_term, metrics_grid, pattern_metrics
 
 SCAN_COMMANDS_DEG = (-45.0, 0.0, 45.0)
 SCAN_ELEMENT_COUNT = 4
@@ -70,8 +63,7 @@ def default_scan_study(
     boresight beam peaks at 1, and each cut's sampled peak gives its scan
     loss against that: a cut peaking at 0.8 means 1.9 dB.
     """
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    require_metrics_spacing(grid)
+    grid = metrics_grid(theta_grid)
     element = _slot_term(grid)
     lam = ctx.wavelength_lambda0
     scan_layout = ArrayLayout(1, SCAN_ELEMENT_COUNT, spacing_dy=0.5 * lam)

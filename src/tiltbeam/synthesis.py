@@ -183,11 +183,13 @@ def synthesize_pattern(
     return PatternCut(grid, vals / peak)
 
 
-def require_metrics_spacing(theta_grid) -> None:
-    """Raise pattern_metrics' coarse-grid error; studies call it before any field evaluation."""
-    grid_deg = np.degrees(np.asarray(theta_grid, dtype=float))
-    if grid_deg.size > 1 and np.max(np.diff(grid_deg)) > 0.5 + 1e-9:
+def metrics_grid(theta_grid=None) -> np.ndarray:
+    """Grid for pattern_metrics, default_theta_grid() for None; a step above
+    0.5 degrees raises, so the studies call it before any field evaluation."""
+    grid = np.asarray(theta_grid, dtype=float) if theta_grid is not None else default_theta_grid()
+    if grid.size > 1 and np.max(np.diff(np.degrees(grid))) > 0.5 + 1e-9:
         raise ValueError("pattern_metrics: grid spacing must be <= 0.5 degrees")
+    return grid
 
 
 def pattern_metrics(cut: PatternCut) -> PatternMetrics:
@@ -204,10 +206,9 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     width nan, as in a single-sample cut. Scaling the cut by a power of two
     scales peak_linear alone.
     """
-    grid_deg = np.degrees(cut.theta_grid)
+    grid_deg = np.degrees(metrics_grid(cut.theta_grid))
     mags = np.abs(cut.values)
     n = mags.size
-    require_metrics_spacing(cut.theta_grid)
     i = int(np.argmax(mags))
     peak = float(mags[i])
 
@@ -275,8 +276,7 @@ def ratio_sweep(
         raise ValueError("ratio_sweep: ratios must be non-empty")
     if any(not 0 < r < math.inf for r in ratios):
         raise ValueError("ratio_sweep: ratios must be finite and positive")
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    require_metrics_spacing(grid)
+    grid = metrics_grid(theta_grid)
     slot_vals = _slot_term(grid)
     mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx)
     rows = tuple(pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals)) for r in ratios)
@@ -302,8 +302,7 @@ def beam_stability(
     for f in freqs:
         if not BAND_MIN_HZ <= f <= BAND_MAX_HZ:
             raise ValueError("beam_stability: frequency outside the 20 to 45 GHz band")
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    require_metrics_spacing(grid)
+    grid = metrics_grid(theta_grid)
 
     # Each distinct frequency, the band center included, is evaluated once.
     metrics = {

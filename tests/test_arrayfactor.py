@@ -1,9 +1,13 @@
 """Closed-form array factor and the explicit steered phasor sum."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltbeam import ArrayLayout, SteeringCommand, array_factor, steered_array_factor
 
@@ -80,13 +84,18 @@ class TestSteeredArrayFactor:
         layout = ArrayLayout(1, 1, LAM, LAM)
         assert steered_array_factor(layout, SteeringCommand(0.4), 0.2, LAM) == 1 + 0j
 
-    @pytest.mark.parametrize("spacing", [math.inf, math.nan, 1e308], ids=["inf", "nan", "1e308"])
-    def test_single_element_is_unity_whatever_its_spacing(self, spacing):
-        # a lone element's spacing goes unchecked; it once gave nan+nanj here
+    @pytest.mark.parametrize(
+        "spacing, lam",
+        [(math.inf, LAM), (math.nan, LAM), (1e308, LAM), (1.0, 5e-324)],
+        ids=["inf", "nan", "1e308", "tiny-wavelength"],
+    )
+    def test_single_element_is_unity_whatever_its_spacing(self, spacing, lam):
+        # a lone element's spacing goes unchecked; it once gave nan+nanj here,
+        # and 2 pi / lam overflowing to inf once made its k d nan
         layout = ArrayLayout(1, 1, 1e-3, spacing)
         theta = np.linspace(-1.5, 1.5, 7)
-        assert np.abs(steered_array_factor(layout, SteeringCommand(0.4), theta, LAM)).tolist() == [1.0] * 7
-        assert abs(steered_array_factor(layout, SteeringCommand(0.4), 0.2, LAM)) == 1.0
+        assert np.abs(steered_array_factor(layout, SteeringCommand(0.4), theta, lam)).tolist() == [1.0] * 7
+        assert abs(steered_array_factor(layout, SteeringCommand(0.4), 0.2, lam)) == 1.0
 
     def test_unit_magnitude_at_commanded_angle(self):
         layout = ArrayLayout(1, 4, LAM, 0.5 * LAM)
@@ -141,3 +150,41 @@ class TestSteeredArrayFactor:
             SteeringCommand(0.5 * math.pi)
         with pytest.raises(ValueError):
             SteeringCommand(-2.0)
+
+
+# Spacings and wavelengths: each bound of a positive float, then any finite positive value.
+_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, sys.float_info.min, 1e-300, 1e300, sys.float_info.max]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+_ANGLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_COUNT = st.integers(1, 6)
+
+
+def _value_or_error(function, *args):
+    # the function's value, or its ValueError's message; a warning raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return function(*args)
+        except ValueError as exc:
+            return str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(nx=_COUNT, ny=_COUNT, dx=_POSITIVE, dy=_POSITIVE, theta=_ANGLE, phi=_ANGLE, lam=_POSITIVE,
+       theta0=st.floats(-0.5 * math.pi, 0.5 * math.pi, exclude_min=True, exclude_max=True), along_x=st.booleans())
+def test_factors_stay_in_range_or_raise_their_owners_error(nx, ny, dx, dy, theta, phi, lam, theta0, along_x):
+    # any finite input: a value in range or the owner's ValueError, and no warning
+    value = _value_or_error(array_factor, ArrayLayout(nx, ny, dx, dy), theta, phi, lam)
+    assert value.startswith("array_factor: ") if isinstance(value, str) else 0.0 <= value <= 1.0
+    n = nx if along_x else ny
+    line = ArrayLayout(n, 1, dx, dy) if along_x else ArrayLayout(1, n, dx, dy)
+    value = _value_or_error(steered_array_factor, line, SteeringCommand(theta0), theta, lam)
+    if n == 1:  # a lone element has no phase to refuse
+        assert value == 1 + 0j
+    else:
+        assert value.startswith("steered_array_factor: ") if isinstance(value, str) else abs(value) <= 1.0 + 1e-12

@@ -1,7 +1,8 @@
 """Every module-level import in the package and its tests is used in its
 module, every public name has a user outside the unit tests, every package
-name the benchmark's tracer wraps exists, and the model modules apply their
-range rule through `specfun.require` only.
+name the benchmark's tracer wraps exists, the model modules apply their
+range rule through `specfun.require` only, and `synthesis.metrics_grid`
+alone picks the default theta grid or refuses a coarse one.
 
 No linter ships with the test environment, so these checks parse the
 sources with `ast`. `__init__.py` is exempt from the unused-import check:
@@ -143,3 +144,39 @@ def test_detects_a_hand_written_bound_check():
         "skin_depth: f must be > 0 (line 2)",
         "LossBudget: {} must be >= 0 (line 4)",
     ]
+
+
+def grid_rule_sites(source: str) -> list:
+    # each default_theta_grid() call and each raise of the coarse-grid message, with its enclosing function
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called == "default_theta_grid":
+                sites.append(f"{owner} (line {node.lineno})")
+        elif isinstance(node, ast.Raise) and "grid spacing must be" in ast.unparse(node):
+            sites.append(f"{owner} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_metrics_grid_alone_picks_or_checks_a_study_grid():
+    sites = [f"{path.name}: {site}" for path in MODULES
+             for site in grid_rule_sites(path.read_text(encoding="utf-8"))]
+    assert [site for site in sites if not site.startswith("synthesis.py: metrics_grid ")] == []
+
+
+def test_detects_a_grid_rule_outside_its_owner():
+    source = (
+        "def metrics_grid(g=None):\n    raise ValueError('pattern_metrics: grid spacing must be <= 0.5 degrees')\n"
+        "def study(g=None):\n    grid = default_theta_grid() if g is None else g\n"
+        "GRID = synthesis.default_theta_grid()\n"
+        "def check(step):\n    raise ValueError(f'pattern_metrics: grid spacing must be <= {step} degrees')\n"
+    )
+    assert grid_rule_sites(source) == ["metrics_grid (line 2)", "study (line 4)", "<module> (line 5)", "check (line 7)"]

@@ -26,12 +26,14 @@ from tiltbeam import (
     PatternMetrics,
     SlotSpec,
     beam_stability,
+    default_scan_study,
     default_theta_grid,
     monopole_pattern,
     pattern_metrics,
     ratio_sweep,
     synthesize_pattern,
 )
+from tiltbeam import synthesis
 from tiltbeam.synthesis import _monopole_term, _slot_term, stepped_grid
 
 HALF_POWER = 10.0 ** (-3.0 / 20.0)
@@ -541,6 +543,40 @@ class TestBeamStability:
             beam_stability([46.0e9], default_geometry, self.WEIGHTS)
         with pytest.raises(ValueError, match=r"^beam_stability: freqs must be non-empty$"):
             beam_stability([], default_geometry, self.WEIGHTS)
+
+
+def _scan(geometry, ctx, grid):
+    # PatternCut compares by identity, so compare the scan cuts' bytes
+    result = default_scan_study(geometry, ctx, grid)
+    return result.reports, [cut.values.tobytes() for cut in result.cuts]
+
+
+STUDIES = {
+    "ratio-sweep": lambda geometry, ctx, grid: ratio_sweep([0.3, 1.0], geometry, ctx, grid),
+    "stability": lambda geometry, ctx, grid: beam_stability(
+        [26.0e9, 41.0e9], geometry, ExcitationWeights(1.0, 0.3), grid),
+    "scan": _scan,
+}
+
+
+class TestStudyGrid:
+    """Every study reads theta_grid=None as default_theta_grid() and refuses a
+    grid too coarse for pattern_metrics before it evaluates any field."""
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_none_is_the_default_grid(self, ctx324, default_geometry, name):
+        study = STUDIES[name]
+        assert study(default_geometry, ctx324, None) == study(default_geometry, ctx324, default_theta_grid())
+
+    @pytest.mark.parametrize("name", ["ratio-sweep", "stability"])
+    def test_coarse_grid_fails_before_field_evaluation(self, ctx324, default_geometry, monkeypatch, name):
+        def no_field(*args):
+            raise AssertionError("field evaluated")
+
+        monkeypatch.setattr(synthesis, "monopole_pattern", no_field)
+        monkeypatch.setattr(synthesis, "_slot_term", no_field)
+        with pytest.raises(ValueError, match=r"^pattern_metrics: grid spacing must be <= 0\.5 degrees$"):
+            STUDIES[name](default_geometry, ctx324, np.radians(np.arange(-90.0, 90.5, 1.0)))
 
 
 class TestAntennaGeometry:
