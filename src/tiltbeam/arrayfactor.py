@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import require
+from .specfun import _scalar_or_array, require
 
 
 @dataclass(frozen=True)
@@ -41,20 +41,16 @@ class SteeringCommand:
 
 
 def _factor(n: int, d: float, sin_angle: np.ndarray, lam: float) -> np.ndarray:
-    # |sin(n psi) / (n sin psi)| with psi = pi d sin(angle) / lam and the
-    # removable singularity filled by its limit: psi at a multiple of pi
-    # means all element phasors align. A lone element has no spacing.
+    # |sin(n psi) / (n sin psi)| with psi = pi (d / lam) sin(angle), and 1 at the removable
+    # singularity (psi a multiple of pi: all element phasors align). A lone element has no spacing.
     if n == 1:
         return np.ones_like(sin_angle)
-    require("array_factor", phase=(n * (math.pi * d / lam), ">= 0"))  # bounds n psi
-    psi = math.pi * d * sin_angle / lam
+    half_kd = math.pi * (d / lam)
+    require("array_factor", phase=(n * half_kd, ">= 0"))  # bounds n psi
+    psi = half_kd * sin_angle
     aligned = np.abs(psi - math.pi * np.round(psi / math.pi)) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(aligned, 1.0, np.abs(np.sin(n * psi) / (n * np.sin(psi))))
-
-
-def _scalar_or_array(value: np.ndarray):
-    return value.item() if value.ndim == 0 else value
 
 
 def array_factor(layout: ArrayLayout, theta, phi, lam: float):
@@ -94,7 +90,7 @@ def steered_array_factor(layout: ArrayLayout, cmd: SteeringCommand, theta, lam: 
     n, d = _line_axis(layout)
     if n == 1:  # a lone element has no spacing (its unchecked value may be inf or NaN)
         return _scalar_or_array(np.ones(np.shape(theta), dtype=complex))
-    kd = (2.0 * math.pi / lam) * d
+    kd = 2.0 * math.pi * (d / lam)
     # |delta| < 2 kd, so this bounds the last element's phase (n - 1) delta
     require("steered_array_factor", phase=(2.0 * (n - 1) * kd, ">= 0"))
     delta = kd * (np.sin(np.asarray(theta, dtype=float)) - math.sin(cmd.steer_theta0))

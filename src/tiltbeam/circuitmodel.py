@@ -10,7 +10,7 @@ identity stays visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .radiators import SPEED_OF_LIGHT
 from .specfun import require
@@ -59,7 +59,7 @@ class MicrostripSpec:
 
     width_w: float = 0.24e-3
     length_l: float = 1.98e-3
-    substrate: SubstrateSpec = field(default_factory=lambda: SubstrateSpec("FR4", 4.4, 0.02, 0.1e-3))
+    substrate: SubstrateSpec = field(default_factory=lambda: replace(SUBSTRATE_PRESETS["FR4"], thickness_h=0.1e-3))
     copper_conductivity: float = 5.8e7
     roughness_rq: float = 0.0
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import ConvergenceError, bessel_j1, integrate_complex, require
+from .specfun import ConvergenceError, _scalar_or_array, bessel_j1, integrate_complex, require
 
 # Engineering value used across the model, chosen over the exact SI constant
 # so closed-form frequency predictions land on their conventional values.
@@ -202,4 +202,4 @@ def monopole_pattern(theta: float | np.ndarray, mono: MonopoleSpec, ctx: Frequen
         values[off_grid] = _divide(_field(angles, *geometry), ref)[where]
     values = values.reshape(theta.shape)
     values.flags.writeable = False
-    return complex(values) if values.ndim == 0 else values
+    return _scalar_or_array(values)

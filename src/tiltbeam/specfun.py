@@ -70,6 +70,10 @@ def require(owner: str, **checks: tuple) -> None:
             raise ValueError(f"{owner}: {name} must be finite")
 
 
+def _scalar_or_array(value: np.ndarray):
+    return value.item() if value.ndim == 0 else value
+
+
 # integrate_complex accepts a value once its n-panel and 2n-panel estimates
 # differ by at most max(_ABS_TOL, _REL_TOL * |2n-panel estimate|), and gives
 # up when the finer estimate would need more than _MAX_PANELS panels.
@@ -111,7 +115,7 @@ def bessel_j1(x):
     ax = np.abs(x)
     val = np.piecewise(ax, [ax <= _SERIES_CUTOFF], [_j1_series, _j1_asymptotic])
     val = np.where(x < 0.0, -val, val)
-    return float(val) if val.ndim == 0 else val
+    return _scalar_or_array(val)
 
 
 def _j1_series(ax: np.ndarray) -> np.ndarray:
@@ -163,7 +167,7 @@ def integrate_complex(f: Callable[[np.ndarray], np.ndarray], a: float, b: float)
         result[passed] = fine[passed]
         done |= passed
         if done.all():
-            return complex(result) if result.ndim == 0 else result
+            return _scalar_or_array(result)
         n *= 2
         if 2 * n > _MAX_PANELS:
             worst = np.unravel_index(np.argmax(np.where(done, -1.0, err)), err.shape)

@@ -1,5 +1,6 @@
 """Closed-form array factor and the explicit steered phasor sum."""
 
+import cmath
 import math
 import sys
 import warnings
@@ -59,6 +60,12 @@ class TestArrayFactor:
         expected = array_factor(ArrayLayout(1, 2, LAM, 0.5 * LAM), theta, 0.3, LAM)
         assert np.array_equal(array_factor(ArrayLayout(1, 2, spacing, 0.5 * LAM), theta, 0.3, LAM), expected)
 
+    @pytest.mark.filterwarnings("error")
+    def test_phase_is_formed_from_spacing_over_wavelength(self):
+        # d / lam = 1 with pi d overflowing on its own: psi = pi sin 0.5 all the same
+        value = array_factor(ArrayLayout(2, 1, 1e308, 1.0), 0.5, 0.0, 1e308)
+        assert value == pytest.approx(abs(math.cos(math.pi * math.sin(0.5))), rel=1e-12)
+
     def test_rejects_bad_wavelength(self):
         with pytest.raises(ValueError):
             array_factor(ArrayLayout(), 0.0, 0.0, 0.0)
@@ -96,6 +103,12 @@ class TestSteeredArrayFactor:
         theta = np.linspace(-1.5, 1.5, 7)
         assert np.abs(steered_array_factor(layout, SteeringCommand(0.4), theta, lam)).tolist() == [1.0] * 7
         assert abs(steered_array_factor(layout, SteeringCommand(0.4), 0.2, lam)) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_phase_is_formed_from_spacing_over_wavelength(self):
+        # d / lam = 1 with 2 pi / lam overflowing on its own: k d = 2 pi all the same
+        value = steered_array_factor(ArrayLayout(1, 2, 1.0, 1e-310), SteeringCommand(0.0), 0.5, 1e-310)
+        assert value == pytest.approx(0.5 * (1.0 + cmath.exp(2j * math.pi * math.sin(0.5))), rel=1e-12)
 
     def test_unit_magnitude_at_commanded_angle(self):
         layout = ArrayLayout(1, 4, LAM, 0.5 * LAM)

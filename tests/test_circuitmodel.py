@@ -2,6 +2,7 @@
 half-wave resonance, and the loss terms."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +44,9 @@ class TestPresets:
         assert (ro.eps_r, ro.tan_delta) == (3.55, 0.0027)
         assert SUBSTRATE_PRESETS["RO5880"].eps_r == 2.2
         assert SUBSTRATE_PRESETS["F4B"].eps_r == 2.65
+
+    def test_feed_layer_is_the_fr4_preset_at_0_1_mm(self):
+        assert MicrostripSpec().substrate == replace(SUBSTRATE_PRESETS["FR4"], thickness_h=0.1e-3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
