@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import ConvergenceError, _scalar_or_array, bessel_j1, integrate_complex, require
+from .specfun import WORK, ConvergenceError, _scalar_or_array, bessel_j1, integrate_complex, require
 
 # Engineering value used across the model, chosen over the exact SI constant
 # so closed-form frequency predictions land on their conventional values.
@@ -167,6 +167,7 @@ def _divide(values: np.ndarray, ref: complex) -> np.ndarray:
 def _peak_reference(kh: float, ka: float, model: CurrentModel) -> tuple[complex, np.ndarray]:
     # The field at the normalization grid's magnitude argmax (first index wins
     # on exact ties), and the grid field divided by it, read-only.
+    WORK["new_geometries"] += 1
     values = _field(_NORM_GRID_RAD, kh, ka, model)
     ref = complex(values[np.argmax(np.abs(values))])
     _divide(values, ref)

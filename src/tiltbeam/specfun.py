@@ -10,6 +10,7 @@ It also holds the range rule for the model's numbers and the config's bounds.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -74,6 +75,11 @@ def _scalar_or_array(value: np.ndarray):
     return value.item() if value.ndim == 0 else value
 
 
+# Work done since the last clear, counted and never timed: integrate_complex
+# calls, panels, kernel calls and kernel values, J1 values, and the geometries
+# radiators sets up. tests/golden_work.json holds them for each golden CLI run.
+WORK = Counter()
+
 # integrate_complex accepts a value once its n-panel and 2n-panel estimates
 # differ by at most max(_ABS_TOL, _REL_TOL * |2n-panel estimate|), and gives
 # up when the finer estimate would need more than _MAX_PANELS panels.
@@ -112,6 +118,7 @@ def bessel_j1(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("bessel_j1: argument must be finite")
+    WORK["j1_values"] += x.size
     ax = np.abs(x)
     val = np.piecewise(ax, [ax <= _SERIES_CUTOFF], [_j1_series, _j1_asymptotic])
     val = np.where(x < 0.0, -val, val)
@@ -134,9 +141,12 @@ def _composite(f, a: float, b: float, panels: int) -> np.ndarray:
     # Panel-by-panel sum, so working memory is one panel's kernel values.
     half = 0.5 * (b - a) / panels
     total = 0j
+    WORK["panels"] += panels
     for i in range(panels):
         mid = a + (2 * i + 1) * half
-        total = total + half * (f(mid + half * _GL_NODES) * _GL_WEIGHTS).sum(axis=-1)
+        values = f(mid + half * _GL_NODES)
+        WORK.update(kernel_calls=1, kernel_values=values.size)
+        total = total + half * (values * _GL_WEIGHTS).sum(axis=-1)
     return np.asarray(total, dtype=complex)
 
 
@@ -155,6 +165,7 @@ def integrate_complex(f: Callable[[np.ndarray], np.ndarray], a: float, b: float)
         raise ValueError("integrate_complex: bounds must be finite")
     if a > b:
         raise ValueError("integrate_complex: requires a <= b")
+    WORK["integrate_calls"] += 1
 
     n = max(1, min(math.ceil((b - a) / math.pi), _MAX_PANELS // 2))
     coarse = _composite(f, a, b, n)
