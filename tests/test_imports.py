@@ -1,8 +1,10 @@
 """Every module-level import in the package and its tests is used in its
 module, every public name has a user outside the unit tests, every package
 name the benchmark's tracer wraps exists, the model modules apply their
-range rule through `specfun.require` only, and `synthesis.metrics_grid`
-alone picks the default theta grid or refuses a coarse one.
+range rule through `specfun.require` only, `synthesis.metrics_grid` alone
+picks the default theta grid or refuses a coarse one, and a cold
+`import tiltbeam.cli` loads nothing past numpy but the package and a few
+small stdlib modules.
 
 No linter ships with the test environment, so these checks parse the
 sources with `ast`. `__init__.py` is exempt from the unused-import check:
@@ -12,7 +14,10 @@ byte-identical with the acceptance criteria.
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,3 +185,30 @@ def test_detects_a_grid_rule_outside_its_owner():
         "def check(step):\n    raise ValueError(f'pattern_metrics: grid spacing must be <= {step} degrees')\n"
     )
     assert grid_rule_sites(source) == ["metrics_grid (line 2)", "study (line 4)", "<module> (line 5)", "check (line 7)"]
+
+
+# What a cold `import tiltbeam.cli` may load once numpy is in: the package's
+# own modules, json's, and these. numpy.polynomial (which the tabulated
+# Gauss-Legendre rule avoids) or scipy.special (decided against at run time)
+# would each add their import time to every CLI run.
+COLD_CLI_IMPORTS = {"__future__", "copy", "dataclasses", "fcntl", "json", "_json"}
+NEW_MODULES = "import sys, numpy\nbefore = set(sys.modules)\nimport tiltbeam.cli\nprint(*sorted(set(sys.modules) - before))"
+
+
+def unexpected_cold_imports(new_modules: list) -> list:
+    return [name for name in new_modules
+            if name not in COLD_CLI_IMPORTS and name.split(".")[0] not in ("tiltbeam", "json")]
+
+
+def test_cold_cli_import_loads_only_the_package_and_small_stdlib_modules():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", NEW_MODULES], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    new_modules = run.stdout.split()
+    assert "tiltbeam.cli" in new_modules
+    assert unexpected_cold_imports(new_modules) == []
+
+
+def test_detects_a_heavy_module_on_the_cold_cli_path():
+    new_modules = ["__future__", "json.decoder", "numpy.polynomial", "scipy.special", "tiltbeam.cli", "jsonschema"]
+    assert unexpected_cold_imports(new_modules) == ["numpy.polynomial", "scipy.special", "jsonschema"]
