@@ -141,12 +141,11 @@ def _composite(f, a: float, b: float, panels: int) -> np.ndarray:
     # Panel-by-panel sum, so working memory is one panel's kernel values.
     half = 0.5 * (b - a) / panels
     total = 0j
-    WORK["panels"] += panels
     for i in range(panels):
         mid = a + (2 * i + 1) * half
-        values = f(mid + half * _GL_NODES)
-        WORK.update(kernel_calls=1, kernel_values=values.size)
-        total = total + half * (values * _GL_WEIGHTS).sum(axis=-1)
+        total = total + half * (f(mid + half * _GL_NODES) * _GL_WEIGHTS).sum(axis=-1)
+    # one kernel call per panel, each of np.size(total) values at every node
+    WORK.update(panels=panels, kernel_calls=panels, kernel_values=panels * np.size(total) * _GL_NODES.size)
     return np.asarray(total, dtype=complex)
 
 
