@@ -45,16 +45,23 @@ CONFIGS = {
     "slot-only": {"weights": {"s2": 0.0}},
     "off-lattice-stop": {"theta_grid": {"start_deg": -89.9999999998, "stop_deg": 90.0, "step_deg": 0.5}},
     "1e-311-ghz": {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}},
+    "band": {"frequency_grid": {"start_ghz": 28.0, "stop_ghz": 38.0, "step_ghz": 1.0}},
+    "300mm-off-lattice-point": {"geometry": {"monopole": {"ground_radius_mm": 300.0}},
+                                "theta_grid": {"start_deg": 30.1, "stop_deg": 30.1, "step_deg": 0.25}},
 }
 
 # (config, argv after the config and output options). The default config
 # runs every command with and without --svg; the others run the commands
-# their change reaches, and --svg only where a command draws.
+# their change reaches, and --svg only where a command draws. The configs
+# of _ONE_COMMAND_RUNS run that one command only: the multi-frequency
+# study's work, and the work of one off-grid angle on the 300 mm disc.
 _FIELD_RUNS = (("pattern",), ("pattern", "--svg"), ("ratio-sweep",), ("stability",), ("scan",), ("scan", "--svg"))
+_ONE_COMMAND_RUNS = {"band": ("stability",), "300mm-off-lattice-point": ("pattern",)}
 RUNS = (
     [("default", (command, *svg)) for command in cli.COMMANDS for svg in ((), ("--svg",))]
-    + [(config, argv) for config in list(CONFIGS)[1:] for argv in _FIELD_RUNS]
+    + [(config, argv) for config in list(CONFIGS)[1:] if config not in _ONE_COMMAND_RUNS for argv in _FIELD_RUNS]
     + [("1e-311-ghz", ("loss",))]
+    + list(_ONE_COMMAND_RUNS.items())
 )
 
 
