@@ -20,9 +20,9 @@ import numpy as np
 
 from .arrayfactor import ArrayLayout
 from .circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec, SubstrateSpec
-from .radiators import CurrentModel, MonopoleSpec, SlotSpec
+from .radiators import NORMALIZATION_STEP_DEG, CurrentModel, MonopoleSpec, SlotSpec
 from .specfun import _BOUNDS
-from .synthesis import AntennaGeometry, ExcitationWeights, stepped_grid
+from .synthesis import BAND_CENTER_HZ, AntennaGeometry, ExcitationWeights, stepped_grid
 
 
 class ConfigError(ValueError):
@@ -95,8 +95,8 @@ class SubstrateConfig:
 
 @dataclass(frozen=True)
 class FrequencyGridConfig:
-    start_ghz: float = _checked("> 0", 32.4)
-    stop_ghz: float = 32.4  # when absent: max(32.4, start_ghz)
+    start_ghz: float = _checked("> 0", BAND_CENTER_HZ / 1e9)
+    stop_ghz: float = BAND_CENTER_HZ / 1e9  # when absent: max(band centre, start_ghz)
     step_ghz: float = _checked("> 0", 1.0)
 
 
@@ -104,7 +104,7 @@ class FrequencyGridConfig:
 class ThetaGridConfig:
     start_deg: float = -90.0
     stop_deg: float = 90.0
-    step_deg: float = _checked("> 0", 0.25)
+    step_deg: float = _checked("> 0", NORMALIZATION_STEP_DEG)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def _post_term(theta: np.ndarray, kh: float, model: CurrentModel) -> np.ndarray:
 
     def kernel(u: np.ndarray) -> np.ndarray:
         current = np.sin(kh - u) if model is CurrentModel.SINUSOIDAL else 1.0 - u / kh
-        return current * (np.cos(u * ct) - 1j * np.sin(u * ct))
+        return current * np.exp(-1j * (u * ct))
 
     val = _integrate(kernel, 0.0, kh, theta, f"post term (kh = {kh:.6g})")
     return (0.25j / math.pi) * np.sin(theta) * val
@@ -143,7 +143,7 @@ def _ground_term(theta: np.ndarray, ka: float) -> np.ndarray:
     st = np.sin(theta)[:, None]
 
     def kernel(v: np.ndarray) -> np.ndarray:
-        return (np.cos(v) - 1j * np.sin(v)) * bessel_j1(v * st)
+        return np.exp(-1j * v) * bessel_j1(v * st)
 
     val = _integrate(kernel, v0, ka, theta, f"ground term (ka = {ka:.6g})")
     return 0.5 * np.cos(theta) * val

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tiltbeam import radiators
 from tiltbeam.circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec
 from tiltbeam.config import (
     MAX_GRID_POINTS,
@@ -77,6 +78,14 @@ class TestDefaults:
         assert cfg.strip_spec() == MicrostripSpec()
         assert cfg.frequencies_hz() == [BAND_CENTER_HZ]
         assert np.array_equal(cfg.theta_grid_rad(), default_theta_grid())
+
+    @pytest.mark.parametrize("grid", [default_theta_grid, lambda: RunConfig().theta_grid_rad()],
+                             ids=["default_theta_grid", "RunConfig"])
+    def test_default_angles_are_normalization_grid_samples(self, grid):
+        # monopole_pattern reads an angle from the field cache only when it
+        # equals a normalization grid sample bit for bit, so a default run
+        # integrates no angle of its own.
+        assert np.isin(np.abs(grid()), radiators._NORM_GRID_RAD).all()
 
 
 class TestStrictness:

@@ -2,7 +2,8 @@
 module, every public name has a user outside the unit tests, every package
 name the benchmark's tracer wraps exists, the model modules apply their
 range rule through `specfun.require` only, `synthesis.metrics_grid` alone
-picks the default theta grid or refuses a coarse one, and a cold
+picks the default theta grid or refuses a coarse one, no module writes a
+phasor as cos(x) -/+ 1j * sin(x) where np.exp forms it, and a cold
 `import tiltbeam.cli` loads nothing past numpy but the package and a few
 small stdlib modules.
 
@@ -185,6 +186,44 @@ def test_detects_a_grid_rule_outside_its_owner():
         "def check(step):\n    raise ValueError(f'pattern_metrics: grid spacing must be <= {step} degrees')\n"
     )
     assert grid_rule_sites(source) == ["metrics_grid (line 2)", "study (line 4)", "<module> (line 5)", "check (line 7)"]
+
+
+def _called_or_constant(node):
+    # the name a call calls, or a constant's value
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def hand_written_phasors(source: str) -> list:
+    # cos(x) - 1j * sin(x) or cos(x) + 1j * sin(x), either factor first
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                and _called_or_constant(node.left) == "cos"
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+                and {_called_or_constant(node.right.left), _called_or_constant(node.right.right)} == {1j, "sin"}):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_phasors_are_formed_by_exp(path):
+    assert hand_written_phasors(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_hand_written_phasor():
+    source = (
+        "a = np.cos(u * ct) - 1j * np.sin(u * ct)\n"
+        "b = math.cos(v) + math.sin(v) * 1j\n"
+        "c = np.exp(-1j * v)\n"
+        "d = np.cos(v) - 2 * np.sin(v)\n"
+        "e = np.sin(v) - 1j * np.cos(v)\n"
+    )
+    assert hand_written_phasors(source) == [
+        "np.cos(u * ct) - 1j * np.sin(u * ct) (line 1)",
+        "math.cos(v) + math.sin(v) * 1j (line 2)",
+    ]
 
 
 # What a cold `import tiltbeam.cli` may load once numpy is in: the package's
