@@ -291,6 +291,19 @@ class TestMonopoleValues:
             read = monopole_pattern(float(theta), mono, ctx324)
             assert np.array([read]).tobytes() == expected.tobytes()
 
+    def test_lone_off_grid_angle_takes_its_panels_in_blocks(self, ctx324):
+        # One angle on the 300 mm disc needs about 200 panels a level; called
+        # one panel at a time, it made 198 kernel calls for the same values.
+        mono, theta = MonopoleSpec(ground_radius_a=0.3), math.radians(30.1)
+        monopole_pattern(0.0, mono, ctx324)  # sets the geometry up
+        specfun.WORK.clear()
+        lone = monopole_pattern(theta, mono, ctx324)
+        assert specfun.WORK["kernel_calls"] <= 7
+        assert specfun.WORK["kernel_values"] == 3168
+        batch = np.radians(0.1 + 0.249 * np.arange(361))  # off the grid, so integrated together
+        batch[120] = theta
+        assert np.array([lone]).tobytes() == monopole_pattern(batch, mono, ctx324)[120:121].tobytes()
+
     def test_cached_geometry_reads_the_default_grid_without_integrating(self, ctx324, monkeypatch):
         mono = MonopoleSpec(height_H=1.1e-3)
         grid = np.abs(synthesis.default_theta_grid())

@@ -181,6 +181,11 @@ class TestIntegrateComplex:
         assert val.shape == k.shape
         assert np.max(np.abs(val - (np.exp(1j * k) - 1.0) / (1j * k))) < 1e-12
 
+    def test_an_empty_batch_gives_an_empty_array(self):
+        # no values at all, so no block size can be read off the first panel
+        val = integrate_complex(lambda x: np.exp(1j * np.multiply.outer(np.zeros(0), x)), 0.0, 30.0)
+        assert isinstance(val, np.ndarray) and val.shape == (0,) and val.dtype == complex
+
     def test_batch_member_equals_lone_evaluation(self):
         # each value stops refining on its own, so a batch changes no bit,
         # though the fast oscillations here need more panels than the slow
