@@ -73,10 +73,8 @@ def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
         cfg.excitation_weights(), theta,
         cfg.slot_spec(), cfg.monopole_spec(), cfg.array_layout(), ctx,
     )
-    rows = [
-        (float(d), v.real, v.imag, _mag_db(v))
-        for d, v in zip(grid_deg, cut.values)
-    ]
+    peak = max(map(abs, cut.values))  # dB of the cut's own peak, as svgplot draws it
+    rows = [(float(d), v.real, v.imag, _mag_db(abs(v) / peak)) for d, v in zip(grid_deg, cut.values)]
     artifacts = {"pattern.csv": _csv(("theta_deg", "re", "im", "mag_db"), rows)}
     if svg:
         artifacts["pattern.svg"] = render_polar_svg(cut, pattern_metrics(cut))

@@ -92,6 +92,15 @@ class TestPatternCommand:
         tilt_at_peak = float(rows[mags.index(max(mags))][0])
         assert 25.0 < tilt_at_peak < 40.0
 
+    def test_peak_row_reads_exactly_0_db(self, tmp_path, default_config):
+        # in dB of the cut's own peak: the unit peak's |v| may be 1 +- 1 ulp
+        out = tmp_path / "out"
+        assert run(["pattern", "--config", default_config, "--out", out]) == 0
+        _, rows = read_csv(out / "pattern.csv")
+        mags = [float(r[3]) for r in rows]
+        assert max(mags) == 0.0
+        assert not [m for m in mags if m > 0.0]
+
     def test_no_lock_left_behind(self, tmp_path, default_config):
         out = tmp_path / "out"
         run(["pattern", "--config", default_config, "--out", out])
