@@ -1,7 +1,7 @@
 """Special functions and complex-valued quadrature for the radiation integrals.
 
 Only what the field models actually need lives here: the first-order Bessel
-function J1 and a composite Gauss-Legendre integrator for complex kernels,
+function J1 and a composite Gauss-Kronrod integrator for complex kernels,
 both vectorized over numpy arrays. Both are deterministic, and each element
 of a batch gets bit-identical results to the same element evaluated alone.
 It also holds the range rule for the model's numbers and the config's bounds.
@@ -43,15 +43,19 @@ def _hankel_coefficients(terms: int) -> tuple[list, list]:
 # shrink through k = 25.
 _HANKEL_P, _HANKEL_Q = _hankel_coefficients(25)
 
-# 16-point Gauss-Legendre rule on [-1, 1] (Golub & Welsch, Math. Comp. 23,
-# 1969), tabulated so that importing the package loads no numpy.polynomial.
-# The rule is symmetric; the tests check it against numpy's leggauss(16).
-_GL_HALF_NODES = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-                           0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
-_GL_HALF_WEIGHTS = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-                             0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
-_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
-_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21; Piessens et al., 1983),
+# from the centre node out, as floats of scipy's 33-digit table. Its weights:
+# Kronrod, then the embedded 10-point Gauss rule, zero on Kronrod-only nodes.
+_GK_HALF_NODES = np.array([0.0, 0.14887433898163122, 0.2943928627014602, 0.4333953941292472, 0.5627571346686047,
+                           0.6794095682990244, 0.7808177265864169, 0.8650633666889845, 0.9301574913557082,
+                           0.9739065285171717, 0.9956571630258081])
+_GK_HALF_WEIGHTS = np.array([[0.1494455540029169, 0.14773910490133849, 0.14277593857706009, 0.13470921731147334,
+                              0.12349197626206584, 0.10938715880229764, 0.0931254545836976, 0.07503967481091996,
+                              0.054755896574351995, 0.032558162307964725, 0.011694638867371874],
+                             [0.0, 0.29552422471475287, 0.0, 0.26926671930999635, 0.0, 0.21908636251598204, 0.0,
+                              0.1494513491505806, 0.0, 0.06667134430868814, 0.0]])
+_GK_NODES = np.concatenate((-_GK_HALF_NODES[:0:-1], _GK_HALF_NODES))
+_GK_WEIGHTS = np.concatenate((_GK_HALF_WEIGHTS[:, :0:-1], _GK_HALF_WEIGHTS), axis=1)
 
 _BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
 
@@ -80,9 +84,9 @@ def _scalar_or_array(value: np.ndarray):
 # radiators sets up. tests/golden_work.json holds them for each golden CLI run.
 WORK = Counter()
 
-# integrate_complex accepts a value once its n-panel and 2n-panel estimates
-# differ by at most max(_ABS_TOL, _REL_TOL * |2n-panel estimate|), and gives
-# up when the finer estimate would need more than _MAX_PANELS panels.
+# integrate_complex accepts a value once its Kronrod and Gauss estimates K
+# and G differ by at most max(_ABS_TOL, _REL_TOL * |K|), and gives up when
+# the next level would need more than _MAX_PANELS panels.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-9
 _MAX_PANELS = 4000
@@ -138,13 +142,14 @@ def _j1_asymptotic(ax: np.ndarray) -> np.ndarray:
 
 
 # Most kernel values one call takes in a block of panels: one panel of the
-# 361-angle normalization grid (361 x 16), so the grid keeps its memory.
-_BLOCK_VALUES = 5776
+# 361-angle normalization grid at 21 nodes, so the grid keeps its memory.
+_BLOCK_VALUES = 361 * 21
 
 
-def _composite(f, a: float, b: float, panels: int) -> np.ndarray:
-    # Panel 0 alone, then blocks sized by its value count. Each panel's sum
-    # joins the total in order, as a panel-by-panel loop adds them.
+def _composite(f, a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    # Kronrod and Gauss sums of the same values, one rule at a time (one product
+    # temporary). Panel 0 alone, then blocks sized by its value count; each
+    # panel's sums join the totals in order, as a panel-by-panel loop adds them.
     half = 0.5 * (b - a) / panels
     total, start, block, calls = 0j, 0, 1, 0
     while start < panels:
@@ -152,29 +157,30 @@ def _composite(f, a: float, b: float, panels: int) -> np.ndarray:
         # Python floats, not an integer np.arange: that path alone added 0.1 MB
         # of numpy's code pages to a cold run's peak RSS
         mids = np.array([a + (2 * i + 1) * half for i in range(start, stop)])
-        values = f((mids[:, None] + half * _GL_NODES).ravel())
-        sums = (values.reshape(*values.shape[:-1], stop - start, _GL_NODES.size) * _GL_WEIGHTS).sum(axis=-1)
+        values = f((mids[:, None] + half * _GK_NODES).ravel())
+        values = values.reshape(*values.shape[:-1], stop - start, _GK_NODES.size)
+        sums = np.stack([(values * w).sum(axis=-1) for w in _GK_WEIGHTS], axis=-1)
         del values  # before the next block's call
         for j in range(stop - start):
-            total = total + half * sums[..., j]
-        block = max(1, _BLOCK_VALUES // (np.size(total) * _GL_NODES.size or 1))
+            total = total + half * sums[..., j, :]
+        block = max(1, _BLOCK_VALUES // (total[..., 0].size * _GK_NODES.size or 1))
         start, calls = stop, calls + 1
-    # np.size(total) values at every node of every panel
-    WORK.update(panels=panels, kernel_calls=calls, kernel_values=panels * np.size(total) * _GL_NODES.size)
-    return np.asarray(total, dtype=complex)
+    # total[..., 0].size values at every node of every panel
+    WORK.update(panels=panels, kernel_calls=calls, kernel_values=panels * total[..., 0].size * _GK_NODES.size)
+    return total[..., 0], total[..., 1]
 
 
 def integrate_complex(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Composite 16-point Gauss-Legendre integral of a complex kernel over [a, b].
+    """Composite 21-point Gauss-Kronrod integral of a complex kernel over [a, b].
 
     f maps a 1-d array of abscissae (the nodes of a block of panels) to
     values whose last axis runs over them, each from its own abscissa;
     leading axes (angles, say) are integrated together. Starting near one
-    panel per pi of width, the panel count doubles until each value's n-
-    and 2n-panel estimates agree within max(1e-10, 1e-9 * |estimate|); each
-    value keeps its first passing estimate, independent of the rest of the
-    batch. Raises ConvergenceError past 4000 panels. Returns a complex, or
-    an array of the leading shape.
+    panel per pi of width, the panel count doubles until each value's
+    Kronrod estimate K and embedded 10-point Gauss estimate agree within
+    max(1e-10, 1e-9 * |K|); each value keeps its first passing K,
+    independent of the rest of the batch. Raises ConvergenceError past 4000
+    panels. Returns a complex, or an array of the leading shape.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_complex: bounds must be finite")
@@ -182,20 +188,16 @@ def integrate_complex(f: Callable[[np.ndarray], np.ndarray], a: float, b: float)
         raise ValueError("integrate_complex: requires a <= b")
     WORK["integrate_calls"] += 1
 
-    n = max(1, min(math.ceil((b - a) / math.pi), _MAX_PANELS // 2))
-    coarse = _composite(f, a, b, n)
-    result = np.zeros_like(coarse)
-    done = np.zeros(coarse.shape, dtype=bool)
+    n = max(1, min(math.ceil((b - a) / math.pi), _MAX_PANELS))
+    result, done = 0j, False
     while True:
-        fine = _composite(f, a, b, 2 * n)
-        err = np.abs(fine - coarse)
-        passed = ~done & (err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(fine)))
-        result[passed] = fine[passed]
-        done |= passed
+        kronrod, gauss = _composite(f, a, b, n)
+        err = np.abs(kronrod - gauss)
+        result = np.where(done, result, kronrod)
+        done = done | (err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(kronrod)))
         if done.all():
             return _scalar_or_array(result)
         n *= 2
-        if 2 * n > _MAX_PANELS:
+        if n > _MAX_PANELS:
             worst = np.unravel_index(np.argmax(np.where(done, -1.0, err)), err.shape)
-            raise ConvergenceError("integrate_complex", complex(fine[worst]), float(err[worst]), worst)
-        coarse = fine
+            raise ConvergenceError("integrate_complex", complex(kronrod[worst]), float(err[worst]), worst)

@@ -121,9 +121,9 @@ def test_cli_runs_match_the_work_table(recorded):
 
 
 def test_doubling_one_levels_panels_fails_only_the_work_table(monkeypatch, tmp_path):
-    # The first level of each integral gets twice its panels, so it equals the
-    # second and every integral passes there with the same estimate: the
-    # artifacts hold to the byte, and only the work table sees the change.
+    # The first level of each integral gets twice its panels. Its estimates
+    # differ from the first level's only far below the nine printed digits:
+    # the artifacts hold to the byte, and only the work table sees the change.
     composite, started = specfun._composite, set()
 
     def first_level_doubled(f, a, b, panels):

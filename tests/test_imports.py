@@ -228,7 +228,7 @@ def test_detects_a_hand_written_phasor():
 
 # What a cold `import tiltbeam.cli` may load once numpy is in: the package's
 # own modules, json's, and these. numpy.polynomial (which the tabulated
-# Gauss-Legendre rule avoids) or scipy.special (decided against at run time)
+# Gauss-Kronrod rule avoids) or scipy.special (decided against at run time)
 # would each add their import time to every CLI run.
 COLD_CLI_IMPORTS = {"__future__", "copy", "dataclasses", "fcntl", "json", "_json"}
 NEW_MODULES = "import sys, numpy\nbefore = set(sys.modules)\nimport tiltbeam.cli\nprint(*sorted(set(sys.modules) - before))"

@@ -1,9 +1,10 @@
 """Slot pattern and the grounded-post far field.
 
-The post field implementation integrates with composite 16-point
-Gauss-Legendre, refined until n and 2n panels agree, and its own J1; the
-conftest oracle uses one 64-point Gauss-Legendre panel and scipy. Agreement
-between the two is the main correctness argument here.
+The post field implementation integrates with composite 21-point
+Gauss-Kronrod, refined until each value's Kronrod and embedded Gauss sums
+agree, and its own J1; the conftest oracle uses one 64-point Gauss-Legendre
+panel and scipy. Agreement between the two is the main correctness argument
+here.
 """
 
 import ast
@@ -292,14 +293,14 @@ class TestMonopoleValues:
             assert np.array([read]).tobytes() == expected.tobytes()
 
     def test_lone_off_grid_angle_takes_its_panels_in_blocks(self, ctx324):
-        # One angle on the 300 mm disc needs about 200 panels a level; called
-        # one panel at a time, it made 198 kernel calls for the same values.
+        # One angle on the 300 mm disc needs 66 panels; called one panel at a
+        # time, it would make 66 kernel calls for the same values.
         mono, theta = MonopoleSpec(ground_radius_a=0.3), math.radians(30.1)
         monopole_pattern(0.0, mono, ctx324)  # sets the geometry up
         specfun.WORK.clear()
         lone = monopole_pattern(theta, mono, ctx324)
-        assert specfun.WORK["kernel_calls"] <= 7
-        assert specfun.WORK["kernel_values"] == 3168
+        assert specfun.WORK["kernel_calls"] <= 3
+        assert specfun.WORK["kernel_values"] == 1386
         batch = np.radians(0.1 + 0.249 * np.arange(361))  # off the grid, so integrated together
         batch[120] = theta
         assert np.array([lone]).tobytes() == monopole_pattern(batch, mono, ctx324)[120:121].tobytes()

@@ -1,6 +1,7 @@
-"""Bessel J1 and the composite Gauss-Legendre integrator, each checked
+"""Bessel J1 and the composite Gauss-Kronrod integrator, each checked
 against an independent route: scipy for J1, closed forms and brute-force
-Riemann sums for the integrals."""
+Riemann sums for the integrals, and numpy's Gauss-Legendre rule and the
+exact moments of x^k for the Gauss-Kronrod table."""
 
 import math
 
@@ -13,8 +14,8 @@ import tiltbeam.specfun as specfun
 from tiltbeam.radiators import FrequencyContext, MonopoleSpec
 from tiltbeam.specfun import (
     ConvergenceError,
-    _GL_NODES,
-    _GL_WEIGHTS,
+    _GK_NODES,
+    _GK_WEIGHTS,
     bessel_j1,
     integrate_complex,
 )
@@ -218,16 +219,26 @@ class TestIntegrateComplex:
 
     def test_a_width_beyond_the_panel_budget_in_pi_can_converge(self):
         # wider than _MAX_PANELS panels of width pi, yet e^{-jv} passes on the
-        # 2000- and 4000-panel levels, so width alone is no ground to refuse
+        # 4000-panel level alone, so width alone is no ground to refuse
         width = 6000 * math.pi + 1.0
         assert width > specfun._MAX_PANELS * math.pi
         val = integrate_complex(lambda v: np.cos(v) - 1j * np.sin(v), 0.0, width)
         assert abs(val - 1j * (np.exp(-1j * width) - 1.0)) < 1e-9
 
-    def test_gauss_legendre_table_matches_numpy(self):
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        assert np.array_equal(_GL_NODES, nodes)
-        assert np.array_equal(_GL_WEIGHTS, weights)
+    def test_embedded_gauss_rule_matches_numpy(self):
+        # numpy's leggauss weights are themselves up to 7 ulp off
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        gauss = _GK_WEIGHTS[1] != 0.0
+        assert np.array_equal(_GK_NODES[gauss], nodes)
+        assert np.max(np.abs(_GK_WEIGHTS[1][gauss] - weights)) < 1e-15
+
+    @pytest.mark.parametrize("rule, degree", [(0, 31), (1, 19)], ids=["kronrod", "gauss"])
+    def test_rule_integrates_polynomials_exactly(self, rule, degree):
+        # the integral of x^k over [-1, 1] is 2 / (k + 1) for even k, 0 for odd
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.sum(_GK_WEIGHTS[rule] * _GK_NODES ** k) - exact) < 1e-15, k
+        assert abs(np.sum(_GK_WEIGHTS[rule] * _GK_NODES ** (degree + 1)) - 2.0 / (degree + 2)) > 1e-12
 
     def test_quadrature_spec_validation(self):
         assert specfun._MAX_PANELS >= 1000
