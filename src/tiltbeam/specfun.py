@@ -115,30 +115,29 @@ def bessel_j1(x):
     """First-order Bessel function of the first kind, J1(x), elementwise.
 
     Ascending power series up to |x| = 12 and the Hankel asymptotic
-    expansion above, each called only on its own arguments, so every
-    element is computed alike. Odd in x by construction, so parity is
-    exact. A scalar argument gives a float.
+    expansion above, each called only on its own signed arguments, so every
+    element is computed alike. Each is odd in x by construction, so parity
+    is exact and J1(-0.0) is -0.0. A scalar argument gives a float.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("bessel_j1: argument must be finite")
     WORK["j1_values"] += x.size
-    ax = np.abs(x)
-    val = np.piecewise(ax, [ax <= _SERIES_CUTOFF], [_j1_series, _j1_asymptotic])
-    val = np.where(x < 0.0, -val, val)
-    return _scalar_or_array(val)
+    return _scalar_or_array(np.piecewise(x, [np.abs(x) <= _SERIES_CUTOFF], [_j1_series, _j1_asymptotic]))
 
 
-def _j1_series(ax: np.ndarray) -> np.ndarray:
-    return 0.5 * ax * np.polyval(_SERIES_COEFFS, 0.25 * ax * ax)
+def _j1_series(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * np.polyval(_SERIES_COEFFS, 0.25 * x * x)
 
 
-def _j1_asymptotic(ax: np.ndarray) -> np.ndarray:
-    # In powers of r = 1/x, which underflow quietly, so no finite x overflows.
-    r = 1.0 / ax
-    y, w = r * r, ax - _THREE_QUARTER_PI
+def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
+    # In powers of r = 1/|x|, which underflow quietly, so no finite x overflows.
+    # J1 is odd: the sign of x goes on the finished value, in place.
+    r = 1.0 / np.abs(x)
+    y, w = r * r, np.abs(x) - _THREE_QUARTER_PI
     p, q = np.polyval(_HANKEL_P, y), r * np.polyval(_HANKEL_Q, y)
-    return np.sqrt(2.0 / math.pi * r) * (p * np.cos(w) - q * np.sin(w))
+    val = np.sqrt(2.0 / math.pi * r) * (p * np.cos(w) - q * np.sin(w))
+    return np.multiply(val, np.sign(x), out=val)
 
 
 # Most kernel values one call takes in a block of panels: one panel of the

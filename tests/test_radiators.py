@@ -196,6 +196,12 @@ class TestMonopolePattern:
         with pytest.raises(ValueError, match="ground radius"):
             monopole_pattern(math.radians(30.0), mono, ctx324)
 
+    def test_ground_radius_at_the_truncation_radius_is_refused(self):
+        # ka = v0 exactly would leave an empty ground integral, not an error
+        v0 = 2.0 * math.pi * radiators.GROUND_INNER_RADIUS_WAVELENGTHS
+        with pytest.raises(ValueError, match="ground radius"):
+            radiators._ground_term(np.radians([30.0]), v0)
+
     def test_common_prefactor_cancels(self, ctx324, monkeypatch):
         """Scaling both field integrals together must not move the output."""
         mono = MonopoleSpec()

@@ -4,9 +4,13 @@ Riemann sums for the integrals, and numpy's Gauss-Legendre rule and the
 exact moments of x^k for the Gauss-Kronrod table."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import tiltbeam.radiators as radiators
@@ -87,6 +91,26 @@ class TestBesselJ1:
         ref_far = np.sqrt(2.0 / math.pi / far) * (np.cos(w_far) - 0.375 / far * np.sin(w_far))
         for xs, ref in ((near, ref_near), (far, ref_far)):
             assert np.all(np.abs(bessel_j1(xs) - ref) <= 1e-15 * np.sqrt(2.0 / math.pi / xs))
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(12.0)
+    @example(-12.0)
+    @example(float(np.nextafter(12.0, 13.0)))
+    @example(1e154)
+    @example(1e300)
+    @example(sys.float_info.max)
+    @example(5e-324)
+    @example(-1e-310)
+    def test_odd_to_the_bit_and_bounded_for_every_finite_float(self, x):
+        # the sign bit too, so J1(-0.0) is -0.0; J1 peaks at 0.58187 near x = 1.8412
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plus, minus = bessel_j1(x), bessel_j1(-x)
+        assert minus == -plus and np.signbit(minus) == np.signbit(-plus)
+        assert type(plus) is float and math.isfinite(plus) and abs(plus) <= 0.5819
 
     def test_scalar_gives_float_and_array_gives_array(self):
         assert type(bessel_j1(2.5)) is float
@@ -224,6 +248,25 @@ class TestIntegrateComplex:
         assert width > specfun._MAX_PANELS * math.pi
         val = integrate_complex(lambda v: np.cos(v) - 1j * np.sin(v), 0.0, width)
         assert abs(val - 1j * (np.exp(-1j * width) - 1.0)) < 1e-9
+
+    def test_a_level_doubled_to_exactly_the_budget_is_evaluated(self, monkeypatch):
+        # e^{6jx} over [0, 11] fails on its first level, 4 panels, and passes on 8
+        monkeypatch.setattr(specfun, "_MAX_PANELS", 8)
+        specfun.WORK.clear()
+        val = integrate_complex(lambda x: np.exp(6j * x), 0.0, 11.0)
+        assert specfun.WORK["panels"] == 4 + 8
+        assert abs(val - (np.exp(66j) - 1.0) / 6j) < 1e-11
+
+    def test_a_value_within_the_relative_tolerance_passes_on_its_first_level(self):
+        # on 4 panels |K - G| exceeds _ABS_TOL but not _REL_TOL * |K|
+        f = lambda x: 1e4 * np.exp(3j * x)
+        kronrod, gauss = specfun._composite(f, 0.0, 11.0, 4)
+        assert specfun._ABS_TOL < abs(kronrod - gauss) <= specfun._REL_TOL * abs(kronrod)
+        specfun.WORK.clear()
+        val = integrate_complex(f, 0.0, 11.0)
+        assert specfun.WORK["panels"] == 4
+        assert val == kronrod
+        assert abs(val - 1e4 * (np.exp(33j) - 1.0) / 3j) < 1e-6
 
     def test_embedded_gauss_rule_matches_numpy(self):
         # numpy's leggauss weights are themselves up to 7 ulp off

@@ -536,6 +536,10 @@ class TestBeamStability:
         # the tilt falls with frequency, so the rows follow the input too
         assert result.rows[0].tilt_deg < result.rows[1].tilt_deg
 
+    def test_band_edges_are_accepted(self, default_geometry):
+        result = beam_stability([20.0e9, 45.0e9], default_geometry, self.WEIGHTS)
+        assert result.frequencies_hz == (20.0e9, 45.0e9)
+
     def test_band_limits_enforced(self, default_geometry):
         with pytest.raises(ValueError):
             beam_stability([19.0e9], default_geometry, self.WEIGHTS)
