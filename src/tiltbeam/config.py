@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +31,9 @@ class ConfigError(ValueError):
 
 
 _CURRENT_MODELS = tuple(model.value for model in CurrentModel)
+
+# Each section's fields, once: each fields() call builds a tuple that CPython's free lists keep
+_fields = cache(fields)
 
 # Most points a theta or frequency grid may expand to.
 MAX_GRID_POINTS = 100_000
@@ -112,7 +116,7 @@ class WeightsConfig:
     s1: float = _checked(">= 0", 1.0)
     s2: float = _checked(">= 0", 0.3)
     # a non-empty array whose every entry passes the check
-    ratios: tuple = _checked("> 0", default_factory=lambda: tuple(i / 10 for i in range(1, 11)))
+    ratios: tuple = _checked("> 0", default_factory=lambda: tuple([i / 10 for i in range(1, 11)]))
 
 
 # RunConfig sections that sit under "geometry" in the JSON form
@@ -169,13 +173,17 @@ class RunConfig:
         return ExcitationWeights(self.weights.s1, self.weights.s2)
 
     def frequencies_hz(self) -> list:
-        return [float(v) * 1e9 for v in stepped_grid(*astuple(self.frequency_grid))]
+        return [float(v) * 1e9 for v in stepped_grid(*_grid_values(self.frequency_grid))]
 
     def theta_grid_deg(self) -> np.ndarray:
-        return stepped_grid(*astuple(self.theta_grid))
+        return stepped_grid(*_grid_values(self.theta_grid))
 
     def theta_grid_rad(self) -> np.ndarray:
         return np.radians(self.theta_grid_deg())
+
+
+def _grid_values(grid) -> list:
+    return [getattr(grid, f.name) for f in _fields(type(grid))]
 
 
 def _object(value, path: str, known=None) -> dict:
@@ -196,28 +204,28 @@ def _scalar(kind: str, check, value, where: str):
 
 
 def _section(cls, data, path: str):
-    d = _object(data, path, [f.name for f in fields(cls)])
-    for f in fields(cls):
+    d = _object(data, path, [f.name for f in _fields(cls)])
+    for f in _fields(cls):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}.{f.name}: required")
     values = {}
-    for f in (f for f in fields(cls) if f.name in d):
+    for f in (f for f in _fields(cls) if f.name in d):
         where, check, raw = f"{path}.{f.name}", f.metadata.get("check"), d[f.name]
         if f.type != "tuple":
             values[f.name] = _scalar(f.type, check, raw, where)
         elif not isinstance(raw, list) or not raw:
             raise ConfigError(f"{where}: must be a non-empty array of numbers")
         else:
-            values[f.name] = tuple(_scalar("float", check, v, f"{where}[{i}]") for i, v in enumerate(raw))
+            values[f.name] = tuple([_scalar("float", check, v, f"{where}[{i}]") for i, v in enumerate(raw)])
     return cls(**values)
 
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a parsed JSON object and fill defaults for absent fields."""
-    top = _object(data, "", ["geometry"] + [f.name for f in fields(RunConfig) if f.name not in _GEOMETRY])
+    top = _object(data, "", ["geometry"] + [f.name for f in _fields(RunConfig) if f.name not in _GEOMETRY])
     geometry = _object(top.get("geometry", {}), "geometry", _GEOMETRY)
     values = {}
-    for f in fields(RunConfig):
+    for f in _fields(RunConfig):
         src, path = (geometry, f"geometry.{f.name}") if f.name in _GEOMETRY else (top, f.name)
         if f.name not in src or f.name == "output_dir":  # output_dir reports after the sections
             continue
@@ -243,7 +251,7 @@ def parse_config(data: dict) -> RunConfig:
     out_dir = _scalar("str", None, top.get("output_dir", "out"), "output_dir")
     if not out_dir:
         raise ConfigError("output_dir: must be a non-empty string")
-    for path, (start, stop, step) in (("frequency_grid", astuple(freq)), ("theta_grid", astuple(theta))):
+    for path, (start, stop, step) in (("frequency_grid", _grid_values(freq)), ("theta_grid", _grid_values(theta))):
         if (stop - start) / step + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
             raise ConfigError(f"{path}: grid must have at most {MAX_GRID_POINTS} points")
         # stepped_grid would repeat values; the spacing above the largest float is inf
@@ -273,7 +281,7 @@ def load_config(path) -> RunConfig:
 
 def _plain(value):
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _plain(getattr(value, f.name)) for f in _fields(type(value))}
     if isinstance(value, dict):
         return {name: _plain(entry) for name, entry in sorted(value.items())}
     return list(value) if isinstance(value, tuple) else value

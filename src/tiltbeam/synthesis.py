@@ -271,7 +271,7 @@ def ratio_sweep(
     for every ratio. best_ratio is the sidelobe-minimizing entry; the
     smallest ratio wins ties, including ties at -inf.
     """
-    ratios = tuple(float(r) for r in ratios)
+    ratios = tuple([float(r) for r in ratios])
     if not ratios:
         raise ValueError("ratio_sweep: ratios must be non-empty")
     if any(not 0 < r < math.inf for r in ratios):
@@ -279,7 +279,7 @@ def ratio_sweep(
     grid = metrics_grid(theta_grid)
     slot_vals = _slot_term(grid)
     mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx)
-    rows = tuple(pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals)) for r in ratios)
+    rows = tuple([pattern_metrics(PatternCut(grid, slot_vals + r * mono_vals)) for r in ratios])
     return RatioSweepResult(ratios, rows)
 
 
@@ -296,7 +296,7 @@ def beam_stability(
     at the 32.4 GHz band center, which is computed on the side when absent
     from the list.
     """
-    freqs = tuple(float(f) for f in freqs)
+    freqs = tuple([float(f) for f in freqs])
     if not freqs:
         raise ValueError("beam_stability: freqs must be non-empty")
     for f in freqs:
@@ -310,4 +310,4 @@ def beam_stability(
                                               FrequencyContext.from_frequency(f)))
         for f in dict.fromkeys(freqs + (BAND_CENTER_HZ,))
     }
-    return StabilityResult(freqs, tuple(metrics[f] for f in freqs), metrics[BAND_CENTER_HZ].tilt_deg)
+    return StabilityResult(freqs, tuple([metrics[f] for f in freqs]), metrics[BAND_CENTER_HZ].tilt_deg)

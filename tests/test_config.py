@@ -1,9 +1,11 @@
 """Config parsing: defaults, strict key checking, unit conversion, and the
 JSON round trip."""
 
+import gc
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -531,3 +533,41 @@ def test_readme_default_config_matches_serializer():
     block = re.search(r"## Config.*?```json\n(.*?)```", readme, re.S).group(1)
     documented = json.loads(block)
     assert json.dumps(documented) == json.dumps(serialize_config(parse_config({})))
+
+
+# The shape of a warm_reuse benchmark op: strip, monopole, array, a frequency
+# grid and weights with three ratios.
+WARM_REUSE_CONFIG = {
+    "geometry": {
+        "strip": {"substrate": "RO4003", "width_mm": 0.3, "length_mm": 2.1, "roughness_um": 0.4},
+        "monopole": {"height_mm": 1.0, "ground_radius_mm": 1.5, "current_model": "triangular"},
+        "array": {"count_nx": 2, "count_ny": 1, "spacing_dx_mm": 1.5},
+    },
+    "frequency_grid": {"start_ghz": 38.0, "stop_ghz": 44.0, "step_ghz": 0.75},
+    "weights": {"s1": 1.2, "s2": 0.4, "ratios": [0.2, 0.7, 1.3]},
+}
+
+
+def test_parsing_and_reading_the_grids_keeps_no_memory_per_call():
+    # CPython keeps a freed tuple on its size's free list, up to 2000 a size,
+    # and one built from a generator comes from the 10-slot list instead. So a
+    # schema walk that builds such tuples on every parse grows a long-lived
+    # process by a few blocks a round until the lists fill. A full collection
+    # empties them: one runs before the warm-up, none after it.
+    def one_round():
+        cfg = parse_config(WARM_REUSE_CONFIG)
+        cfg.frequencies_hz()
+        cfg.theta_grid_deg()
+
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            one_round()
+        before = sys.getallocatedblocks()
+        for _ in range(1000):
+            one_round()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 200

@@ -3,9 +3,17 @@ module, every public name has a user outside the unit tests, every package
 name the benchmark's tracer wraps exists, the model modules apply their
 range rule through `specfun.require` only, `synthesis.metrics_grid` alone
 picks the default theta grid or refuses a coarse one, no module writes a
-phasor as cos(x) -/+ 1j * sin(x) where np.exp forms it, and a cold
+phasor as cos(x) -/+ 1j * sin(x) where np.exp forms it, no function builds
+a tuple from a generator, a dataclass's fields are computed once, and a cold
 `import tiltbeam.cli` loads nothing past numpy but the package and a few
 small stdlib modules.
+
+The two tuple rules keep memory flat in a long-lived process. CPython
+allocates a tuple built from a generator with 10 slots and shrinks it to
+its length. Freed, it goes on the free list of that length (up to 2000 a
+size), and the next one is allocated with 10 slots again, so a tuple built
+on every call grows the process until the list fills. `dataclasses.fields`
+and `astuple` build such tuples on every call.
 
 No linter ships with the test environment, so these checks parse the
 sources with `ast`. `__init__.py` is exempt from the unused-import check:
@@ -223,6 +231,82 @@ def test_detects_a_hand_written_phasor():
     assert hand_written_phasors(source) == [
         "np.cos(u * ct) - 1j * np.sin(u * ct) (line 1)",
         "math.cos(v) + math.sin(v) * 1j (line 2)",
+    ]
+
+
+def generator_tuples(source: str) -> list:
+    # tuple(<generator expression>) inside a function or lambda, where it runs per call
+    found = []
+
+    def visit(node, in_function):
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        if (in_function and isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+                and len(node.args) == 1 and isinstance(node.args[0], ast.GeneratorExp)):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_tuple_is_built_from_a_generator_per_call(path):
+    assert generator_tuples(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_tuple_built_from_a_generator():
+    source = (
+        "NAMES = tuple(m.value for m in Model)\n"
+        "def f(xs):\n    return tuple(float(x) for x in xs), tuple([x for x in xs]), tuple(xs)\n"
+        "g = lambda: tuple(i / 10 for i in range(3))\n"
+        "class C:\n    ORDER = tuple(c for c in 'ab')\n"
+        "    def m(self):\n        return sorted(x for x in self), [tuple(y for y in x) for x in self]\n"
+    )
+    assert generator_tuples(source) == [
+        "tuple((float(x) for x in xs)) (line 3)",
+        "tuple((i / 10 for i in range(3))) (line 4)",
+        "tuple((y for y in x)) (line 8)",
+    ]
+
+
+def per_call_schema_walks(source: str) -> list:
+    # each astuple, imported or read, and each read of dataclasses.fields but
+    # the one that a module-level cache(...) wraps
+    tree = ast.parse(source)
+    once = {id(node.value.args[0]) for node in tree.body
+            if isinstance(node, ast.Assign) and _called_or_constant(node.value) == "cache"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name if node.name == "astuple" else None  # importing fields is not a walk
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            name = node.attr if isinstance(node, ast.Attribute) else None
+        if name == "astuple" or (name == "fields" and id(node) not in once):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dataclass_fields_are_computed_once(path):
+    assert per_call_schema_walks(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_schema_walk_per_call():
+    source = (
+        "from dataclasses import astuple, fields\n"
+        "_fields = functools.cache(dataclasses.fields)\n"
+        "_cached = cache(fields)\n"
+        "def names(cls):\n    return [f.name for f in fields(cls)]\n"
+        "def values(g):\n    return dataclasses.astuple(g), cache(fields)(g)\n"
+    )
+    assert sorted(per_call_schema_walks(source)) == [
+        "astuple (line 1)",
+        "dataclasses.astuple (line 7)",
+        "fields (line 5)",
+        "fields (line 7)",
     ]
 
 

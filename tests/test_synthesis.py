@@ -7,6 +7,7 @@ degree grid used here, not model disagreement.
 """
 
 import dataclasses
+import gc
 import math
 import sys
 
@@ -504,6 +505,24 @@ class TestRatioSweep:
     def test_rejects_non_finite_ratio(self, ctx324, default_geometry, ratio):
         with pytest.raises(ValueError, match="ratios must be finite and positive"):
             ratio_sweep([0.5, ratio], default_geometry, ctx324)
+
+    def test_repeated_sweeps_keep_no_memory_per_call(self, ctx324, default_geometry):
+        # Per-call tuples built from generators fill CPython's per-size tuple
+        # free lists (see test_config's parse test); a full collection empties
+        # them, so one runs before the warm-up and none after it.
+        ratio_sweep([0.3], default_geometry, ctx324)  # the field cache
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                ratio_sweep([0.2, 0.5, 1.0], default_geometry, ctx324)
+            before = sys.getallocatedblocks()
+            for _ in range(300):
+                ratio_sweep([0.2, 0.5, 1.0], default_geometry, ctx324)
+            grown = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert grown < 100
 
 
 class TestBeamStability:
