@@ -27,6 +27,7 @@ from .specfun import ConvergenceError
 from .svgplot import render_polar_svg
 from .synthesis import (
     BAND_CENTER_HZ,
+    _amplitude_db,
     beam_stability,
     metrics_grid,
     pattern_metrics,
@@ -58,13 +59,6 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mag_db(value: complex) -> float:
-    m = abs(value)
-    if m == 0.0:
-        return _DB_FLOOR
-    return max(20.0 * math.log10(m), _DB_FLOOR)
-
-
 def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
     ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
     grid_deg = cfg.theta_grid_deg()
@@ -74,7 +68,7 @@ def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
         cfg.slot_spec(), cfg.monopole_spec(), cfg.array_layout(), ctx,
     )
     peak = max(map(abs, cut.values))  # dB of the cut's own peak, as svgplot draws it
-    rows = [(float(d), v.real, v.imag, _mag_db(abs(v) / peak)) for d, v in zip(grid_deg, cut.values)]
+    rows = [(float(d), v.real, v.imag, _amplitude_db(abs(v) / peak, _DB_FLOOR)) for d, v in zip(grid_deg, cut.values)]
     artifacts = {"pattern.csv": _csv(("theta_deg", "re", "im", "mag_db"), rows)}
     if svg:
         artifacts["pattern.svg"] = render_polar_svg(cut, pattern_metrics(cut))

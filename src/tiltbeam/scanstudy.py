@@ -11,7 +11,7 @@ import numpy as np
 
 from .arrayfactor import ArrayLayout, SteeringCommand, steered_array_factor
 from .radiators import FrequencyContext
-from .synthesis import AntennaGeometry, PatternCut, _slot_term, metrics_grid, pattern_metrics
+from .synthesis import AntennaGeometry, PatternCut, _amplitude_db, _slot_term, metrics_grid, pattern_metrics
 
 SCAN_COMMANDS_DEG = (-45.0, 0.0, 45.0)
 SCAN_ELEMENT_COUNT = 4
@@ -72,5 +72,5 @@ def default_scan_study(
         factor = steered_array_factor(scan_layout, SteeringCommand(math.radians(deg)), grid, lam)
         cuts.append(PatternCut(grid, element * np.abs(factor)))
         m = pattern_metrics(cuts[-1])
-        reports.append(ScanReport(deg, m.tilt_deg, 20.0 * math.log10(1.0 / m.peak_linear), m.sll_dB))
+        reports.append(ScanReport(deg, m.tilt_deg, _amplitude_db(1.0 / m.peak_linear), m.sll_dB))
     return ScanStudyResult(tuple(cuts), tuple(reports))

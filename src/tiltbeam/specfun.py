@@ -23,7 +23,7 @@ _THREE_QUARTER_PI = 2.356194490192345
 
 # J1(x) = (x/2) * sum_m (-1)^m (x^2/4)^m / (m! (m+1)!); 30 terms bring the
 # last one below 1e-17 relative for every |x| <= 12. Every coefficient table
-# here runs from the highest power down, as np.polyval takes it.
+# here runs from the highest power down, as np.polyval and _horner take it.
 _SERIES_COEFFS = [(-1) ** m / (math.factorial(m) * math.factorial(m + 1)) for m in reversed(range(30))]
 
 
@@ -123,21 +123,46 @@ def bessel_j1(x):
     if not np.all(np.isfinite(x)):
         raise ValueError("bessel_j1: argument must be finite")
     WORK["j1_values"] += x.size
-    return _scalar_or_array(np.piecewise(x, [np.abs(x) <= _SERIES_CUTOFF], [_j1_series, _j1_asymptotic]))
+    series = np.abs(x) <= _SERIES_CUTOFF
+    if series.all():
+        return _scalar_or_array(_j1_series(x))
+    if not series.any():
+        return _scalar_or_array(_j1_asymptotic(x))
+    out = np.empty_like(x)
+    out[series] = _j1_series(x[series])
+    out[~series] = _j1_asymptotic(x[~series])
+    return out
+
+
+def _horner(coeffs: list, z: np.ndarray) -> np.ndarray:
+    # np.polyval's y * z + c in place, with the same two roundings
+    y = np.full_like(z, coeffs[0])
+    for c in coeffs[1:]:
+        y *= z
+        y += c
+    return y
 
 
 def _j1_series(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * np.polyval(_SERIES_COEFFS, 0.25 * x * x)
+    y = _horner(_SERIES_COEFFS, 0.25 * x * x)
+    y *= 0.5 * x
+    return y
 
 
 def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
     # In powers of r = 1/|x|, which underflow quietly, so no finite x overflows.
     # J1 is odd: the sign of x goes on the finished value, in place.
     r = 1.0 / np.abs(x)
-    y, w = r * r, np.abs(x) - _THREE_QUARTER_PI
-    p, q = np.polyval(_HANKEL_P, y), r * np.polyval(_HANKEL_Q, y)
-    val = np.sqrt(2.0 / math.pi * r) * (p * np.cos(w) - q * np.sin(w))
-    return np.multiply(val, np.sign(x), out=val)
+    w = np.abs(x) - _THREE_QUARTER_PI
+    p, q = _horner(_HANKEL_P, r * r), _horner(_HANKEL_Q, r * r)
+    q *= r
+    p *= np.cos(w)
+    q *= np.sin(w)
+    p -= q
+    r *= 2.0 / math.pi
+    p *= np.sqrt(r)
+    p *= np.sign(x)
+    return p
 
 
 # Most kernel values one call takes in a block of panels: one panel of the

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .synthesis import PatternCut, PatternMetrics
+from .synthesis import PatternCut, PatternMetrics, _amplitude_db
 
 _CX = 320.0
 _CY = 360.0
@@ -28,11 +28,7 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def _radial_fraction(mag: float) -> float:
-    if mag <= 0.0:
-        return 0.0
-    db = 20.0 * math.log10(mag)
-    db = max(db, _FLOOR_DB)
+def _radial_fraction(db: float) -> float:
     return (db - _FLOOR_DB) / (-_FLOOR_DB)
 
 
@@ -50,7 +46,7 @@ def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
     ]
 
     for db in _RING_DB:
-        frac = (db - _FLOOR_DB) / (-_FLOOR_DB)
+        frac = _radial_fraction(db)
         r = frac * _RADIUS
         x0, y0 = _CX - r, _CY
         x1, y1 = _CX + r, _CY
@@ -80,7 +76,7 @@ def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
     mags = np.abs(cut.values)
     mags = mags / mags.max()
     coords = [
-        _point(float(t), _radial_fraction(float(m)))
+        _point(float(t), _radial_fraction(_amplitude_db(float(m), _FLOOR_DB)))
         for t, m in zip(cut.theta_grid, mags)
     ]
     if len(coords) == 1:

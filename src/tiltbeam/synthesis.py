@@ -26,6 +26,13 @@ BAND_MAX_HZ = 45.0e9
 _HALF_POWER_LEVEL = 10.0 ** (-3.0 / 20.0)
 
 
+def _amplitude_db(ratio: float, floor: float = -math.inf) -> float:
+    """An amplitude ratio >= 0 in dB, 20 dB a decade; floor for 0 and for any level below floor."""
+    if ratio == 0.0:
+        return floor
+    return max(20.0 * math.log10(ratio), floor)
+
+
 @dataclass(frozen=True)
 class ExcitationWeights:
     """Real excitation amplitudes of the slot (s1) and post array (s2).
@@ -234,7 +241,7 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     lobes = (mags >= padded[:-2]) & (mags >= padded[2:])
     lobes[left:right + 1] = False
     second = float(mags[lobes].max()) if lobes.any() else 0.0
-    sll = -math.inf if second / peak == 0.0 else 20.0 * math.log10(second / peak)
+    sll = _amplitude_db(second / peak)
 
     level = _HALF_POWER_LEVEL * peak
     below = np.flatnonzero(mags < level)

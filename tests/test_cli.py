@@ -667,10 +667,6 @@ class TestFormatting:
         assert cli._fmt(-math.inf) == "-inf"
         assert cli._fmt("note text") == "note text"
 
-    def test_exact_null_floors_at_minus_400(self):
-        assert cli._mag_db(0j) == -400.0
-        assert cli._mag_db(1e-30 + 0j) == -400.0  # clamped, not -600
-
 
 def _python_env():
     env = dict(os.environ)

@@ -3,7 +3,8 @@ module, every public name has a user outside the unit tests, every package
 name the benchmark's tracer wraps exists, the model modules apply their
 range rule through `specfun.require` only, `synthesis.metrics_grid` alone
 picks the default theta grid or refuses a coarse one, no module writes a
-phasor as cos(x) -/+ 1j * sin(x) where np.exp forms it, no function builds
+phasor as cos(x) -/+ 1j * sin(x) where np.exp forms it,
+`synthesis._amplitude_db` alone takes a log10 for dB, no function builds
 a tuple from a generator, a dataclass's fields are computed once, and a cold
 `import tiltbeam.cli` loads nothing past numpy but the package and a few
 small stdlib modules.
@@ -232,6 +233,41 @@ def test_detects_a_hand_written_phasor():
         "np.cos(u * ct) - 1j * np.sin(u * ct) (line 1)",
         "math.cos(v) + math.sin(v) * 1j (line 2)",
     ]
+
+
+def log10_sites(source: str) -> list:
+    # each log10, imported, called or read, with its enclosing function
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if "log10" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+            sites.append(f"{owner} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_amplitude_db_alone_converts_to_db():
+    # pattern.csv, the SVG trace, the sidelobe level and the scan loss each
+    # pass their floor to the one rule
+    sites = [f"{path.name}: {site}" for path in MODULES
+             for site in log10_sites(path.read_text(encoding="utf-8"))]
+    assert sites and [site for site in sites if not site.startswith("synthesis.py: _amplitude_db ")] == []
+
+
+def test_detects_a_db_conversion_outside_its_owner():
+    source = (
+        "def _amplitude_db(ratio, floor=-math.inf):\n    return max(20.0 * math.log10(ratio), floor)\n"
+        "def _mag_db(m):\n    return max(20.0 * np.log10(m), -400.0)\n"
+        "from math import log10\n"
+        "LEVEL = 20.0 * log10(0.5)\n"
+        "NEPER_TO_DB = 20.0 / math.log(10.0)\n"
+    )
+    assert log10_sites(source) == ["_amplitude_db (line 2)", "_mag_db (line 4)", "<module> (line 5)", "<module> (line 6)"]
 
 
 def generator_tuples(source: str) -> list:

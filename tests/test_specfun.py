@@ -5,6 +5,7 @@ exact moments of x^k for the Gauss-Kronrod table."""
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy import special
 
 import tiltbeam.radiators as radiators
 import tiltbeam.specfun as specfun
-from tiltbeam.radiators import FrequencyContext, MonopoleSpec
+from tiltbeam.radiators import NORMALIZATION_STEP_DEG, FrequencyContext, MonopoleSpec
 from tiltbeam.specfun import (
     ConvergenceError,
     _GK_NODES,
@@ -147,6 +148,36 @@ class TestBesselJ1Branches:
         expected = radiators._ground_term(theta, ka)
         monkeypatch.setattr(specfun, "_j1_asymptotic", _refuse)
         assert radiators._ground_term(theta, ka).tolist() == expected.tolist()
+
+
+def _grid_panel(ground_radius_a):
+    # J1's arguments on the last panel of the ground integral's first level
+    # over the 361-angle normalization grid, one row of 21 nodes per angle
+    ka = FrequencyContext(32.4e9).wavenumber_k * ground_radius_a
+    v0 = 2.0 * math.pi * radiators.GROUND_INNER_RADIUS_WAVELENGTHS
+    n = math.ceil((ka - v0) / math.pi)
+    half = 0.5 * (ka - v0) / n
+    theta = np.radians(np.arange(361) * NORMALIZATION_STEP_DEG)
+    return np.sin(theta)[:, None] * (v0 + (2 * n - 1) * half + half * _GK_NODES)
+
+
+class TestBesselJ1Memory:
+    # One grid-panel call's traced peak. np.piecewise's masks and copies and
+    # np.polyval's temporaries held 446 KiB on the default disc's one panel
+    # (ka 3.39, every argument a series one) and 660 KiB on the 300 mm disc's
+    # last (ka 204, mostly Hankel); each panel array is 59 KiB.
+    @pytest.mark.parametrize("ground_radius_a, bound_kib", [(5.0e-3, 300), (0.3, 560)],
+                             ids=["default-disc-all-series", "300-mm-disc-mostly-hankel"])
+    def test_one_grid_panel_call_holds_few_panel_arrays(self, ground_radius_a, bound_kib):
+        x = _grid_panel(ground_radius_a)
+        bessel_j1(x)
+        tracemalloc.start()
+        try:
+            bessel_j1(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_kib * 1024
 
 
 class TestIntegrateComplex:

@@ -34,8 +34,8 @@ from tiltbeam import (
     ratio_sweep,
     synthesize_pattern,
 )
-from tiltbeam import synthesis
-from tiltbeam.synthesis import _monopole_term, _slot_term, stepped_grid
+from tiltbeam import cli, svgplot, synthesis
+from tiltbeam.synthesis import _amplitude_db, _monopole_term, _slot_term, stepped_grid
 
 HALF_POWER = 10.0 ** (-3.0 / 20.0)
 
@@ -275,6 +275,28 @@ class TestSuperposition:
             cut = synth(ExcitationWeights(1.0, 0.3), grid, ctx324)
             tilts.append(pattern_metrics(cut).tilt_deg)
         assert max(tilts) - min(tilts) < 0.05
+
+
+class TestAmplitudeDb:
+    # The one dB rule: pattern.csv floors at -400 dB, the SVG trace at -40 dB,
+    # and the sidelobe level and the scan loss not at all.
+    def test_an_exact_null_gives_the_floor(self):
+        assert (cli._DB_FLOOR, svgplot._FLOOR_DB) == (-400.0, -40.0)
+        for floor in (-400.0, -40.0, -math.inf):
+            assert _amplitude_db(0.0, floor) == floor
+        assert _amplitude_db(0.0) == -math.inf
+
+    def test_a_level_below_the_floor_is_clamped(self):
+        assert _amplitude_db(1e-30, -400.0) == -400.0  # clamped, not -600
+        assert _amplitude_db(1e-3, -40.0) == -40.0
+        assert _amplitude_db(1e-30) == pytest.approx(-600.0)
+        assert _amplitude_db(5e-324) == pytest.approx(-6466.1, abs=0.1)
+
+    def test_unit_ratio_is_0_db_and_a_decade_is_20(self):
+        for floor in (-400.0, -40.0, -math.inf):
+            assert _amplitude_db(1.0, floor) == 0.0
+        assert _amplitude_db(10.0) == 20.0
+        assert _amplitude_db(0.1, -40.0) == -20.0
 
 
 class TestPatternMetricsFixtures:
