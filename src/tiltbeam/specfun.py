@@ -126,17 +126,15 @@ def bessel_j1(x):
     series = np.abs(x) <= _SERIES_CUTOFF
     if series.all():
         return _scalar_or_array(_j1_series(x))
-    if not series.any():
-        return _scalar_or_array(_j1_asymptotic(x))
     out = np.empty_like(x)
-    out[series] = _j1_series(x[series])
+    if series.any():
+        out[series] = _j1_series(x[series])
     out[~series] = _j1_asymptotic(x[~series])
-    return out
+    return _scalar_or_array(out)
 
 
 def _horner(coeffs: list, z: np.ndarray) -> np.ndarray:
-    # np.polyval's y * z + c in place, with the same two roundings
-    y = np.full_like(z, coeffs[0])
+    y = np.full_like(z, coeffs[0])  # then np.polyval's y * z + c, in place
     for c in coeffs[1:]:
         y *= z
         y += c
@@ -145,8 +143,7 @@ def _horner(coeffs: list, z: np.ndarray) -> np.ndarray:
 
 def _j1_series(x: np.ndarray) -> np.ndarray:
     y = _horner(_SERIES_COEFFS, 0.25 * x * x)
-    y *= 0.5 * x
-    return y
+    return np.multiply(y, 0.5 * x, out=y)
 
 
 def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
@@ -159,10 +156,8 @@ def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
     p *= np.cos(w)
     q *= np.sin(w)
     p -= q
-    r *= 2.0 / math.pi
-    p *= np.sqrt(r)
-    p *= np.sign(x)
-    return p
+    p *= np.sqrt(np.multiply(r, 2.0 / math.pi, out=r))
+    return np.multiply(p, np.sign(x), out=p)
 
 
 # Most kernel values one call takes in a block of panels: one panel of the
