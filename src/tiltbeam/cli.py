@@ -27,7 +27,6 @@ from .specfun import ConvergenceError
 from .svgplot import render_polar_svg
 from .synthesis import (
     BAND_CENTER_HZ,
-    _amplitude_db,
     beam_stability,
     metrics_grid,
     pattern_metrics,
@@ -67,8 +66,7 @@ def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
         cfg.excitation_weights(), theta,
         cfg.slot_spec(), cfg.monopole_spec(), cfg.array_layout(), ctx,
     )
-    peak = max(map(abs, cut.values))  # dB of the cut's own peak, as svgplot draws it
-    rows = [(float(d), v.real, v.imag, _amplitude_db(abs(v) / peak, _DB_FLOOR)) for d, v in zip(grid_deg, cut.values)]
+    rows = [(float(d), v.real, v.imag, db) for d, v, db in zip(grid_deg, cut.values, cut.relative_db(_DB_FLOOR))]
     artifacts = {"pattern.csv": _csv(("theta_deg", "re", "im", "mag_db"), rows)}
     if svg:
         artifacts["pattern.svg"] = render_polar_svg(cut, pattern_metrics(cut))

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .synthesis import PatternCut, PatternMetrics, _amplitude_db
+from .synthesis import PatternCut, PatternMetrics
 
 _CX = 320.0
 _CY = 360.0
@@ -73,12 +71,7 @@ def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
             f'fill="#444444" text-anchor="middle">{deg:.0f}&#176;</text>'
         )
 
-    mags = np.abs(cut.values)
-    mags = mags / mags.max()
-    coords = [
-        _point(float(t), _radial_fraction(_amplitude_db(float(m), _FLOOR_DB)))
-        for t, m in zip(cut.theta_grid, mags)
-    ]
+    coords = [_point(float(t), _radial_fraction(db)) for t, db in zip(cut.theta_grid, cut.relative_db(_FLOOR_DB))]
     if len(coords) == 1:
         x, y = coords[0]
         parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="#c02020"/>')

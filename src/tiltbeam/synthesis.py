@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,12 +55,14 @@ class PatternCut:
     """Sampled complex far-field over a polar-angle grid.
 
     theta_grid is strictly increasing, in radians, within [-pi/2, pi/2].
-    values may have any finite scale, but not all zero: metrics and plots
-    measure each cut against its own peak magnitude.
+    values may have any finite scale, but not all zero. The cut owns its
+    magnitudes, |values| taken once and read-only: metrics and plots measure
+    them against their peak, in dB by relative_db, the one rule for that.
     """
 
     theta_grid: np.ndarray
     values: np.ndarray
+    magnitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = np.asarray(self.theta_grid, dtype=float)
@@ -75,11 +77,17 @@ class PatternCut:
             raise ValueError("PatternCut: theta_grid must be strictly increasing")
         if grid[0] < -0.5 * math.pi - 1e-9 or grid[-1] > 0.5 * math.pi + 1e-9:
             raise ValueError("PatternCut: theta_grid must lie within [-pi/2, pi/2]")
-        peak = np.abs(vals).max()
-        if not peak > 0:  # also refuses a NaN peak
-            raise ValueError("PatternCut: values must not all be zero")
-        if not peak < math.inf:
+        object.__setattr__(self, "magnitudes", np.abs(self.values))
+        self.magnitudes.flags.writeable = False
+        peak = self.magnitudes.max()
+        if not peak < math.inf:  # also refuses a NaN sample, which max propagates
             raise ValueError("PatternCut: values must be finite")
+        if not peak > 0:
+            raise ValueError("PatternCut: values must not all be zero")
+
+    def relative_db(self, floor: float) -> list:
+        """Each sample's magnitude in dB of the cut's peak, floored at floor; the peak reads 0.0."""
+        return [_amplitude_db(float(m), floor) for m in self.magnitudes / self.magnitudes.max()]
 
 
 @dataclass(frozen=True)
@@ -214,7 +222,7 @@ def pattern_metrics(cut: PatternCut) -> PatternMetrics:
     scales peak_linear alone.
     """
     grid_deg = np.degrees(metrics_grid(cut.theta_grid))
-    mags = np.abs(cut.values)
+    mags = cut.magnitudes
     n = mags.size
     i = int(np.argmax(mags))
     peak = float(mags[i])

@@ -4,10 +4,11 @@ name the benchmark's tracer wraps exists, the model modules apply their
 range rule through `specfun.require` only, `synthesis.metrics_grid` alone
 picks the default theta grid or refuses a coarse one, no module writes a
 phasor as cos(x) -/+ 1j * sin(x) where np.exp forms it,
-`synthesis._amplitude_db` alone takes a log10 for dB, no function builds
-a tuple from a generator, a dataclass's fields are computed once, and a cold
-`import tiltbeam.cli` loads nothing past numpy but the package and a few
-small stdlib modules.
+`synthesis._amplitude_db` alone takes a log10 for dB,
+`synthesis.PatternCut.__post_init__` alone takes |values| of a cut, no
+function builds a tuple from a generator, a dataclass's fields are computed
+once, and a cold `import tiltbeam.cli` loads nothing past numpy but the
+package and a few small stdlib modules.
 
 The two tuple rules keep memory flat in a long-lived process. CPython
 allocates a tuple built from a generator with 10 slots and shrinks it to
@@ -268,6 +269,75 @@ def test_detects_a_db_conversion_outside_its_owner():
         "NEPER_TO_DB = 20.0 / math.log(10.0)\n"
     )
     assert log10_sites(source) == ["_amplitude_db (line 2)", "_mag_db (line 4)", "<module> (line 5)", "<module> (line 6)"]
+
+
+def _values_attribute(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "values"
+
+
+def _names_iterating_values(target, iterable) -> set:
+    # loop or comprehension targets bound to the items of X.values, directly or through zip
+    if _values_attribute(iterable) and isinstance(target, ast.Name):
+        return {target.id}
+    if _called_or_constant(iterable) != "zip" or not isinstance(target, ast.Tuple):
+        return set()
+    return {name.id for arg, name in zip(iterable.args, target.elts)
+            if _values_attribute(arg) and isinstance(name, ast.Name)}
+
+
+def cut_magnitude_sites(source: str) -> list:
+    # abs or np.abs of X.values or of an item looped from it, and map(abs, X.values),
+    # with the enclosing class and function path
+    sites = []
+
+    def visit(node, owner, items):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            items = items | _names_iterating_values(node.target, node.iter)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            for gen in node.generators:
+                items = items | _names_iterating_values(gen.target, gen.iter)
+        if isinstance(node, ast.Call) and node.args:
+            called, arg = _called_or_constant(node), node.args[0]
+            if called == "abs":
+                taken = _values_attribute(arg) or getattr(arg, "id", None) in items
+            else:
+                taken = called == "map" and getattr(arg, "id", None) == "abs" and _values_attribute(node.args[-1])
+            if taken:
+                sites.append(f"{owner} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, items)
+
+    visit(ast.parse(source), "<module>", frozenset())
+    return sites
+
+
+def test_cut_magnitudes_are_taken_once():
+    # the metrics, the SVG trace and pattern.csv read PatternCut.magnitudes
+    sites = [f"{path.name}: {site}" for path in MODULES
+             for site in cut_magnitude_sites(path.read_text(encoding="utf-8"))]
+    assert sites and [site for site in sites if not site.startswith("synthesis.py: PatternCut.__post_init__ ")] == []
+
+
+def test_detects_a_magnitude_taken_outside_its_owner():
+    source = (
+        "class PatternCut:\n    def __post_init__(self):\n        mags = np.abs(self.values)\n"
+        "def render(cut):\n    return np.abs(cut.values) / abs(cut.values).max()\n"
+        "def build(cut):\n    peak = max(map(abs, cut.values))\n"
+        "    return [abs(v) / peak for d, v in zip(grid, cut.values)]\n"
+        "def walk(cut):\n    for v in cut.values:\n        yield abs(v)\n"
+        "def fine(cut, values, d):\n"
+        "    return np.abs(values), abs(cut.tilt), [abs(g) for g, v in zip(grid, cut.values)], map(abs, d.values())\n"
+    )
+    assert cut_magnitude_sites(source) == [
+        "PatternCut.__post_init__ (line 3)",
+        "render (line 5)",
+        "render (line 5)",
+        "build (line 7)",
+        "build (line 8)",
+        "walk (line 11)",
+    ]
 
 
 def generator_tuples(source: str) -> list:

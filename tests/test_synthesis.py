@@ -9,6 +9,7 @@ degree grid used here, not model disagreement.
 import dataclasses
 import gc
 import math
+import re
 import sys
 
 import numpy as np
@@ -90,16 +91,19 @@ class TestPatternCut:
         with pytest.raises(ValueError, match="within"):
             PatternCut(np.array([0.0, 2.0]), np.zeros(2, complex))
 
-    @pytest.mark.parametrize("value", [0.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0])
     def test_rejects_zero_or_nan_peak(self, value):
+        # a NaN sample reads "finite", below, even when every sample is NaN
         with pytest.raises(ValueError, match="must not all be zero"):
             PatternCut(np.array([0.0, 0.1]), np.full(2, value, complex))
 
-    @pytest.mark.parametrize("mags", [[1.0, math.inf, 1.0, 0.5, 1.0, 0.8], [1.0, math.inf, 0.5], [0.5, -math.inf]],
-                             ids=["inf-peak-with-sidelobes", "inf-peak", "minus-inf"])
+    @pytest.mark.parametrize("mags", [[1.0, math.inf, 1.0, 0.5, 1.0, 0.8], [1.0, math.inf, 0.5], [0.5, -math.inf],
+                                      [math.nan, math.nan], [1.0, math.nan]],
+                             ids=["inf-peak-with-sidelobes", "inf-peak", "minus-inf", "all-nan", "nan-beside-a-peak"])
     def test_rejects_infinite_values(self, mags):
         # against an infinite peak every other sample measures 0, so no
-        # sidelobe level or width can be read from the cut
+        # sidelobe level or width can be read from the cut; a NaN sample
+        # has no magnitude to measure at all
         grid = np.linspace(0.0, 0.1, len(mags))
         with pytest.raises(ValueError, match="PatternCut: values must be finite"):
             PatternCut(grid, np.array(mags, complex))
@@ -457,18 +461,67 @@ def _cuts(draw):
     return PatternCut(np.radians(start + step * np.arange(len(values))), np.array(values))
 
 
+_EXAMPLE_CUTS = (
+    PatternCut(np.radians([0.0, 0.25, 0.5]), np.array([HALF_POWER, 1.0, 0.0])),
+    PatternCut(np.radians([0.0, 0.25, 0.5, 0.75]), np.array([0.5, 1.0, 1.0, 0.5])),
+    PatternCut(np.radians([0.3]), np.array([2.0j])),
+    PatternCut(np.radians([0.0, 0.1, 0.2]), np.array([5e-324, 0.0, 2.0])),  # 5e-324 / 2 is 0.0
+)
+
+
+def _with_example_cuts(test):
+    for cut in _EXAMPLE_CUTS:
+        test = example(cut=cut)(test)
+    return test
+
+
+def trace_points(svg: str) -> list:
+    # the trace's polyline points, or a one-sample cut's circle
+    circle = re.search(r'<circle cx="([-\d.]+)" cy="([-\d.]+)"', svg)
+    if circle:
+        return [(float(circle[1]), float(circle[2]))]
+    points = re.search(r'<polyline points="([^"]*)"', svg)[1]
+    return [tuple(map(float, point.split(","))) for point in points.split()]
+
+
 class TestPatternMetricsReference:
     @settings(max_examples=500, deadline=None)
     @given(cut=_cuts())
-    @example(cut=PatternCut(np.radians([0.0, 0.25, 0.5]), np.array([HALF_POWER, 1.0, 0.0])))
-    @example(cut=PatternCut(np.radians([0.0, 0.25, 0.5, 0.75]), np.array([0.5, 1.0, 1.0, 0.5])))
-    @example(cut=PatternCut(np.radians([0.3]), np.array([2.0j])))
-    @example(cut=PatternCut(np.radians([0.0, 0.1, 0.2]), np.array([5e-324, 0.0, 2.0])))  # 5e-324 / 2 is 0.0
+    @_with_example_cuts
     def test_equals_the_sample_walk(self, cut):
         m = pattern_metrics(cut)
         ref = reference_metrics(cut)
         assert repr((m.tilt_deg, m.sll_dB, m.beamwidth3dB_deg, m.peak_linear)) == repr(ref[:4])
         assert math.isnan(m.beamwidth3dB_deg) == ref[4]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(cut=_cuts())
+    @_with_example_cuts
+    def test_magnitudes_are_read_only_and_their_db_is_peak_relative(self, cut):
+        # the one |values| every reader shares, and the dB rule that
+        # pattern.csv (floor -400 dB) and the SVG trace (-40 dB) read
+        assert cut.magnitudes.tobytes() == np.abs(cut.values).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cut.magnitudes[0] = 1.0
+        for floor in (-400.0, -40.0):
+            db = cut.relative_db(floor)
+            assert len(db) == cut.values.size
+            assert repr(db[int(np.argmax(cut.magnitudes))]) == "0.0"
+            assert all(floor <= d <= 0.0 for d in db)
+            assert all(d == floor for d, m in zip(db, cut.magnitudes) if m == 0.0)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(cut=_cuts())
+    @_with_example_cuts
+    def test_svg_trace_stays_on_the_upper_half_disc(self, cut):
+        # coordinates are written to three decimals, which can carry a point
+        # on the 0 dB ring half a unit past it in x and in y
+        reach = svgplot._RADIUS + math.hypot(5e-4, 5e-4) + 1e-9
+        points = trace_points(svgplot.render_polar_svg(cut, pattern_metrics(cut)))
+        assert len(points) == cut.values.size
+        for x, y in points:
+            assert math.hypot(x - svgplot._CX, y - svgplot._CY) <= reach
+            assert y <= svgplot._CY
 
     def test_stores_four_fields(self):
         names = [f.name for f in dataclasses.fields(PatternMetrics)]
