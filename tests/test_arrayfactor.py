@@ -32,11 +32,16 @@ class TestArrayFactor:
         val = array_factor(layout, 0.5 * math.pi, 0.5 * math.pi, LAM)
         assert val < 1e-12
 
-    def test_removable_singularity_is_continuous(self):
-        # full-wave spacing puts psi = pi at endfire, where all phasors realign
-        layout = ArrayLayout(1, 2, LAM, LAM)
-        at_limit = array_factor(layout, 0.5 * math.pi, 0.5 * math.pi, LAM)
-        near = array_factor(layout, 0.5 * math.pi, 0.5 * math.pi - 1e-3, LAM)
+    @pytest.mark.parametrize("axis, n, m, sign", [("y", 2, 1, 1)] + [
+        ("x", n, m, sign) for n, m in ((2, 1), (7, 3), (11, 3), (5, 5)) for sign in (1, -1)
+    ])
+    def test_removable_singularity_is_continuous(self, axis, n, m, sign):
+        # m-wave spacing puts psi = m pi at endfire, where all phasors realign; the raw
+        # quotient there reads 0.381, 0.121 and 0.160 for (n, m) = (7, 3), (11, 3), (5, 5)
+        layout = ArrayLayout(1, n, LAM, m * LAM) if axis == "y" else ArrayLayout(n, 1, m * LAM, LAM)
+        # the other axis has one element, so the same angle serves as theta and phi
+        at_limit = array_factor(layout, sign * 0.5 * math.pi, sign * 0.5 * math.pi, LAM)
+        near = array_factor(layout, sign * (0.5 * math.pi - 1e-3), sign * (0.5 * math.pi - 1e-3), LAM)
         assert at_limit == 1.0
         assert abs(near - at_limit) < 1e-6
 

@@ -1,14 +1,8 @@
 """Every module-level import in the package and its tests is used in its
 module, every public name has a user outside the unit tests, every package
-name the benchmark's tracer wraps exists, the model modules apply their
-range rule through `specfun.require` only, `synthesis.metrics_grid` alone
-picks the default theta grid or refuses a coarse one, no module writes a
-phasor as cos(x) -/+ 1j * sin(x) where np.exp forms it,
-`synthesis._amplitude_db` alone takes a log10 for dB,
-`synthesis.PatternCut.__post_init__` alone takes |values| of a cut, no
-function builds a tuple from a generator, a dataclass's fields are computed
-once, and a cold `import tiltbeam.cli` loads nothing past numpy but the
-package and a few small stdlib modules.
+name the benchmark's tracer wraps exists, each one-owner rule of `RULES`
+holds in every package module, and a cold `import tiltbeam.cli` loads
+nothing past numpy but the package and a few small stdlib modules.
 
 The two tuple rules keep memory flat in a long-lived process. CPython
 allocates a tuple built from a generator with 10 slots and shrinks it to
@@ -29,6 +23,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -118,210 +113,162 @@ def test_benchmark_tracer_targets_exist():
     assert missing - STALE_TRACER_TARGETS == set()
 
 
+# The one-owner rules. One walk gives each node of a module its qualified
+# owner and the context a rule reads past its node: whether it runs per call
+# (inside a def or lambda), the names a loop or comprehension binds to the
+# items of some X.values, and the ids of the nodes a module-level cache(...)
+# wraps.
+Context = namedtuple("Context", "owner in_function items cached")
+
+
+def owned_nodes(tree):
+    # (node, context) for every node of a parsed module, in one pre-order walk;
+    # an owner reads Class.method, outer.inner, f.<lambda> or <module>
+    cached = frozenset(id(node.value.args[0]) for node in tree.body
+                       if isinstance(node, ast.Assign) and _called(node.value) == "cache")
+
+    def visit(node, ctx):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            ctx = ctx._replace(owner=name if ctx.owner == "<module>" else f"{ctx.owner}.{name}",
+                               in_function=ctx.in_function or not isinstance(node, ast.ClassDef))
+        for loop in [node] if isinstance(node, (ast.For, ast.AsyncFor)) else getattr(node, "generators", []):
+            ctx = ctx._replace(items=ctx.items | _bound_to_values(loop.target, loop.iter))
+        yield node, ctx
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, ctx)
+
+    return visit(tree, Context("<module>", False, frozenset(), cached))
+
+
+def _bound_to_values(target, iterable) -> set:
+    # loop targets bound to the items of X.values, directly or through zip
+    if _values(iterable) and isinstance(target, ast.Name):
+        return {target.id}
+    if _called(iterable) != "zip" or not isinstance(target, ast.Tuple):
+        return set()
+    return {name.id for arg, name in zip(iterable.args, target.elts) if _values(arg) and isinstance(name, ast.Name)}
+
+
+def _called(node):
+    # the name a call calls
+    return _name(node.func) if isinstance(node, ast.Call) else None
+
+
+def _name(node):
+    # the name a Name, an attribute, an import or a def reads or binds
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+
+def _values(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "values"
+
+
+def _text(node) -> str:
+    # a string literal, with an f-string's fields read as {}
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
 # A hand-written copy of specfun.require's rule ends in ": <name> must be <bound>",
 # or goes on past the bound with a condition: "... when count_Nx > 1".
 HAND_WRITTEN_BOUND = re.compile(r": (\w+|\{\}) must be (> 0|>= 0|>= 1)( when .*)?$")
 
+# Each rule: what it matches, given a node and its context; the owners,
+# qualified as module.owner, that may match it; and why it has one owner.
+Rule = namedtuple("Rule", "match allowed reason")
+RULES = {
+    "range": Rule(
+        lambda node, ctx: isinstance(node, ast.Raise) and _called(node.exc) == "ValueError"
+        and any(HAND_WRITTEN_BOUND.search(_text(arg)) for arg in node.exc.args),
+        set(), "specfun.require is the one range rule; a ValueError that spells its message out is a copy"),
+    "grid": Rule(
+        lambda node, ctx: _called(node) == "default_theta_grid"
+        or isinstance(node, ast.Raise) and "grid spacing must be" in ast.unparse(node),
+        {"synthesis.metrics_grid"}, "metrics_grid alone picks a study's default theta grid or refuses a coarse one"),
+    "phasor": Rule(
+        lambda node, ctx: isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and _called(node.left) == "cos" and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+        and {_called(f) or getattr(f, "value", None) for f in (node.right.left, node.right.right)} == {1j, "sin"},
+        set(), "np.exp forms a phasor; cos(x) -/+ 1j * sin(x), either factor first, is a second form"),
+    "log10": Rule(
+        lambda node, ctx: _name(node) == "log10",
+        {"synthesis._amplitude_db"}, "_amplitude_db is the one dB rule; pattern.csv, the SVG, the SLL and the scan loss "
+        "pass it their floors"),
+    "cut-magnitudes": Rule(
+        lambda node, ctx: isinstance(node, ast.Call) and bool(node.args) and (
+            _called(node) == "abs" and (_values(node.args[0]) or getattr(node.args[0], "id", None) in ctx.items)
+            or _called(node) == "map" and getattr(node.args[0], "id", None) == "abs" and _values(node.args[-1])),
+        {"synthesis.PatternCut.__post_init__"}, "PatternCut takes |values| once; the metrics, the SVG trace and "
+        "pattern.csv read its magnitudes"),
+    "generator-tuple": Rule(
+        lambda node, ctx: ctx.in_function and _called(node) == "tuple"
+        and len(node.args) == 1 and isinstance(node.args[0], ast.GeneratorExp),
+        set(), "a tuple built from a generator on every call fills a tuple free list"),
+    "schema-walk": Rule(  # importing fields is not a walk
+        lambda node, ctx: _name(node) == "astuple"
+        or _name(node) == "fields" and not isinstance(node, ast.alias) and id(node) not in ctx.cached,
+        set(), "a dataclass's fields are computed once, by a module-level cache(fields); astuple walks them per call"),
+}
 
-def hand_written_bound_checks(source: str) -> list:
-    # raise ValueError(...) whose message literal (an f-string's fields read as {}) copies the rule
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                and getattr(node.exc.func, "id", None) == "ValueError"):
-            continue
-        for arg in node.exc.args:
-            if isinstance(arg, ast.JoinedStr):
-                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
-            elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                text = arg.value
-            else:
-                continue
-            if HAND_WRITTEN_BOUND.search(text):
-                found.append(f"{text} (line {node.lineno})")
-    return found
+
+def owner_sites(name: str, module: str, source: str) -> list:
+    # (owner, line, whether that owner may match) of each node the rule matches
+    rule = RULES[name]
+    return [(ctx.owner, node.lineno, f"{module}.{ctx.owner}" in rule.allowed)
+            for node, ctx in owned_nodes(ast.parse(source)) if rule.match(node, ctx)]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_range_checks_go_through_require(path):
-    assert hand_written_bound_checks(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("name, path", [pytest.param(name, path, id=f"{name}-{path.name}")
+                                        for name in RULES for path in MODULES])
+def test_each_rule_keeps_to_its_owners(name, path):
+    sites = owner_sites(name, path.stem, path.read_text(encoding="utf-8"))
+    assert [(owner, line) for owner, line, allowed in sites if not allowed] == [], RULES[name].reason
+    # each owner here still matches its rule, so the rule has not gone blind
+    owners = {owner for owner in RULES[name].allowed if owner.startswith(f"{path.stem}.")}
+    assert {f"{path.stem}.{owner}" for owner, _, allowed in sites if allowed} == owners
 
 
-def test_detects_a_hand_written_bound_check():
-    source = (
+# One nested def and one method that share an owner's name, beside the owners themselves
+NAMESAKES = (
+    "def pattern_metrics(cut):\n    def _amplitude_db(ratio):\n        return 20.0 * np.log10(ratio)\n"
+    "class Study:\n    def metrics_grid(self):\n        return default_theta_grid()\n"
+    "def _amplitude_db(ratio):\n    return 20.0 * math.log10(ratio)\n"
+    "def metrics_grid(theta_grid=None):\n    return default_theta_grid() if theta_grid is None else theta_grid\n"
+)
+# (rule, module, offending source, its (owner, line) sites outside the rule's owners)
+SNIPPETS = [
+    ("range", "snippet", (
         "if not f > 0:\n    raise ValueError('skin_depth: f must be > 0')\n"
         "for n in 'ab':\n    raise ValueError(f'LossBudget: {n} must be >= 0')\n"
         "raise ValueError('ArrayLayout: spacing_dx must be > 0 when count_Nx > 1')\n"
         "raise ValueError(f'{owner}: {name} must be {bound}')\n"
         "raise TypeError('eps: x must be >= 1')\n"
-    )
-    assert hand_written_bound_checks(source) == [
-        "ArrayLayout: spacing_dx must be > 0 when count_Nx > 1 (line 5)",  # ast.walk reaches top-level nodes first
-        "skin_depth: f must be > 0 (line 2)",
-        "LossBudget: {} must be >= 0 (line 4)",
-    ]
-
-
-def grid_rule_sites(source: str) -> list:
-    # each default_theta_grid() call and each raise of the coarse-grid message, with its enclosing function
-    sites = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, ast.Call):
-            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if called == "default_theta_grid":
-                sites.append(f"{owner} (line {node.lineno})")
-        elif isinstance(node, ast.Raise) and "grid spacing must be" in ast.unparse(node):
-            sites.append(f"{owner} (line {node.lineno})")
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), "<module>")
-    return sites
-
-
-def test_metrics_grid_alone_picks_or_checks_a_study_grid():
-    sites = [f"{path.name}: {site}" for path in MODULES
-             for site in grid_rule_sites(path.read_text(encoding="utf-8"))]
-    assert [site for site in sites if not site.startswith("synthesis.py: metrics_grid ")] == []
-
-
-def test_detects_a_grid_rule_outside_its_owner():
-    source = (
+    ), [("<module>", 2), ("<module>", 4), ("<module>", 5)]),
+    ("grid", "snippet", (
         "def metrics_grid(g=None):\n    raise ValueError('pattern_metrics: grid spacing must be <= 0.5 degrees')\n"
         "def study(g=None):\n    grid = default_theta_grid() if g is None else g\n"
         "GRID = synthesis.default_theta_grid()\n"
         "def check(step):\n    raise ValueError(f'pattern_metrics: grid spacing must be <= {step} degrees')\n"
-    )
-    assert grid_rule_sites(source) == ["metrics_grid (line 2)", "study (line 4)", "<module> (line 5)", "check (line 7)"]
-
-
-def _called_or_constant(node):
-    # the name a call calls, or a constant's value
-    if isinstance(node, ast.Call):
-        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-    return node.value if isinstance(node, ast.Constant) else None
-
-
-def hand_written_phasors(source: str) -> list:
-    # cos(x) - 1j * sin(x) or cos(x) + 1j * sin(x), either factor first
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
-                and _called_or_constant(node.left) == "cos"
-                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
-                and {_called_or_constant(node.right.left), _called_or_constant(node.right.right)} == {1j, "sin"}):
-            found.append(f"{ast.unparse(node)} (line {node.lineno})")
-    return found
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_phasors_are_formed_by_exp(path):
-    assert hand_written_phasors(path.read_text(encoding="utf-8")) == []
-
-
-def test_detects_a_hand_written_phasor():
-    source = (
+    ), [("metrics_grid", 2), ("study", 4), ("<module>", 5), ("check", 7)]),
+    ("grid", "synthesis", NAMESAKES, [("Study.metrics_grid", 6)]),
+    ("phasor", "snippet", (
         "a = np.cos(u * ct) - 1j * np.sin(u * ct)\n"
         "b = math.cos(v) + math.sin(v) * 1j\n"
         "c = np.exp(-1j * v)\n"
         "d = np.cos(v) - 2 * np.sin(v)\n"
         "e = np.sin(v) - 1j * np.cos(v)\n"
-    )
-    assert hand_written_phasors(source) == [
-        "np.cos(u * ct) - 1j * np.sin(u * ct) (line 1)",
-        "math.cos(v) + math.sin(v) * 1j (line 2)",
-    ]
-
-
-def log10_sites(source: str) -> list:
-    # each log10, imported, called or read, with its enclosing function
-    sites = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if "log10" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
-            sites.append(f"{owner} (line {node.lineno})")
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), "<module>")
-    return sites
-
-
-def test_amplitude_db_alone_converts_to_db():
-    # pattern.csv, the SVG trace, the sidelobe level and the scan loss each
-    # pass their floor to the one rule
-    sites = [f"{path.name}: {site}" for path in MODULES
-             for site in log10_sites(path.read_text(encoding="utf-8"))]
-    assert sites and [site for site in sites if not site.startswith("synthesis.py: _amplitude_db ")] == []
-
-
-def test_detects_a_db_conversion_outside_its_owner():
-    source = (
+    ), [("<module>", 1), ("<module>", 2)]),
+    ("log10", "snippet", (
         "def _amplitude_db(ratio, floor=-math.inf):\n    return max(20.0 * math.log10(ratio), floor)\n"
         "def _mag_db(m):\n    return max(20.0 * np.log10(m), -400.0)\n"
         "from math import log10\n"
         "LEVEL = 20.0 * log10(0.5)\n"
         "NEPER_TO_DB = 20.0 / math.log(10.0)\n"
-    )
-    assert log10_sites(source) == ["_amplitude_db (line 2)", "_mag_db (line 4)", "<module> (line 5)", "<module> (line 6)"]
-
-
-def _values_attribute(node) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "values"
-
-
-def _names_iterating_values(target, iterable) -> set:
-    # loop or comprehension targets bound to the items of X.values, directly or through zip
-    if _values_attribute(iterable) and isinstance(target, ast.Name):
-        return {target.id}
-    if _called_or_constant(iterable) != "zip" or not isinstance(target, ast.Tuple):
-        return set()
-    return {name.id for arg, name in zip(iterable.args, target.elts)
-            if _values_attribute(arg) and isinstance(name, ast.Name)}
-
-
-def cut_magnitude_sites(source: str) -> list:
-    # abs or np.abs of X.values or of an item looped from it, and map(abs, X.values),
-    # with the enclosing class and function path
-    sites = []
-
-    def visit(node, owner, items):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            items = items | _names_iterating_values(node.target, node.iter)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                items = items | _names_iterating_values(gen.target, gen.iter)
-        if isinstance(node, ast.Call) and node.args:
-            called, arg = _called_or_constant(node), node.args[0]
-            if called == "abs":
-                taken = _values_attribute(arg) or getattr(arg, "id", None) in items
-            else:
-                taken = called == "map" and getattr(arg, "id", None) == "abs" and _values_attribute(node.args[-1])
-            if taken:
-                sites.append(f"{owner} (line {node.lineno})")
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner, items)
-
-    visit(ast.parse(source), "<module>", frozenset())
-    return sites
-
-
-def test_cut_magnitudes_are_taken_once():
-    # the metrics, the SVG trace and pattern.csv read PatternCut.magnitudes
-    sites = [f"{path.name}: {site}" for path in MODULES
-             for site in cut_magnitude_sites(path.read_text(encoding="utf-8"))]
-    assert sites and [site for site in sites if not site.startswith("synthesis.py: PatternCut.__post_init__ ")] == []
-
-
-def test_detects_a_magnitude_taken_outside_its_owner():
-    source = (
+    ), [("_amplitude_db", 2), ("_mag_db", 4), ("<module>", 5), ("<module>", 6)]),
+    ("log10", "synthesis", NAMESAKES, [("pattern_metrics._amplitude_db", 3)]),
+    ("cut-magnitudes", "snippet", (
         "class PatternCut:\n    def __post_init__(self):\n        mags = np.abs(self.values)\n"
         "def render(cut):\n    return np.abs(cut.values) / abs(cut.values).max()\n"
         "def build(cut):\n    peak = max(map(abs, cut.values))\n"
@@ -329,91 +276,27 @@ def test_detects_a_magnitude_taken_outside_its_owner():
         "def walk(cut):\n    for v in cut.values:\n        yield abs(v)\n"
         "def fine(cut, values, d):\n"
         "    return np.abs(values), abs(cut.tilt), [abs(g) for g, v in zip(grid, cut.values)], map(abs, d.values())\n"
-    )
-    assert cut_magnitude_sites(source) == [
-        "PatternCut.__post_init__ (line 3)",
-        "render (line 5)",
-        "render (line 5)",
-        "build (line 7)",
-        "build (line 8)",
-        "walk (line 11)",
-    ]
-
-
-def generator_tuples(source: str) -> list:
-    # tuple(<generator expression>) inside a function or lambda, where it runs per call
-    found = []
-
-    def visit(node, in_function):
-        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        if (in_function and isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
-                and len(node.args) == 1 and isinstance(node.args[0], ast.GeneratorExp)):
-            found.append(f"{ast.unparse(node)} (line {node.lineno})")
-        for child in ast.iter_child_nodes(node):
-            visit(child, in_function)
-
-    visit(ast.parse(source), False)
-    return found
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_tuple_is_built_from_a_generator_per_call(path):
-    assert generator_tuples(path.read_text(encoding="utf-8")) == []
-
-
-def test_detects_a_tuple_built_from_a_generator():
-    source = (
+    ), [("PatternCut.__post_init__", 3), ("render", 5), ("render", 5), ("build", 7), ("build", 8), ("walk", 11)]),
+    ("generator-tuple", "snippet", (
         "NAMES = tuple(m.value for m in Model)\n"
         "def f(xs):\n    return tuple(float(x) for x in xs), tuple([x for x in xs]), tuple(xs)\n"
         "g = lambda: tuple(i / 10 for i in range(3))\n"
         "class C:\n    ORDER = tuple(c for c in 'ab')\n"
         "    def m(self):\n        return sorted(x for x in self), [tuple(y for y in x) for x in self]\n"
-    )
-    assert generator_tuples(source) == [
-        "tuple((float(x) for x in xs)) (line 3)",
-        "tuple((i / 10 for i in range(3))) (line 4)",
-        "tuple((y for y in x)) (line 8)",
-    ]
-
-
-def per_call_schema_walks(source: str) -> list:
-    # each astuple, imported or read, and each read of dataclasses.fields but
-    # the one that a module-level cache(...) wraps
-    tree = ast.parse(source)
-    once = {id(node.value.args[0]) for node in tree.body
-            if isinstance(node, ast.Assign) and _called_or_constant(node.value) == "cache"}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.alias):
-            name = node.name if node.name == "astuple" else None  # importing fields is not a walk
-        elif isinstance(node, ast.Name):
-            name = node.id
-        else:
-            name = node.attr if isinstance(node, ast.Attribute) else None
-        if name == "astuple" or (name == "fields" and id(node) not in once):
-            found.append(f"{ast.unparse(node)} (line {node.lineno})")
-    return found
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_dataclass_fields_are_computed_once(path):
-    assert per_call_schema_walks(path.read_text(encoding="utf-8")) == []
-
-
-def test_detects_a_schema_walk_per_call():
-    source = (
+    ), [("f", 3), ("<lambda>", 4), ("C.m", 8)]),
+    ("schema-walk", "snippet", (
         "from dataclasses import astuple, fields\n"
         "_fields = functools.cache(dataclasses.fields)\n"
         "_cached = cache(fields)\n"
         "def names(cls):\n    return [f.name for f in fields(cls)]\n"
         "def values(g):\n    return dataclasses.astuple(g), cache(fields)(g)\n"
-    )
-    assert sorted(per_call_schema_walks(source)) == [
-        "astuple (line 1)",
-        "dataclasses.astuple (line 7)",
-        "fields (line 5)",
-        "fields (line 7)",
-    ]
+    ), [("<module>", 1), ("names", 5), ("values", 7), ("values", 7)]),
+]
+
+
+@pytest.mark.parametrize("name, module, source, sites", SNIPPETS, ids=[f"{row[0]}-{row[1]}" for row in SNIPPETS])
+def test_detects_a_rule_outside_its_owners(name, module, source, sites):
+    assert [(owner, line) for owner, line, allowed in owner_sites(name, module, source) if not allowed] == sites
 
 
 # What a cold `import tiltbeam.cli` may load once numpy is in: the package's
