@@ -246,8 +246,6 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("theta_grid.stop_deg: must be >= start_deg")
     if theta.start_deg < -90.0 or theta.stop_deg > 90.0:
         raise ConfigError("theta_grid: angles must lie within [-90, 90] degrees")
-    if cfg.weights.s1 == 0 and cfg.weights.s2 == 0:
-        raise ConfigError("weights: s1 and s2 must not both be zero")
     out_dir = _scalar("str", None, top.get("output_dir", "out"), "output_dir")
     if not out_dir:
         raise ConfigError("output_dir: must be a non-empty string")
@@ -258,8 +256,10 @@ def parse_config(data: dict) -> RunConfig:
         if step < math.nextafter(abs(stop), math.inf) - abs(stop):
             raise ConfigError(f"{path}: step must be at least the float spacing at stop")
     cfg = replace(cfg, frequency_grid=freq, output_dir=out_dir)
-    try:  # the substrate must resolve, and each length stay > 0 in metres (1e-322 mm is 0.0 m)
+    try:  # each model object must build, so a length must stay > 0 in metres (1e-322 mm is 0.0 m)
+        cfg.geometry()
         cfg.strip_spec()
+        cfg.excitation_weights()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

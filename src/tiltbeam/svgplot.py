@@ -35,6 +35,16 @@ def _point(theta_rad: float, fraction: float) -> tuple:
     return _CX + r * math.sin(theta_rad), _CY - r * math.cos(theta_rad)
 
 
+def _text(x: str, y: str, style: str, body: str) -> str:
+    return f'<text x="{x}" y="{y}" font-family="monospace" {style}>{body}</text>'
+
+
+def _radius_line(theta_rad: float, style: str) -> str:
+    """A line from the origin to the outer ring at theta_rad."""
+    x, y = _point(theta_rad, 1.0)
+    return f'<line x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" x2="{_fmt(x)}" y2="{_fmt(y)}" {style}/>'
+
+
 def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
     """Render a cut, in dB of its own peak, with its tilt marker and SLL annotation."""
     parts = [
@@ -44,32 +54,19 @@ def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
     ]
 
     for db in _RING_DB:
-        frac = _radial_fraction(db)
-        r = frac * _RADIUS
-        x0, y0 = _CX - r, _CY
-        x1, y1 = _CX + r, _CY
+        r = _radial_fraction(db) * _RADIUS
         parts.append(
-            f'<path d="M {_fmt(x0)} {_fmt(y0)} A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(x1)} {_fmt(y1)}" '
+            f'<path d="M {_fmt(_CX - r)} {_fmt(_CY)} A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(_CX + r)} {_fmt(_CY)}" '
             f'fill="none" stroke="#cccccc" stroke-width="1"/>'
         )
-        lx, ly = _point(0.0, frac)
-        parts.append(
-            f'<text x="{_fmt(lx + 4.0)}" y="{_fmt(ly + 12.0)}" font-family="monospace" '
-            f'font-size="10" fill="#888888">{db:.0f} dB</text>'
-        )
+        parts.append(_text(_fmt(_CX + 4.0), _fmt(_CY - r + 12.0), 'font-size="10" fill="#888888"', f"{db:.0f} dB"))
 
     for deg in _SPOKE_DEG:
         th = math.radians(deg)
-        x, y = _point(th, 1.0)
-        parts.append(
-            f'<line x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" x2="{_fmt(x)}" y2="{_fmt(y)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
+        parts.append(_radius_line(th, 'stroke="#dddddd" stroke-width="1"'))
         lx, ly = _point(th, 1.05)
-        parts.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="monospace" font-size="11" '
-            f'fill="#444444" text-anchor="middle">{deg:.0f}&#176;</text>'
-        )
+        style = 'font-size="11" fill="#444444" text-anchor="middle"'
+        parts.append(_text(_fmt(lx), _fmt(ly), style, f"{deg:.0f}&#176;"))
 
     coords = [_point(float(t), _radial_fraction(db)) for t, db in zip(cut.theta_grid, cut.relative_db(_FLOOR_DB))]
     if len(coords) == 1:
@@ -81,17 +78,13 @@ def render_polar_svg(cut: PatternCut, annotations: PatternMetrics) -> str:
             f'<polyline points="{points}" fill="none" stroke="#c02020" stroke-width="1.5"/>'
         )
 
-    tilt_rad = math.radians(annotations.tilt_deg)
-    tx, ty = _point(tilt_rad, 1.0)
-    parts.append(
-        f'<line x1="{_fmt(_CX)}" y1="{_fmt(_CY)}" x2="{_fmt(tx)}" y2="{_fmt(ty)}" '
-        f'stroke="#2040c0" stroke-width="1" stroke-dasharray="6 4"/>'
-    )
+    tilt_style = 'stroke="#2040c0" stroke-width="1" stroke-dasharray="6 4"'
+    parts.append(_radius_line(math.radians(annotations.tilt_deg), tilt_style))
 
     sll_text = "none" if annotations.sll_dB == -math.inf else f"{annotations.sll_dB:.2f} dB"
     bw_text = "n/a" if math.isnan(annotations.beamwidth3dB_deg) else f"{annotations.beamwidth3dB_deg:.2f}&#176;"
     for y, text in ((24, f"tilt {annotations.tilt_deg:.2f}&#176;"), (42, f"SLL {sll_text}"),
                     (60, f"beamwidth {bw_text}")):
-        parts.append(f'<text x="16" y="{y}" font-family="monospace" font-size="13" fill="#222222">{text}</text>')
+        parts.append(_text("16", str(y), 'font-size="13" fill="#222222"', text))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

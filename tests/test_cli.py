@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -28,6 +29,18 @@ def write_config(tmp_path, data, name="run.json"):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+# The count of each element path in a polar plot: the background, 4 rings with their labels,
+# 7 spokes with theirs, the trace, the dashed tilt marker and 3 annotation lines.
+SVG_ELEMENTS = {"rect": 1, "path": 4, "text": 14, "line": 8, "line[@stroke-dasharray]": 1, "polyline": 1, "circle": 0}
+
+
+def svg_element_counts(svg):
+    root = ElementTree.fromstring(svg)
+    assert root.tag == f"{SVG}svg"
+    return {path: len(root.findall(SVG + path)) for path in SVG_ELEMENTS}
 
 
 def read_csv(path):
@@ -126,9 +139,9 @@ class TestPatternCommand:
         assert run(["pattern", "--config", default_config, "--out", out, "--svg"]) == 0
         svg = (out / "pattern.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg")
-        assert "<polyline" in svg
         assert 'stroke="#2040c0"' in svg  # tilt marker
         assert "tilt " in svg and "SLL " in svg
+        assert svg_element_counts(svg) == SVG_ELEMENTS
 
     def test_single_point_grid_draws_marker(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -140,8 +153,7 @@ class TestPatternCommand:
         assert len(rows) == 1
         assert float(rows[0][3]) == 0.0
         svg = (out / "pattern.svg").read_text(encoding="utf-8")
-        assert "<circle" in svg
-        assert "<polyline" not in svg
+        assert svg_element_counts(svg) == {**SVG_ELEMENTS, "polyline": 0, "circle": 1}
         assert "n/a" in svg  # no beamwidth from one sample
 
     def test_output_dir_from_config(self, tmp_path):
@@ -228,7 +240,7 @@ class TestScanCommand:
         out = tmp_path / "out"
         assert run(["scan", "--config", default_config, "--out", out, "--svg"]) == 0
         for name in ("scan_m45.svg", "scan_0.svg", "scan_45.svg"):
-            assert (out / name).exists(), name
+            assert svg_element_counts((out / name).read_text(encoding="utf-8")) == SVG_ELEMENTS, name
 
 
 class TestLossCommand:
@@ -300,10 +312,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: config parse error")
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
-    def test_length_that_rounds_to_zero_metres(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, {"geometry": {"strip": {"length_mm": 1e-322}}})
+    @pytest.mark.parametrize("section, entry, message", [
+        ("strip", {"length_mm": 1e-322}, "MicrostripSpec: length_l must be > 0"),
+        ("slot", {"length_mm": 1e-322}, "SlotSpec: length_L must be > 0"),
+        ("monopole", {"height_mm": 1e-322}, "MonopoleSpec: height_H must be > 0"),
+        ("monopole", {"ground_radius_mm": 1e-322}, "MonopoleSpec: ground_radius_a must be > 0"),
+        ("array", {"count_nx": 2, "spacing_dx_mm": 1e-322}, "ArrayLayout: spacing_dx must be > 0"),
+        ("array", {"spacing_dy_mm": 1e-322}, "ArrayLayout: spacing_dy must be > 0"),
+    ], ids=["strip-length", "slot-length", "post-height", "disc-radius", "spacing-dx", "spacing-dy"])
+    def test_length_that_rounds_to_zero_metres(self, tmp_path, capsys, section, entry, message, command):
+        cfg = write_config(tmp_path, {"geometry": {section: entry}})
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err == "error: MicrostripSpec: length_l must be > 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_nul_byte_in_output_dir(self, tmp_path, capsys, monkeypatch, command):
@@ -440,19 +461,19 @@ class TestExitCodes:
     def test_frequency_whose_wavelength_overflows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}})
         assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert "error: FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f" in (
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f\n"
         )
 
     def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1e-12}})
         assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert "theta_grid: grid must have at most" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: theta_grid: grid must have at most 100000 points\n"
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"geometry": {"slot": {"len_mm": 4.8}}})
         assert run(["pattern", "--config", cfg]) == 2
-        assert "unknown key: geometry.slot.len_mm" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown key: geometry.slot.len_mm\n"
 
     def test_locked_output_directory(self, tmp_path, default_config, capsys):
         out = tmp_path / "out"

@@ -352,6 +352,11 @@ def _message_cases():
         (_at("strip", "width_mm", 1e-322), "MicrostripSpec: width_w must be > 0"),
         (_at("strip", "substrate_thickness_mm", 1e-322), "SubstrateSpec: thickness_h must be > 0"),
         (_substrate(thickness_mm=1e-322), "SubstrateSpec: thickness_h must be > 0"),
+        (_at("slot", "length_mm", 1e-322), "SlotSpec: length_L must be > 0"),
+        (_at("monopole", "height_mm", 1e-322), "MonopoleSpec: height_H must be > 0"),
+        (_at("monopole", "ground_radius_mm", 1e-322), "MonopoleSpec: ground_radius_a must be > 0"),
+        ({"geometry": {"array": {"count_nx": 2, "spacing_dx_mm": 1e-322}}}, "ArrayLayout: spacing_dx must be > 0"),
+        (_at("array", "spacing_dy_mm", 1e-322), "ArrayLayout: spacing_dy must be > 0"),
         (_substrate(bogus=1), "unknown key: substrates.X.bogus"),
         ({"substrates": {"X": 3}}, "substrates.X: must be an object"),
         ({"substrates": []}, "substrates: must be an object"),
@@ -360,7 +365,7 @@ def _message_cases():
         ({"theta_grid": {"start_deg": 10.0, "stop_deg": 0.0}}, "theta_grid.stop_deg: must be >= start_deg"),
         ({"theta_grid": {"start_deg": -100.0}}, "theta_grid: angles must lie within [-90, 90] degrees"),
         ({"theta_grid": {"stop_deg": 90.5}}, "theta_grid: angles must lie within [-90, 90] degrees"),
-        ({"weights": {"s1": 0, "s2": 0}}, "weights: s1 and s2 must not both be zero"),
+        ({"weights": {"s1": 0, "s2": 0}}, "ExcitationWeights: s1 and s2 must not both be zero"),
         (_at("weights", "ratios", []), "weights.ratios: must be a non-empty array of numbers"),
         (_at("weights", "ratios", 0.5), "weights.ratios: must be a non-empty array of numbers"),
         (_at("weights", "ratios", [0.5, "1"]), "weights.ratios[1]: must be a number"),

@@ -1,6 +1,7 @@
 """Every module-level import in the package and its tests is used in its
-module, every public name has a user outside the unit tests, every package
-name the benchmark's tracer wraps exists, each one-owner rule of `RULES`
+module, every public name has a user outside the unit tests, the package's
+version is the one `pyproject.toml` declares, every package name the
+benchmark's tracer wraps exists, each one-owner rule of `RULES`
 holds in every package module, and a cold `import tiltbeam.cli` loads
 nothing past numpy but the package and a few small stdlib modules.
 
@@ -94,6 +95,14 @@ def test_detects_an_unused_export():
     init = "from .a import f, g, h\nfrom .b import K as L, M\n"
     users = ["f(1)\nh = 2\ndef M(): pass\n", "import m\nprint(m.g, L)\n"]
     assert unused_exports(init, users) == ["M", "h"]
+
+
+def test_version_is_the_one_in_pyproject():
+    # Python 3.10 has no tomllib, so the [project] table's version line is read by pattern
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    declared = re.search(r'^version = "([^"]*)"$', project, re.M).group(1)
+    assert declared == importlib.import_module("tiltbeam").__version__
 
 
 def tracer_targets() -> set:
