@@ -336,7 +336,6 @@ class TestExitCodes:
         assert "\x00" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", cli.COMMANDS)
     @pytest.mark.parametrize("data", [SKIN_DEPTH_UNDERFLOW, WIDTH_TO_HEIGHT_OVERFLOW, SUBNORMAL_WEIGHT,
                                       IMPEDANCE_WIDTH_UNDERFLOW, POST_ONLY_AT_BROADSIDE, LARGEST_STOP,
@@ -363,7 +362,6 @@ class TestExitCodes:
         assert run(["loss", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["pattern", "stability"])
     def test_subnormal_weight_works_like_a_unit_one(self, tmp_path, command):
         artifacts = []
@@ -424,7 +422,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert artifacts[0] == artifacts[1]
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["pattern", "stability"])
     def test_largest_weight_at_broadside_works_like_a_unit_one(self, tmp_path, capsys, command):
         artifacts = []
@@ -436,7 +433,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert artifacts[0] == artifacts[1]
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_largest_float_stop_is_a_config_error(self, tmp_path, capsys, command):
         # the float spacing above the largest float is inf, so no finite step clears it
@@ -692,6 +688,7 @@ class TestFormatting:
 def _python_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["PYTHONWARNINGS"] = "error"  # a CLI process that warns fails, as this one does
     return env
 
 

@@ -323,8 +323,8 @@ def unexpected_cold_imports(new_modules: list) -> list:
 
 def test_cold_cli_import_loads_only_the_package_and_small_stdlib_modules():
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", NEW_MODULES], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+    run = subprocess.run([sys.executable, "-c", NEW_MODULES], env=env, capture_output=True, text=True, check=True)
     new_modules = run.stdout.split()
     assert "tiltbeam.cli" in new_modules
     assert unexpected_cold_imports(new_modules) == []

@@ -80,7 +80,7 @@ class TestFrequencyContext:
                 make(f)
             assert str(exc.value) == f"FrequencyContext: {message}"
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(f=st.floats(min_value=1e9, max_value=1e12))
     def test_wavelength_and_wavenumber_follow_the_frequency(self, f):
         ctx = FrequencyContext(f)
@@ -253,7 +253,7 @@ class TestMonopoleValues:
             values = monopole_pattern(theta, mono, ctx324)
             assert values.tolist() == [monopole_pattern(float(t), mono, ctx324) for t in theta]
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(theta=_angle_grids(), mono=st.sampled_from(_PROPERTY_MONOS))
     def test_array_equals_scalar_calls_property(self, theta, mono):
         ctx = FrequencyContext.from_frequency(32.4e9)

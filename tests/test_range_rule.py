@@ -148,7 +148,6 @@ PHASE_OVERFLOWS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", PHASE_OVERFLOWS.values(), ids=PHASE_OVERFLOWS.keys())
 def test_overflowing_phase_is_refused_at_its_owner(case):
     call, message = case

@@ -120,7 +120,7 @@ class TestScaleFreeCuts:
         )
         return (tilted, element, study.cuts[0])  # the last peaks below 1
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(exponent=st.integers(-60, 60))
     def test_power_of_two_scale_changes_only_the_peak(self, cuts, exponent):
         # 2^k is exact in every product and quotient, so each result must

@@ -127,7 +127,6 @@ class TestDefaultGrid:
         # stop + 1e-9 * step rounds back to stop for these steps
         assert stepped_grid(value, value, step).tolist() == [value]
 
-    @pytest.mark.filterwarnings("error")
     def test_bound_stays_finite_below_the_largest_float(self):
         # stop + 1e-9 * step overflows; the bound is then the largest float
         assert stepped_grid(1.79e308, 1.7976931348623e308, 1e308).tolist() == [1.79e308]
@@ -172,7 +171,6 @@ class TestDegenerateWeights:
         expected = raw / np.abs(raw).max()
         assert np.allclose(cut.values, expected, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("s1, s2", [(0.0, 5e-324), (5e-324, 0.0), (5e-324, 5e-324)])
     def test_subnormal_weights_work_like_unit_ones(self, ctx324, s1, s2):
         # the weights are divided by the larger before the sum, so the field
@@ -190,7 +188,7 @@ _HALF_ANGLES = st.lists(
 class TestTermSymmetry:
     """The tilt rests on an even slot term and an odd post-array term."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         theta=_HALF_ANGLES,
         mono=st.sampled_from([
@@ -205,7 +203,7 @@ class TestTermSymmetry:
         ctx = FrequencyContext.from_frequency(f_hz)
         assert np.array_equal(_monopole_term(-grid, mono, layout, ctx), -_monopole_term(grid, mono, layout, ctx))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(theta=_HALF_ANGLES)
     def test_slot_term_is_exactly_even(self, theta):
         grid = np.array(theta)
@@ -216,7 +214,7 @@ _WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
 
 
 class TestSuperposition:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(s1=_WEIGHT, s2=_WEIGHT, exponent=st.integers(-60, 60))
     def test_common_scale_invariance_is_exact(self, ctx324, s1, s2, exponent):
         # A power-of-two scale is exact in every product, sum and the
@@ -229,7 +227,6 @@ class TestSuperposition:
         b = synth(ExcitationWeights(scale * s1, scale * s2), grid, ctx324)
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.filterwarnings("error")
     def test_largest_weight_over_a_subnormal_peak_works_like_unit_ones(self, ctx324):
         # the post term is 0 at broadside, so the field there is slot / LARGEST,
         # a subnormal peak whose reciprocal overflows
@@ -336,7 +333,6 @@ class TestPatternMetricsFixtures:
         assert math.isnan(m.beamwidth3dB_deg)
         assert m.tilt_deg == pytest.approx(85.0, abs=1e-9)
 
-    @pytest.mark.filterwarnings("error")
     def test_power_of_two_scale_near_the_largest_float(self):
         # 2 * peak overflows for the large cut; its parabola step must still run
         grid = default_theta_grid()
@@ -361,7 +357,7 @@ class TestPatternMetricsFixtures:
         with pytest.raises(ValueError, match="spacing"):
             pattern_metrics(PatternCut(grid, vals))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(theta0=st.floats(-40.0, 40.0), n=st.floats(1.0, 60.0))
     def test_cosine_power_lobe(self, theta0, n):
         grid = default_theta_grid()
@@ -379,7 +375,7 @@ class TestPatternMetricsFixtures:
             math.degrees(2.0 * half_width), abs=math.degrees(STEP ** 2 / 2.0 * math.sqrt(n))
         )
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         main=st.floats(-30.0, 0.0), side=st.floats(45.0, 60.0), level=st.floats(0.01, 0.9),
         n=st.floats(60.0, 100.0),
@@ -485,7 +481,7 @@ def trace_points(svg: str) -> list:
 
 
 class TestPatternMetricsReference:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(cut=_cuts())
     @_with_example_cuts
     def test_equals_the_sample_walk(self, cut):
@@ -494,7 +490,7 @@ class TestPatternMetricsReference:
         assert repr((m.tilt_deg, m.sll_dB, m.beamwidth3dB_deg, m.peak_linear)) == repr(ref[:4])
         assert math.isnan(m.beamwidth3dB_deg) == ref[4]
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(cut=_cuts())
     @_with_example_cuts
     def test_magnitudes_are_read_only_and_their_db_is_peak_relative(self, cut):
@@ -510,7 +506,7 @@ class TestPatternMetricsReference:
             assert all(floor <= d <= 0.0 for d in db)
             assert all(d == floor for d, m in zip(db, cut.magnitudes) if m == 0.0)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(cut=_cuts())
     @_with_example_cuts
     def test_svg_trace_stays_on_the_upper_half_disc(self, cut):
@@ -545,7 +541,7 @@ class TestRatioSweep:
         assert tilts[-1] == pytest.approx(35.014, abs=0.05)
         assert max(tilts) - min(tilts) < 10.0
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(ratios=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=8))
     def test_ties_go_to_the_smallest_ratio(self, ctx324, default_geometry, ratios):
         # On 0..10 deg every ratio's cut rises to its right edge, so no ratio
@@ -555,7 +551,6 @@ class TestRatioSweep:
         assert all(row.sll_dB == -math.inf for row in result.rows)
         assert result.best_ratio == min(ratios)
 
-    @pytest.mark.filterwarnings("error")
     def test_largest_ratio_refines_its_tilt(self, ctx324, default_geometry):
         # the slot term is lost beside either post term, so the two cuts differ by a factor of 2
         top, half = ratio_sweep([LARGEST, LARGEST / 2], default_geometry, ctx324).rows
