@@ -1,13 +1,14 @@
 """Command-line entry point: config in, CSV and SVG artifacts out.
 
 Every command computes its full result, then stages every file as a temp
-file before renaming any into place: a failed write leaves the previous
-artifacts as they were. A target that is a directory is refused before any
-artifact is replaced. Any failure or interrupt removes the run's temp
-files, but an interrupt between two renames can still leave a mix of old
-and new artifacts. A flock on the output directory itself serializes runs
-(POSIX only); no file holds it, and the kernel releases it when the process
-exits or is killed. Identical inputs give identical bytes.
+file before renaming any into place: a run that fails to compute creates
+no directory, and a failed write leaves the previous artifacts as they
+were. A target that is a directory is refused before any artifact is
+replaced. Any failure or interrupt removes the run's temp files, but an
+interrupt between two renames can still leave a mix of old and new
+artifacts. A flock on the output directory itself serializes the writes of
+concurrent runs (POSIX only); no file holds it, and the kernel releases it
+when the process exits or is killed. Identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -166,6 +167,11 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     if name not in _BUILDERS:
         print(f"error: unknown command '{name}'\n{_USAGE}", file=sys.stderr)
         return 2
+    try:
+        artifacts = sorted(_BUILDERS[name](cfg, svg).items())
+    except (ValueError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, ConvergenceError) else 2
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -179,7 +185,7 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
         # Stage the whole set first, so a failed write leaves the old one
         # intact. A rename onto a directory would fail only after the earlier
         # renames had replaced their files, so such a target is refused here.
-        for fname, text in sorted(_BUILDERS[name](cfg, svg).items()):
+        for fname, text in artifacts:
             target = out / fname
             if target.is_dir() and not target.is_symlink():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
@@ -190,9 +196,6 @@ def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> i
     except BlockingIOError:  # only the flock raises it here
         print(f"error: output directory {str(out)!r} is locked by another run", file=sys.stderr)
         return 2
-    except (ValueError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ConvergenceError) else 2
     except OSError as exc:
         print(f"error: cannot write artifacts to {str(out)!r}: {exc}", file=sys.stderr)
         return 2

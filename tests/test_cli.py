@@ -390,7 +390,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run(args + ["--config", cfg, "--out", out]) == 2
         assert "error: pattern_metrics: grid spacing must be <= 0.5 degrees" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, data", [
         ("pattern", {"theta_grid": {"start_deg": -89.9, "stop_deg": 90.0, "step_deg": 0.4}}),
@@ -498,10 +498,10 @@ class TestExitCodes:
         holder = (
             "import sys, time\n"
             "import tiltbeam.cli as cli\n"
-            "def hold(cfg, svg):\n"
+            "def hold(path, text):\n"
             "    print('holding', flush=True)\n"
             "    time.sleep(120)\n"
-            "cli._BUILDERS['pattern'] = hold\n"
+            "cli._write_text = hold\n"
             f"sys.exit(cli.main(['pattern', '--config', {str(default_config)!r}, '--out', {str(out)!r}]))\n"
         )
         with _spawn_python(["-c", holder], tmp_path) as child:
@@ -544,6 +544,25 @@ class TestExitCodes:
         assert "integrate_complex" in err
         assert not (out / "pattern.csv").exists()
         assert not (out / ".tiltbeam.lock").exists()
+
+    @pytest.mark.parametrize("command, data, status, message", [
+        ("pattern", {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}}, 2,
+         "FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f"),
+        ("stability", {"frequency_grid": {"start_ghz": 50.0}}, 2,
+         "beam_stability: frequency outside the 20 to 45 GHz band"),
+        ("ratio-sweep", {"theta_grid": {"step_deg": 1.0}}, 2, "pattern_metrics: grid spacing must be <= 0.5 degrees"),
+        ("scan", None, 3, "integrate_complex: subdivision budget exhausted; best estimate "
+                          "1.000000e-01+2.000000e-01j, estimated error bound 3.000e-04"),
+    ], ids=["wavelength-overflow", "out-of-band", "coarse-grid", "convergence"])
+    def test_failed_run_creates_no_directory(self, tmp_path, capsys, monkeypatch, command, data, status, message):
+        def exploding_builder(cfg, svg):
+            raise ConvergenceError("integrate_complex", 0.1 + 0.2j, 3.0e-4)
+
+        monkeypatch.setitem(cli._BUILDERS, "scan", exploding_builder)
+        cfg = write_config(tmp_path, data or {})
+        assert run([command, "--config", cfg, "--out", tmp_path / "new" / "x" / "deep"]) == status
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "new").exists()
 
     def test_exhausted_quadrature_names_term_and_angle(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_PANELS", 16)
