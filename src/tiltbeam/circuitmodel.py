@@ -91,11 +91,12 @@ def effective_permittivity(strip: MicrostripSpec) -> float:
 
     Schneider's closed form: (er+1)/2 + (er-1)/2 * (1 + 10h/w)^(-1/2).
     Lies in [1, er] and grows with w/h as more field crowds into the
-    substrate. Equals 1 exactly for an air substrate.
+    substrate; a sum that rounds past er reads er. Equals 1 exactly for
+    an air substrate.
     """
     er = strip.substrate.eps_r
     ratio = strip.substrate.thickness_h / strip.width_w
-    return 0.5 * (er + 1.0) + 0.5 * (er - 1.0) / math.sqrt(1.0 + 10.0 * ratio)
+    return min(0.5 * (er + 1.0) + 0.5 * (er - 1.0) / math.sqrt(1.0 + 10.0 * ratio), er)
 
 
 def characteristic_impedance(strip: MicrostripSpec) -> float:
@@ -117,11 +118,12 @@ def skin_depth(f: float, conductivity: float) -> float:
 
 
 def roughness_factor(roughness_rq: float, depth: float) -> float:
-    """Conductor-loss multiplier for surface roughness, in [1, 2).
+    """Conductor-loss multiplier for surface roughness, in [1, 2].
 
     Arctangent saturation in (Rq / skin depth)^2: smooth copper gives
     exactly 1, and a surface much rougher than the skin depth doubles the
-    loss as the current path folds over the profile.
+    loss as the current path folds over the profile (exactly 2 once the
+    arctangent rounds to pi / 2).
     """
     require("roughness_factor", roughness_rq=(roughness_rq, ">= 0"), depth=(depth, "> 0"))
     q = roughness_rq / depth

@@ -2,9 +2,12 @@
 half-wave resonance, and the loss terms."""
 
 import math
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tiltbeam import (
     LossBudget,
@@ -21,6 +24,7 @@ from tiltbeam import (
     roughness_factor,
     skin_depth,
 )
+from tiltbeam.specfun import _BOUNDS
 
 
 def thin_layer(preset_name):
@@ -375,3 +379,52 @@ class TestLossBudget:
         low = loss_budget(MicrostripSpec(substrate=thin_layer("RO4003")), 30e9)
         assert low.alpha_d < base.alpha_d
         assert low.total < base.total
+
+
+def _near(bound, accepted_only=False):
+    # a require bound, the floats either side of it, a subnormal, 1e+-300 and the largest float
+    edge = float(bound[-1])
+    values = [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
+              5e-324, 1e-300, 1e300, sys.float_info.max]
+    return st.sampled_from([v for v in values if _BOUNDS[bound](v) or not accepted_only])
+
+
+# The specs keep to their own bounds, which test_spec_validation and its neighbours check, so every function runs.
+_STRIPS = st.builds(
+    MicrostripSpec, _near("> 0", True), _near("> 0", True),
+    st.builds(SubstrateSpec, st.just("X"), _near(">= 1", True), _near(">= 0", True), _near("> 0", True)),
+    _near("> 0", True), _near(">= 0", True),
+)
+_FUNCTIONS = (effective_permittivity, characteristic_impedance, skin_depth, roughness_factor, half_wave_resonance,
+              dielectric_attenuation, conductor_attenuation, plane_wave_attenuation, loss_budget)
+_OWNERS = ("SubstrateSpec: ", "MicrostripSpec: ", "LossBudget: ") + tuple(f"{f.__name__}: " for f in _FUNCTIONS)
+
+
+@settings(max_examples=500)
+@given(strip=_STRIPS, f=_near("> 0"), positive=_near("> 0"), rq=_near(">= 0"), eps=_near(">= 1"))
+# Schneider's form rounded one ulp past eps_r on a near-air substrate under a wide strip
+@example(strip=MicrostripSpec(1.0, 1e-3, SubstrateSpec("X", 1.0000001, 0.0, 1e-20)), f=1.0, positive=1.0,
+         rq=0.0, eps=1.0)
+# atan saturates to pi / 2 in floats, so a profile far rougher than the skin depth doubles the loss exactly
+@example(strip=MicrostripSpec(), f=1.0, positive=1e-300, rq=4.4, eps=1.0)
+def test_line_formulas_stay_in_range_or_raise_their_owners_error(strip, f, positive, rq, eps):
+    # positive stands for each other length or material value: conductivity, depth, length and path
+    args = {
+        effective_permittivity: (strip,),
+        characteristic_impedance: (strip,),
+        skin_depth: (f, positive),
+        roughness_factor: (rq, positive),
+        half_wave_resonance: (positive, eps),
+        dielectric_attenuation: (strip.substrate, eps, f),
+        conductor_attenuation: (strip, f),
+        plane_wave_attenuation: (strip.substrate, f, positive),
+        loss_budget: (strip, f),
+    }
+    results = {}
+    for function in _FUNCTIONS:
+        try:
+            results[function] = function(*args[function])
+        except ValueError as exc:
+            assert str(exc).startswith(_OWNERS), (function.__name__, str(exc))
+    assert 1.0 <= results[effective_permittivity] <= strip.substrate.eps_r
+    assert 1.0 <= results.get(roughness_factor, 1.0) <= 2.0
