@@ -2,8 +2,11 @@
 module, every public name has a user outside the unit tests, the package's
 version is the one `pyproject.toml` declares, every package name the
 benchmark's tracer wraps exists, each one-owner rule of `RULES`
-holds in every package module, and a cold `import tiltbeam.cli` loads
-nothing past numpy but the package and a few small stdlib modules.
+holds in every package module, a cold `import tiltbeam.cli` loads
+nothing past numpy but the package and a few small stdlib modules, and
+the test policy is set once: `pyproject.toml` turns every warning into an
+error and the root `conftest.py` derandomizes every Hypothesis property,
+with no test setting either for itself.
 
 The two tuple rules keep memory flat in a long-lived process. CPython
 allocates a tuple built from a generator with 10 slots and shrinks it to
@@ -24,10 +27,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tiltbeam"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -333,3 +338,39 @@ def test_cold_cli_import_loads_only_the_package_and_small_stdlib_modules():
 def test_detects_a_heavy_module_on_the_cold_cli_path():
     new_modules = ["__future__", "json.decoder", "numpy.polynomial", "scipy.special", "tiltbeam.cli", "jsonschema"]
     assert unexpected_cold_imports(new_modules) == ["numpy.polynomial", "scipy.special", "jsonschema"]
+
+
+def local_policy_sites(source: str) -> list:
+    # lines where a test sets its own warning filter, Hypothesis deadline or derandomize
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if (
+        isinstance(node, ast.Attribute) and node.attr == "filterwarnings" and _name(node.value) == "mark"
+        or _called(node) == "settings" and bool({k.arg for k in node.keywords} & {"deadline", "derandomize"})
+        or _called(node) in ("simplefilter", "filterwarnings")
+        and "error" in [_text(arg) for arg in node.args + [k.value for k in node.keywords]])})
+
+
+def test_tests_leave_the_policy_to_one_place():
+    sites = [f"{path.name}:{line}" for path in TESTS for line in local_policy_sites(path.read_text(encoding="utf-8"))]
+    assert sites == []
+
+
+def test_detects_a_local_policy():
+    source = (
+        '@pytest.mark.filterwarnings("error")\n'
+        "@settings(max_examples=5, deadline=None)\n"
+        "@settings(derandomize=True)\n"
+        "@settings(max_examples=5)\n"
+        "def test_x(): pass\n"
+        'warnings.simplefilter("error")\n'
+        'warnings.filterwarnings(action="error", category=RuntimeWarning)\n'
+        'warnings.simplefilter("ignore")\n'
+        'settings.register_profile("p", deadline=None)\n'
+        'pytestmark = pytest.mark.filterwarnings("ignore")\n'
+    )
+    assert local_policy_sites(source) == [1, 2, 3, 6, 7, 10]
+
+
+def test_the_policy_is_in_force():
+    assert settings.default.derandomize is True and settings.default.deadline is None
+    with pytest.raises(RuntimeWarning):
+        warnings.warn("probe", RuntimeWarning)
