@@ -555,7 +555,7 @@ class TestExitCodes:
                           "1.000000e-01+2.000000e-01j, estimated error bound 3.000e-04"),
     ], ids=["wavelength-overflow", "out-of-band", "coarse-grid", "convergence"])
     def test_failed_run_creates_no_directory(self, tmp_path, capsys, monkeypatch, command, data, status, message):
-        def exploding_builder(cfg, svg):
+        def exploding_builder(cfg, svg):  # scan's quadrature runs out of panels
             raise ConvergenceError("integrate_complex", 0.1 + 0.2j, 3.0e-4)
 
         monkeypatch.setitem(cli._BUILDERS, "scan", exploding_builder)
