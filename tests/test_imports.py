@@ -355,19 +355,19 @@ def test_tests_leave_the_policy_to_one_place():
 
 
 def test_detects_a_local_policy():
+    # each decorator written as the call it is
     source = (
-        '@pytest.mark.filterwarnings("error")\n'
-        "@settings(max_examples=5, deadline=None)\n"
-        "@settings(derandomize=True)\n"
-        "@settings(max_examples=5)\n"
-        "def test_x(): pass\n"
+        'pytestmark = pytest.mark.filterwarnings("error")\n'
+        "check = settings(max_examples=5, deadline=None)(check)\n"
+        "check = settings(derandomize=True)(check)\n"
+        "check = settings(max_examples=5)(check)\n"
         'warnings.simplefilter("error")\n'
         'warnings.filterwarnings(action="error", category=RuntimeWarning)\n'
         'warnings.simplefilter("ignore")\n'
         'settings.register_profile("p", deadline=None)\n'
-        'pytestmark = pytest.mark.filterwarnings("ignore")\n'
+        'ignored = pytest.mark.filterwarnings("ignore")(check)\n'
     )
-    assert local_policy_sites(source) == [1, 2, 3, 6, 7, 10]
+    assert local_policy_sites(source) == [1, 2, 3, 5, 6, 9]
 
 
 def test_the_policy_is_in_force():
