@@ -67,11 +67,13 @@ class TestArrayFactor:
         # d / lam = 1 with pi d overflowing on its own: psi = pi sin 0.5 all the same
         value = array_factor(ArrayLayout(2, 1, 1e308, 1.0), 0.5, 0.0, 1e308)
         assert value == pytest.approx(abs(math.cos(math.pi * math.sin(0.5))), rel=1e-12)
+        # d / lam underflowing to 0 leaves psi = 0, where the phasors align
+        assert array_factor(ArrayLayout(2, 1, 5e-324, 1.0), 0.5, 0.0, 10.0) == 1.0
 
     def test_layout_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ArrayLayout: count_Nx must be an integer >= 1$"):
             ArrayLayout(count_Nx=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ArrayLayout: count_Ny must be an integer >= 1$"):
             ArrayLayout(count_Ny=-2)
         for count in (math.inf, math.nan, 2.5):
             with pytest.raises(ValueError, match="count_Nx must be an integer >= 1"):
@@ -104,12 +106,16 @@ class TestSteeredArrayFactor:
         # d / lam = 1 with 2 pi / lam overflowing on its own: k d = 2 pi all the same
         value = steered_array_factor(ArrayLayout(1, 2, 1.0, 1e-310), SteeringCommand(0.0), 0.5, 1e-310)
         assert value == pytest.approx(0.5 * (1.0 + cmath.exp(2j * math.pi * math.sin(0.5))), rel=1e-12)
+        # d / lam underflowing to 0 leaves every element phase at 0
+        assert steered_array_factor(ArrayLayout(1, 4, 5e-324, 5e-324), SteeringCommand(0.3), 0.1, 10.0) == 1
 
     def test_unit_magnitude_at_commanded_angle(self):
-        layout = ArrayLayout(1, 4, LAM, 0.5 * LAM)
-        for deg in (-45.0, -10.0, 0.0, 30.0, 45.0):
-            cmd = SteeringCommand(math.radians(deg))
-            assert abs(steered_array_factor(layout, cmd, cmd.steer_theta0, LAM)) == 1.0
+        # a 1e-3 wavelength pitch keeps the last phase 2 (n - 1) k d at 0.038, below 1
+        for pitch in (0.5, 1e-3):
+            layout = ArrayLayout(1, 4, LAM, pitch * LAM)
+            for deg in (-45.0, -10.0, 0.0, 30.0, 45.0):
+                cmd = SteeringCommand(math.radians(deg))
+                assert abs(steered_array_factor(layout, cmd, cmd.steer_theta0, LAM)) == 1.0
 
     def test_unsteered_matches_closed_form(self):
         # phasor sum against |sin(N psi) / (N sin psi)| on the same axis
@@ -145,13 +151,13 @@ class TestSteeredArrayFactor:
         assert along_x.tobytes() == along_y.tobytes()
 
     def test_requires_line_layout(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^layout must be a 1xN line along one axis$"):
             steered_array_factor(ArrayLayout(2, 2, LAM, LAM), SteeringCommand(0.0), 0.1, LAM)
 
     def test_command_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^SteeringCommand: \|steer_theta0\| must be < pi/2$"):
             SteeringCommand(0.5 * math.pi)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^SteeringCommand: \|steer_theta0\| must be < pi/2$"):
             SteeringCommand(-2.0)
 
 

@@ -54,7 +54,7 @@ class TestSlotPattern:
             assert slot_pattern(-t) == -slot_pattern(t)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^slot_pattern: theta must be finite$"):
             slot_pattern(math.nan)
 
 
@@ -86,7 +86,7 @@ class TestFrequencyContext:
 
 class TestSpecValidation:
     def test_monopole_spec(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^MonopoleSpec: current_model must be a CurrentModel$"):
             MonopoleSpec(current_model="sinusoidal")
 
 
@@ -170,9 +170,9 @@ class TestMonopolePattern:
         assert monopole_pattern(t, sin_spec, ctx324) != monopole_pattern(t, tri_spec, ctx324)
 
     def test_angle_domain(self, ctx324):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^monopole_pattern: theta must lie in \[0, pi/2\]$"):
             monopole_pattern(-0.01, MonopoleSpec(), ctx324)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^monopole_pattern: theta must lie in \[0, pi/2\]$"):
             monopole_pattern(0.5 * math.pi + 0.01, MonopoleSpec(), ctx324)
 
     def test_ground_disc_must_exceed_truncation_radius(self, ctx324):

@@ -62,11 +62,11 @@ class TestBesselJ1:
         assert all(abs(bessel_j1(float(x))) <= 0.6 for x in xs)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bessel_j1: argument must be finite$"):
             bessel_j1(math.nan)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bessel_j1: argument must be finite$"):
             bessel_j1(math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bessel_j1: argument must be finite$"):
             bessel_j1(np.array([1.0, math.nan]))
 
     def test_far_arguments_are_finite_and_warning_free(self):
@@ -211,13 +211,13 @@ class TestIntegrateComplex:
         assert type(lone) is complex
 
     def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^integrate_complex: requires a <= b$"):
             integrate_complex(lambda x: np.ones_like(x) + 0j, 1.0, 0.0)
 
     def test_non_finite_bounds_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^integrate_complex: bounds must be finite$"):
             integrate_complex(lambda x: np.ones_like(x) + 0j, 0.0, math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^integrate_complex: bounds must be finite$"):
             integrate_complex(lambda x: np.ones_like(x) + 0j, math.nan, 1.0)
 
     def test_deterministic(self):

@@ -55,9 +55,9 @@ def synth(weights, grid, ctx):
 
 class TestExcitationWeights:
     def test_rejects_negative_amplitudes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ExcitationWeights: amplitudes must be finite and >= 0$"):
             ExcitationWeights(-1.0, 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ExcitationWeights: amplitudes must be finite and >= 0$"):
             ExcitationWeights(1.0, -0.3)
 
     @pytest.mark.parametrize("s1, s2", [(math.nan, 1.0), (math.inf, 0.3), (1.0, math.inf)])
@@ -76,11 +76,11 @@ class TestExcitationWeights:
 
 class TestPatternCut:
     def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^PatternCut: theta_grid must be a non-empty 1-d array$"):
             PatternCut(np.array([]), np.array([]))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^PatternCut: values and theta_grid must have the same length$"):
             PatternCut(np.array([0.0, 0.1, 0.2]), np.array([1.0 + 0j, 0j]))
 
     def test_rejects_non_increasing_grid(self):
@@ -566,9 +566,9 @@ class TestRatioSweep:
     def test_validation(self, ctx324, default_geometry):
         with pytest.raises(ValueError, match=r"^ratio_sweep: ratios must be non-empty$"):
             ratio_sweep([], default_geometry, ctx324)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ratio_sweep: ratios must be finite and positive$"):
             ratio_sweep([0.5, 0.0], default_geometry, ctx324)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ratio_sweep: ratios must be finite and positive$"):
             ratio_sweep([-0.1], default_geometry, ctx324)
 
     @pytest.mark.parametrize("ratio", [math.inf, math.nan])
@@ -630,9 +630,9 @@ class TestBeamStability:
         assert result.frequencies_hz == (20.0e9, 45.0e9)
 
     def test_band_limits_enforced(self, default_geometry):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beam_stability: frequency outside the 20 to 45 GHz band$"):
             beam_stability([19.0e9], default_geometry, self.WEIGHTS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beam_stability: frequency outside the 20 to 45 GHz band$"):
             beam_stability([46.0e9], default_geometry, self.WEIGHTS)
         with pytest.raises(ValueError, match=r"^beam_stability: freqs must be non-empty$"):
             beam_stability([], default_geometry, self.WEIGHTS)
