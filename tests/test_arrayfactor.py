@@ -70,11 +70,17 @@ class TestArrayFactor:
         # d / lam underflowing to 0 leaves psi = 0, where the phasors align
         assert array_factor(ArrayLayout(2, 1, 5e-324, 1.0), 0.5, 0.0, 10.0) == 1.0
 
+    def test_rejects_bad_wavelength(self):
+        with pytest.raises(ValueError, match=r"^array_factor: lam must be > 0$"):
+            array_factor(ArrayLayout(), 0.0, 0.0, 0.0)
+
     def test_layout_validation(self):
         with pytest.raises(ValueError, match=r"^ArrayLayout: count_Nx must be an integer >= 1$"):
             ArrayLayout(count_Nx=0)
         with pytest.raises(ValueError, match=r"^ArrayLayout: count_Ny must be an integer >= 1$"):
             ArrayLayout(count_Ny=-2)
+        with pytest.raises(ValueError, match=r"^ArrayLayout: spacing_dx must be > 0$"):
+            ArrayLayout(count_Nx=2, spacing_dx=0.0)
         for count in (math.inf, math.nan, 2.5):
             with pytest.raises(ValueError, match="count_Nx must be an integer >= 1"):
                 ArrayLayout(count_Nx=count)
@@ -153,6 +159,11 @@ class TestSteeredArrayFactor:
     def test_requires_line_layout(self):
         with pytest.raises(ValueError, match=r"^layout must be a 1xN line along one axis$"):
             steered_array_factor(ArrayLayout(2, 2, LAM, LAM), SteeringCommand(0.0), 0.1, LAM)
+
+    def test_rejects_bad_wavelength(self):
+        layout = ArrayLayout(1, 4, LAM, 0.5 * LAM)
+        with pytest.raises(ValueError, match=r"^steered_array_factor: lam must be > 0$"):
+            steered_array_factor(layout, SteeringCommand(0.0), 0.1, -1.0)
 
     def test_command_domain(self):
         with pytest.raises(ValueError, match=r"^SteeringCommand: \|steer_theta0\| must be < pi/2$"):

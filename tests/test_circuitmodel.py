@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltbeam import (
+    LossBudget,
     MicrostripSpec,
     SUBSTRATE_PRESETS,
     SubstrateSpec,
@@ -50,6 +51,22 @@ class TestPresets:
 
     def test_feed_layer_is_the_fr4_preset_at_0_1_mm(self):
         assert MicrostripSpec().substrate == replace(SUBSTRATE_PRESETS["FR4"], thickness_h=0.1e-3)
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError, match=r"^SubstrateSpec: eps_r must be >= 1$"):
+            SubstrateSpec("x", 0.9, 0.0, 1e-3)
+        with pytest.raises(ValueError, match=r"^SubstrateSpec: tan_delta must be >= 0$"):
+            SubstrateSpec("x", 2.0, -0.1, 1e-3)
+        with pytest.raises(ValueError, match=r"^SubstrateSpec: thickness_h must be > 0$"):
+            SubstrateSpec("x", 2.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("eps_r, tan_delta, message", [
+        (math.nan, 0.01, "eps_r must be >= 1"),
+        (2.0, math.nan, "tan_delta must be >= 0"),
+    ])
+    def test_spec_rejects_nan(self, eps_r, tan_delta, message):
+        with pytest.raises(ValueError, match=f"^SubstrateSpec: {message}$"):
+            SubstrateSpec("x", eps_r, tan_delta, 1e-3)
 
 
 class TestEffectivePermittivity:
@@ -127,6 +144,20 @@ class TestHalfWaveResonance:
         for l, eps in ((1.98e-3, 4.4), (0.7e-3, 2.2), (5.0e-3, 3.55)):
             assert half_wave_resonance(2.0 * l, eps) == 0.5 * half_wave_resonance(l, eps)
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"^half_wave_resonance: length_l must be > 0$"):
+            half_wave_resonance(0.0, 4.4)
+        with pytest.raises(ValueError, match=r"^half_wave_resonance: eps must be >= 1$"):
+            half_wave_resonance(1e-3, 0.5)
+
+    @pytest.mark.parametrize("length, eps, message", [
+        (1e-3, math.nan, "eps must be >= 1"),
+        (math.nan, 4.4, "length_l must be > 0"),
+    ])
+    def test_rejects_nan(self, length, eps, message):
+        with pytest.raises(ValueError, match=f"^half_wave_resonance: {message}$"):
+            half_wave_resonance(length, eps)
+
 
 class TestSkinDepthAndRoughness:
     def test_copper_at_40ghz(self):
@@ -156,6 +187,24 @@ class TestSkinDepthAndRoughness:
         with pytest.raises(ValueError, match="^skin_depth: pi_f_mu0_conductivity must be > 0$"):
             skin_depth(5e-315, 9.26e-5)
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"^skin_depth: f must be > 0$"):
+            skin_depth(0.0, 5.8e7)
+        with pytest.raises(ValueError, match=r"^skin_depth: conductivity must be > 0$"):
+            skin_depth(1e9, -1.0)
+        with pytest.raises(ValueError, match=r"^roughness_factor: roughness_rq must be >= 0$"):
+            roughness_factor(-1e-6, 1e-7)
+        with pytest.raises(ValueError, match=r"^roughness_factor: depth must be > 0$"):
+            roughness_factor(1e-6, 0.0)
+
+    @pytest.mark.parametrize("rq, depth, message", [
+        (math.nan, 1e-6, "roughness_rq must be >= 0"),
+        (1e-6, math.nan, "depth must be > 0"),
+    ])
+    def test_roughness_rejects_nan(self, rq, depth, message):
+        with pytest.raises(ValueError, match=f"^roughness_factor: {message}$"):
+            roughness_factor(rq, depth)
+
 
 class TestDielectricAttenuation:
     def test_lossless_material(self):
@@ -184,6 +233,21 @@ class TestDielectricAttenuation:
         a_ro = dielectric_attenuation(thin_layer("RO4003"), eps, 30e9)
         assert a_fr4 > a_ro
 
+    def test_validation(self):
+        sub = SUBSTRATE_PRESETS["FR4"]
+        with pytest.raises(ValueError, match=r"^dielectric_attenuation: f must be > 0$"):
+            dielectric_attenuation(sub, 3.4, 0.0)
+        with pytest.raises(ValueError, match=r"^dielectric_attenuation: eps_eff must be >= 1$"):
+            dielectric_attenuation(sub, 0.9, 30e9)
+
+    @pytest.mark.parametrize("eps_eff, f, message", [
+        (math.nan, 30e9, "eps_eff must be >= 1"),
+        (3.4, math.nan, "f must be > 0"),
+    ])
+    def test_rejects_nan(self, eps_eff, f, message):
+        with pytest.raises(ValueError, match=f"^dielectric_attenuation: {message}$"):
+            dielectric_attenuation(SUBSTRATE_PRESETS["FR4"], eps_eff, f)
+
 
 class TestConductorAttenuation:
     def test_feed_line_value(self):
@@ -204,6 +268,10 @@ class TestConductorAttenuation:
         smooth = conductor_attenuation(MicrostripSpec(), 40e9)
         rough = conductor_attenuation(MicrostripSpec(roughness_rq=1.0e-6), 40e9)
         assert 1.0 < rough / smooth < 2.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"^conductor_attenuation: f must be > 0$"):
+            conductor_attenuation(MicrostripSpec(), -1.0)
 
     def test_refuses_an_impedance_width_product_that_underflows(self):
         # w/h is 1, but z0 ~ 1.6e-148 ohm times w = 1e-303 m rounds to 0.0, which once divided by zero
@@ -237,6 +305,13 @@ class TestPlaneWaveAttenuation:
         sub = SubstrateSpec("x", 2.2, 0.0, 1e-3)
         assert plane_wave_attenuation(sub, 50e9, 1e-2) == 0.0
 
+    def test_validation(self):
+        sub = SUBSTRATE_PRESETS["FR4"]
+        with pytest.raises(ValueError, match=r"^plane_wave_attenuation: f must be > 0$"):
+            plane_wave_attenuation(sub, 0.0, 1e-3)
+        with pytest.raises(ValueError, match=r"^plane_wave_attenuation: path_length must be > 0$"):
+            plane_wave_attenuation(sub, 50e9, 0.0)
+
 
 class TestLossBudget:
     def test_feed_line_at_30ghz(self):
@@ -267,6 +342,38 @@ class TestLossBudget:
     def test_short_line_loses_almost_nothing(self):
         b = loss_budget(MicrostripSpec(length_l=1e-6), 30e9)
         assert b.total < 1e-3
+
+    def test_budget_validation(self):
+        with pytest.raises(ValueError, match=r"^LossBudget: alpha_c must be >= 0$"):
+            LossBudget(-0.1, 0.0)
+        with pytest.raises(ValueError, match=r"^LossBudget: alpha_d must be >= 0$"):
+            LossBudget(0.0, -0.1)
+        with pytest.raises(ValueError, match=r"^loss_budget: f must be > 0$"):
+            loss_budget(MicrostripSpec(), 0.0)
+
+    @pytest.mark.parametrize("alpha_c, alpha_d, message", [
+        (math.nan, 0.0, "alpha_c must be >= 0"),
+        (0.0, math.nan, "alpha_d must be >= 0"),
+    ])
+    def test_budget_rejects_nan(self, alpha_c, alpha_d, message):
+        with pytest.raises(ValueError, match=f"^LossBudget: {message}$"):
+            LossBudget(alpha_c, alpha_d)
+
+    def test_strip_validation(self):
+        with pytest.raises(ValueError, match=r"^MicrostripSpec: width_w must be > 0$"):
+            MicrostripSpec(width_w=0.0)
+        with pytest.raises(ValueError, match=r"^MicrostripSpec: length_l must be > 0$"):
+            MicrostripSpec(length_l=-1.0)
+        with pytest.raises(ValueError, match=r"^MicrostripSpec: copper_conductivity must be > 0$"):
+            MicrostripSpec(copper_conductivity=0.0)
+        with pytest.raises(ValueError, match=r"^MicrostripSpec: roughness_rq must be >= 0$"):
+            MicrostripSpec(roughness_rq=-1e-6)
+
+    @pytest.mark.parametrize("field", ["width_w", "length_l", "copper_conductivity", "roughness_rq"])
+    def test_strip_rejects_nan(self, field):
+        bound = ">= 0" if field == "roughness_rq" else "> 0"
+        with pytest.raises(ValueError, match=f"^MicrostripSpec: {field} must be {bound}$"):
+            MicrostripSpec(**{field: math.nan})
 
     def test_substrate_replacement_flows_through(self):
         base = loss_budget(MicrostripSpec(), 30e9)

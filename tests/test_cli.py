@@ -372,6 +372,11 @@ class TestExitCodes:
             artifacts.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
         assert artifacts[0] == artifacts[1]
 
+    def test_bad_step_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 0}})
+        assert run(["pattern", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: theta_grid.step_deg: must be > 0\n"
+
     @pytest.mark.parametrize("args", [["ratio-sweep"], ["stability"], ["pattern", "--svg"],
                                       ["scan"], ["scan", "--svg"]])
     def test_coarse_grid_fails_before_field_evaluation(self, tmp_path, capsys, monkeypatch, args):
@@ -450,6 +455,23 @@ class TestExitCodes:
         _, written = read_csv(tmp_path / "out" / artifact)
         assert [row[:len(rows[0])] for row in written] == rows
 
+    def test_frequency_whose_wavelength_overflows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}})
+        assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f\n"
+        )
+
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1e-12}})
+        assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: theta_grid: grid must have at most 100000 points\n"
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"geometry": {"slot": {"len_mm": 4.8}}})
+        assert run(["pattern", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: unknown key: geometry.slot.len_mm\n"
+
     def test_locked_output_directory(self, tmp_path, default_config, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -512,6 +534,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot prepare output directory {quoted}: ") and err.count("\n") == 1
 
+    def test_convergence_failure_maps_to_three(self, tmp_path, default_config, capsys, monkeypatch):
+        def exploding_builder(cfg, svg):
+            raise ConvergenceError("integrate_complex", 0.1 + 0.2j, 3.0e-4)
+
+        monkeypatch.setitem(cli._BUILDERS, "pattern", exploding_builder)
+        out = tmp_path / "out"
+        assert run(["pattern", "--config", default_config, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "integrate_complex" in err
+        assert not (out / "pattern.csv").exists()
+        assert not (out / ".tiltbeam.lock").exists()
+
     @pytest.mark.parametrize("command, data, status, message", [
         ("pattern", {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}}, 2,
          "FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f"),
@@ -540,6 +574,16 @@ class TestExitCodes:
         assert err.startswith("error: ground term (ka = 203.575) at theta = ")
         assert "subdivision budget exhausted; best estimate " in err
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_failed_run_writes_nothing(self, tmp_path, default_config, monkeypatch):
+        def exploding_builder(cfg, svg):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli._BUILDERS, "loss", exploding_builder)
+        out = tmp_path / "out"
+        assert run(["loss", "--config", default_config, "--out", out]) == 2
+        assert list(out.glob("*.csv")) == []
+        assert not (out / ".tiltbeam.lock").exists()
 
     def test_unwritable_artifact_exits_two_and_leaves_no_temp_file(self, tmp_path, default_config, capsys):
         out = tmp_path / "out"

@@ -90,6 +90,66 @@ class TestDefaults:
         assert np.isin(np.abs(grid()), radiators._NORM_GRID_RAD).all()
 
 
+class TestStrictness:
+    def test_unknown_top_level_key(self):
+        with pytest.raises(ConfigError, match="unknown key: bogus"):
+            parse_config({"bogus": {}})
+
+    def test_unknown_nested_key_names_full_path(self):
+        with pytest.raises(ConfigError, match="unknown key: geometry.slot.bogus"):
+            parse_config({"geometry": {"slot": {"length_mm": 4.8, "bogus": 1}}})
+
+    def test_zero_frequency_step(self):
+        with pytest.raises(ConfigError, match="^frequency_grid.step_ghz: must be > 0$"):
+            parse_config({"frequency_grid": {"start_ghz": 26.0, "stop_ghz": 41.0, "step_ghz": 0}})
+
+    def test_zero_theta_step(self):
+        with pytest.raises(ConfigError, match="^theta_grid.step_deg: must be > 0$"):
+            parse_config({"theta_grid": {"step_deg": 0}})
+
+    def test_booleans_are_not_numbers(self):
+        with pytest.raises(ConfigError, match="must be a number"):
+            parse_config({"geometry": {"slot": {"length_mm": True}}})
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            parse_config({"geometry": {"array": {"count_ny": 2.5}}})
+
+    def test_theta_bounds(self):
+        with pytest.raises(ConfigError, match=r"\[-90, 90\]"):
+            parse_config({"theta_grid": {"start_deg": -100.0}})
+
+    def test_stop_before_start(self):
+        with pytest.raises(ConfigError, match="^frequency_grid.stop_ghz: must be >= start_ghz$"):
+            parse_config({"frequency_grid": {"start_ghz": 40.0, "stop_ghz": 30.0}})
+
+    def test_unknown_substrate_reference(self):
+        with pytest.raises(ConfigError, match="unknown substrate 'NOPE'"):
+            parse_config({"geometry": {"strip": {"substrate": "NOPE"}}})
+
+    def test_bad_current_model(self):
+        with pytest.raises(ConfigError, match="current_model"):
+            parse_config({"geometry": {"monopole": {"current_model": "square"}}})
+
+    def test_weights_cannot_both_vanish(self):
+        with pytest.raises(ConfigError, match="^ExcitationWeights: s1 and s2 must not both be zero$"):
+            parse_config({"weights": {"s1": 0, "s2": 0}})
+
+    def test_ratios_must_be_positive_numbers(self):
+        with pytest.raises(ConfigError, match=r"ratios\[1\]"):
+            parse_config({"weights": {"ratios": [0.5, 0.0]}})
+        with pytest.raises(ConfigError, match="non-empty"):
+            parse_config({"weights": {"ratios": []}})
+
+    def test_substrate_entries_require_all_fields(self):
+        with pytest.raises(ConfigError, match="thickness_mm: required"):
+            parse_config({"substrates": {"X": {"eps_r": 3.0, "tan_delta": 0.001}}})
+
+    def test_non_object_section(self):
+        with pytest.raises(ConfigError, match="must be an object"):
+            parse_config({"geometry": 7})
+
+
 class TestOverridesAndGrids:
     def test_substrate_override_flows_into_strip(self):
         cfg = parse_config({

@@ -24,6 +24,7 @@ from tiltbeam import (
     CurrentModel,
     FrequencyContext,
     MonopoleSpec,
+    SlotSpec,
     monopole_pattern,
     slot_pattern,
 )
@@ -64,6 +65,10 @@ class TestFrequencyContext:
         assert ctx.wavenumber_k * ctx.wavelength_lambda0 == pytest.approx(2.0 * math.pi, rel=1e-14)
         assert ctx.wavelength_lambda0 == pytest.approx(3.0e8 / 32.4e9, rel=1e-15)
 
+    def test_rejects_non_positive_frequency(self):
+        with pytest.raises(ValueError, match=r"^FrequencyContext: frequency_f must be > 0$"):
+            FrequencyContext.from_frequency(0.0)
+
     @pytest.mark.parametrize("f, message", [
         (-1.0, "frequency_f must be > 0"),
         (1e-311, "frequency_f must be finite and > 0, with a finite wavelength c / f"),
@@ -85,7 +90,17 @@ class TestFrequencyContext:
 
 
 class TestSpecValidation:
+    def test_slot_spec(self):
+        with pytest.raises(ValueError, match=r"^SlotSpec: length_L must be > 0$"):
+            SlotSpec(length_L=0.0)
+        with pytest.raises(ValueError, match=r"^SlotSpec: amplitude_E0 must be > 0$"):
+            SlotSpec(amplitude_E0=-1.0)
+
     def test_monopole_spec(self):
+        with pytest.raises(ValueError, match=r"^MonopoleSpec: height_H must be > 0$"):
+            MonopoleSpec(height_H=0.0)
+        with pytest.raises(ValueError, match=r"^MonopoleSpec: ground_radius_a must be > 0$"):
+            MonopoleSpec(ground_radius_a=-1.0)
         with pytest.raises(ValueError, match=r"^MonopoleSpec: current_model must be a CurrentModel$"):
             MonopoleSpec(current_model="sinusoidal")
 

@@ -310,6 +310,9 @@ class TestIntegrateComplex:
             assert abs(np.sum(_GK_WEIGHTS[rule] * _GK_NODES ** k) - exact) < 1e-15, k
         assert abs(np.sum(_GK_WEIGHTS[rule] * _GK_NODES ** (degree + 1)) - 2.0 / (degree + 2)) > 1e-12
 
+    def test_quadrature_spec_validation(self):
+        assert specfun._MAX_PANELS >= 1000
+
 
 class TestAgainstRiemannSums:
     """Brute-force midpoint sums over the two radiation kernels.
