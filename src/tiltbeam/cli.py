@@ -60,7 +60,7 @@ def _csv(header, rows) -> str:
 
 
 def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
-    ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
+    ctx = FrequencyContext(cfg.frequencies_hz()[0])
     grid_deg = cfg.theta_grid_deg()
     theta = metrics_grid(cfg.theta_grid_rad()) if svg else cfg.theta_grid_rad()
     cut = synthesize_pattern(
@@ -75,7 +75,7 @@ def _build_pattern(cfg: RunConfig, svg: bool) -> dict:
 
 
 def _build_ratio_sweep(cfg: RunConfig, svg: bool) -> dict:
-    ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
+    ctx = FrequencyContext(cfg.frequencies_hz()[0])
     result = ratio_sweep(cfg.weights.ratios, cfg.geometry(), ctx, cfg.theta_grid_rad())
     rows = [("row", ratio, m.tilt_deg, m.sll_dB) for ratio, m in zip(result.ratios, result.rows)]
     rows.append(("best", *rows[result.ratios.index(result.best_ratio)][1:]))
@@ -103,7 +103,7 @@ def _scan_label(commanded_deg: float) -> str:
 
 
 def _build_scan(cfg: RunConfig, svg: bool) -> dict:
-    ctx = FrequencyContext.from_frequency(cfg.frequencies_hz()[0])
+    ctx = FrequencyContext(cfg.frequencies_hz()[0])
     study = default_scan_study(cfg.geometry(), ctx, theta_grid=cfg.theta_grid_rad())
     rows = [
         (r.commanded_deg, r.achieved_deg, r.pointing_error_deg, r.scan_loss_dB, r.sll_dB)

@@ -35,13 +35,14 @@ GROUND_INNER_RADIUS_WAVELENGTHS = 0.05
 # quarter-wave post over a two-wavelength disc, each integrated to a tenth of
 # the default tolerances (the tests re-derive it). It is negative: the return
 # current flows inward, and that phase keeps the reference peak off broadside.
-_CAL_KH = 0.5 * math.pi
-_CAL_KA = 4.0 * math.pi
 _GROUND_CURRENT_J0 = -0.180681294388854
 
 # Fixed angular grid that locates the normalization peak; its field is cached.
 NORMALIZATION_STEP_DEG = 0.25
 _NORM_GRID_RAD = np.radians(np.arange(0.0, 90.0 + 0.5 * NORMALIZATION_STEP_DEG, NORMALIZATION_STEP_DEG))
+
+# Largest |theta| a cut or the post's pattern accepts: pi/2 rad, plus a slack for a grid rounded past it.
+HALF_SPACE_EDGE = 0.5 * math.pi + 1e-9
 
 
 class CurrentModel(enum.Enum):
@@ -178,19 +179,19 @@ def _peak_reference(kh: float, ka: float, model: CurrentModel) -> tuple[complex,
 def monopole_pattern(theta: float | np.ndarray, mono: MonopoleSpec, ctx: FrequencyContext) -> complex | np.ndarray:
     """Normalized far-field value of the grounded post at polar angle theta.
 
-    Valid for theta in [0, pi/2]; a ground plane is assumed, so only the
-    upper half-space exists. The two field terms are summed and divided by
-    the complex field value at the peak of the 0.25 degree normalization
-    grid: the grid peak is exactly 1 + 0j and every other sample keeps its
-    phase relative to the peak. The ground radius must exceed the inner
-    truncation radius of 0.05 wavelengths at the context frequency.
+    Valid for theta in [0, HALF_SPACE_EDGE]; a ground plane is assumed, so
+    only the upper half-space exists. The two field terms are summed and
+    divided by the complex field value at the peak of the 0.25 degree
+    normalization grid: the grid peak is exactly 1 + 0j and every other
+    sample keeps its phase relative to the peak. The ground radius must
+    exceed the inner truncation radius of 0.05 wavelengths at the context frequency.
 
     A scalar theta gives a complex; an array gives a read-only complex array
     of its shape, each value equal to the scalar call's. Angles on the grid
     are read from a per-geometry cache, and the others integrated once each.
     """
     theta = np.asarray(theta, dtype=float)
-    if not np.all((theta >= 0.0) & (theta <= 0.5 * math.pi + 1e-12)):
+    if not np.all((theta >= 0.0) & (theta <= HALF_SPACE_EDGE)):
         raise ValueError("monopole_pattern: theta must lie in [0, pi/2]")
     geometry = (ctx.wavenumber_k * mono.height_H, ctx.wavenumber_k * mono.ground_radius_a, mono.current_model)
     ref, grid_values = _peak_reference(*geometry)

@@ -16,11 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrayfactor import ArrayLayout, array_factor
-from .radiators import NORMALIZATION_STEP_DEG, FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
+from .radiators import HALF_SPACE_EDGE, NORMALIZATION_STEP_DEG, FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
 
 BAND_CENTER_HZ = 32.4e9
 BAND_MIN_HZ = 20.0e9
 BAND_MAX_HZ = 45.0e9
+
+# Most points a theta or frequency grid may expand to.
+MAX_GRID_POINTS = 100_000
 
 # Field-amplitude level of the -3 dB beamwidth crossings.
 _HALF_POWER_LEVEL = 10.0 ** (-3.0 / 20.0)
@@ -75,7 +78,7 @@ class PatternCut:
             raise ValueError("PatternCut: values and theta_grid must have the same length")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValueError("PatternCut: theta_grid must be strictly increasing")
-        if grid[0] < -0.5 * math.pi - 1e-9 or grid[-1] > 0.5 * math.pi + 1e-9:
+        if grid[0] < -HALF_SPACE_EDGE or grid[-1] > HALF_SPACE_EDGE:
             raise ValueError("PatternCut: theta_grid must lie within [-pi/2, pi/2]")
         object.__setattr__(self, "magnitudes", np.abs(self.values))
         self.magnitudes.flags.writeable = False
@@ -128,11 +131,15 @@ class StabilityResult:
 def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... through stop; a last point rounded past stop is stop.
 
-    The bound lies past stop even when 1e-9 * step is below stop's float
-    spacing, so for a step of at least that spacing the grid holds start.
-    The bound is capped at the largest float, so a stop just below it
-    still gives a grid.
+    A grid of more than MAX_GRID_POINTS points, then a step below the float
+    spacing at stop, is refused before any point exists. The bound lies past
+    stop even when 1e-9 * step is below that spacing, so the grid holds
+    start; capped at the largest float, it gives a grid for any finite stop.
     """
+    if (stop - start) / step + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
+        raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points")
+    if step < math.nextafter(abs(stop), math.inf) - abs(stop):  # the spacing above the largest float is inf
+        raise ValueError("step must be at least the float spacing at stop")
     bound = min(max(stop + 1e-9 * step, np.nextafter(stop, math.inf)), sys.float_info.max)
     return np.minimum(np.arange(start, bound, step), stop)
 
@@ -322,7 +329,7 @@ def beam_stability(
     # Each distinct frequency, the band center included, is evaluated once.
     metrics = {
         f: pattern_metrics(synthesize_pattern(weights, grid, geometry.slot, geometry.monopole, geometry.layout,
-                                              FrequencyContext.from_frequency(f)))
+                                              FrequencyContext(f)))
         for f in dict.fromkeys(freqs + (BAND_CENTER_HZ,))
     }
     return StabilityResult(freqs, tuple([metrics[f] for f in freqs]), metrics[BAND_CENTER_HZ].tilt_deg)

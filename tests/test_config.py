@@ -15,15 +15,8 @@ from hypothesis import strategies as st
 
 from tiltbeam import radiators
 from tiltbeam.circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec
-from tiltbeam.config import (
-    MAX_GRID_POINTS,
-    ConfigError,
-    RunConfig,
-    load_config,
-    parse_config,
-    serialize_config,
-)
-from tiltbeam.synthesis import BAND_CENTER_HZ, AntennaGeometry, default_theta_grid
+from tiltbeam.config import ConfigError, RunConfig, load_config, parse_config, serialize_config
+from tiltbeam.synthesis import BAND_CENTER_HZ, MAX_GRID_POINTS, AntennaGeometry, default_theta_grid
 
 
 class TestDefaults:
@@ -166,7 +159,7 @@ class TestOverridesAndGrids:
         cfg = parse_config({
             "substrates": {"FR4": {"eps_r": 4.6, "tan_delta": 0.021, "thickness_mm": 1.0}},
         })
-        assert cfg.substrate_table()["FR4"].eps_r == 4.6
+        assert cfg.strip_spec().substrate.eps_r == 4.6
 
     def test_frequency_sweep_expansion(self):
         cfg = parse_config({"frequency_grid": {"start_ghz": 26.0, "stop_ghz": 41.0, "step_ghz": 5.0}})

@@ -185,6 +185,26 @@ def _text(node) -> str:
     return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
 
 
+def _number(node):
+    # the value of a signed int or float literal, else None
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+
+
+def _right_angle(node) -> bool:
+    # pi/2 written as 0.5 * pi, pi * 0.5 or pi / 2, of either sign
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if not isinstance(node, ast.BinOp):
+        return False
+    left, right = (_name(side) if _number(side) is None else abs(_number(side)) for side in (node.left, node.right))
+    return (isinstance(node.op, ast.Mult) and {left, right} == {"pi", 0.5}
+            or isinstance(node.op, ast.Div) and (left, right) == ("pi", 2))
+
+
 # A hand-written copy of specfun.require's rule ends in ": <name> must be <bound>",
 # or goes on past the bound with a condition: "... when count_Nx > 1".
 HAND_WRITTEN_BOUND = re.compile(r": (\w+|\{\}) must be (> 0|>= 0|>= 1)( when .*)?$")
@@ -224,6 +244,17 @@ RULES = {
         lambda node, ctx: _name(node) == "astuple"
         or _name(node) == "fields" and not isinstance(node, ast.alias) and id(node) not in ctx.cached,
         set(), "a dataclass's fields are computed once, by a module-level cache(fields); astuple walks them per call"),
+    "grid-limits": Rule(  # the constant's module-level line binds it, which is no use of it
+        lambda node, ctx: _name(node) in ("MAX_GRID_POINTS", "nextafter")
+        and not (isinstance(getattr(node, "ctx", None), ast.Store) and ctx.owner == "<module>"),
+        {"synthesis.stepped_grid"}, "stepped_grid alone caps a grid's points and checks its step against the float "
+        "spacing at stop; the config prefixes its message with the section"),
+    "half-space-edge": Rule(
+        lambda node, ctx: isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and any(_right_angle(angle) and _number(slack) is not None
+                for angle, slack in ((node.left, node.right), (node.right, node.left))),
+        {"radiators.<module>"}, "radiators.HALF_SPACE_EDGE is the one edge of the upper half-space, pi/2 rad plus "
+        "its slack; monopole_pattern and PatternCut read it"),
 }
 
 
@@ -305,6 +336,29 @@ SNIPPETS = [
         "def names(cls):\n    return [f.name for f in fields(cls)]\n"
         "def values(g):\n    return dataclasses.astuple(g), cache(fields)(g)\n"
     ), [("<module>", 1), ("names", 5), ("values", 7), ("values", 7)]),
+    ("grid-limits", "synthesis", (
+        "MAX_GRID_POINTS = 100_000\n"
+        "def stepped_grid(start, stop, step):\n"
+        "    if (stop - start) / step + 1 > MAX_GRID_POINTS:\n"
+        "        raise ValueError(f'grid must have at most {MAX_GRID_POINTS} points')\n"
+        "    return np.nextafter(stop, math.inf)\n"
+        "def parse_config(grids):\n    for start, stop, step in grids:\n"
+        "        if step < math.nextafter(abs(stop), math.inf) - abs(stop):\n"
+        "            raise ConfigError(f'at most {MAX_GRID_POINTS} points')\n"
+        "from math import nextafter\n"
+        "class Grid:\n    def stepped_grid(self):\n        MAX_GRID_POINTS = 5\n"
+        "SPACING = np.spacing(1.0)\n"
+    ), [("parse_config", 8), ("parse_config", 9), ("<module>", 10), ("Grid.stepped_grid", 13)]),
+    ("half-space-edge", "radiators", (
+        "HALF_SPACE_EDGE = 0.5 * math.pi + 1e-9\n"
+        "def monopole_pattern(theta):\n    return theta <= 0.5 * math.pi + 1e-12\n"
+        "class PatternCut:\n    def check(self, g):\n"
+        "        return g[0] < -0.5 * math.pi - 1e-9 or g[-1] > np.pi / 2 + 1e-9\n"
+        "def fine(theta, slack):\n"
+        "    return 0.5 * math.pi - theta, math.pi / 2 + slack, 2 * math.pi + 1e-9, theta + HALF_SPACE_EDGE\n"
+        "def flipped():\n    return 1e-9 + math.pi * 0.5, -(math.pi / 2.0) - 1e-12\n"
+    ), [("monopole_pattern", 3), ("PatternCut.check", 6), ("PatternCut.check", 6), ("flipped", 10), ("flipped", 10)]),
+    ("half-space-edge", "synthesis", "EDGE = 0.5 * math.pi + 1e-9\n", [("<module>", 1)]),
 ]
 
 

@@ -138,8 +138,8 @@ class TestMonopolePattern:
         monkeypatch.setattr(specfun, "_REL_TOL", 1e-10)
         monkeypatch.setattr(specfun, "_MAX_PANELS", 8000)
         grid = radiators._NORM_GRID_RAD
-        post = np.abs(radiators._post_term(grid, radiators._CAL_KH, CurrentModel.SINUSOIDAL)).max()
-        ground = np.abs(radiators._ground_term(grid, radiators._CAL_KA)).max()
+        post = np.abs(radiators._post_term(grid, 0.5 * math.pi, CurrentModel.SINUSOIDAL)).max()
+        ground = np.abs(radiators._ground_term(grid, 4.0 * math.pi)).max()
         assert radiators._GROUND_CURRENT_J0 == pytest.approx(-post / ground, rel=1e-12)
         assert radiators._GROUND_CURRENT_J0 == pytest.approx(gl_oracle.j0, rel=1e-9)
 

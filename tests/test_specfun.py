@@ -310,7 +310,7 @@ class TestIntegrateComplex:
             assert abs(np.sum(_GK_WEIGHTS[rule] * _GK_NODES ** k) - exact) < 1e-15, k
         assert abs(np.sum(_GK_WEIGHTS[rule] * _GK_NODES ** (degree + 1)) - 2.0 / (degree + 2)) > 1e-12
 
-    def test_quadrature_spec_validation(self):
+    def test_panel_budget_is_at_least_1000(self):
         assert specfun._MAX_PANELS >= 1000
 
 

@@ -131,6 +131,39 @@ class TestDefaultGrid:
         # stop + 1e-9 * step overflows; the bound is then the largest float
         assert stepped_grid(1.79e308, 1.7976931348623e308, 1e308).tolist() == [1.79e308]
 
+    @pytest.mark.parametrize("start, stop, step, message", [
+        (0.0, 1.0, 1e-20, "grid must have at most 100000 points"),
+        (32.4, 32.4, 1e-15, "step must be at least the float spacing at stop"),
+        # fails both; the count reports first
+        (1e-300, 1e300, 1e-300, "grid must have at most 100000 points"),
+    ], ids=["too-many-points", "below-the-float-spacing", "both"])
+    def test_refuses_a_grid_before_making_it(self, start, stop, step, message):
+        with pytest.raises(ValueError) as exc:
+            stepped_grid(start, stop, step)
+        assert str(exc.value) == message
+
+
+class TestHalfSpaceEdge:
+    """A cut and the post's pattern share one edge, pi/2 + 1e-9 rad."""
+
+    def test_cut_and_post_share_the_edge(self, ctx324):
+        inside, outside = 0.5 * math.pi + 5e-10, 0.5 * math.pi + 2e-9
+        assert isinstance(monopole_pattern(inside, MonopoleSpec(), ctx324), complex)
+        assert PatternCut(np.array([-inside, inside]), np.ones(2, complex)).theta_grid[-1] == inside
+        with pytest.raises(ValueError) as exc:
+            monopole_pattern(outside, MonopoleSpec(), ctx324)
+        assert str(exc.value) == "monopole_pattern: theta must lie in [0, pi/2]"
+        for grid in ([0.0, outside], [-outside, 0.0]):
+            with pytest.raises(ValueError) as exc:
+                PatternCut(np.array(grid), np.ones(2, complex))
+            assert str(exc.value) == "PatternCut: theta_grid must lie within [-pi/2, pi/2]"
+
+    @pytest.mark.parametrize("s2", [0.0, 0.3])
+    def test_synthesis_accepts_the_grids_a_cut_accepts(self, ctx324, s2):
+        grid = np.array([0.0, 0.5 * math.pi + 5e-10])
+        cut = synth(ExcitationWeights(1.0, s2), grid, ctx324)
+        assert cut.theta_grid.tolist() == grid.tolist()
+
 
 class TestDegenerateWeights:
     """With one weight zero the synthesis must collapse to the bare source."""
@@ -428,10 +461,10 @@ def reference_metrics(cut):
     right = i_peak
     while right < n - 1 and mags[right + 1] <= mags[right]:
         right += 1
-    padded = np.concatenate(([-math.inf], mags, [-math.inf]))
-    lobes = (mags >= padded[:-2]) & (mags >= padded[2:])
-    lobes[left:right + 1] = False
-    second = float(mags[lobes].max()) if lobes.any() else 0.0
+    second = 0.0  # the strongest sample outside the main lobe that no neighbour exceeds
+    for j in [*range(left), *range(right + 1, n)]:
+        if (j == 0 or mags[j - 1] <= mags[j]) and (j == n - 1 or mags[j + 1] <= mags[j]):
+            second = max(second, float(mags[j]))
     sll = -math.inf if second / peak == 0.0 else 20.0 * math.log10(second / peak)
     level = HALF_POWER * peak
     lo_cross = _crossing(grid_deg, mags, i_peak, level, -1)
