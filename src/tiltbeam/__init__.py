@@ -32,6 +32,7 @@ from .radiators import (
     FrequencyContext,
     MonopoleSpec,
     SlotSpec,
+    default_theta_grid,
     monopole_pattern,
     slot_pattern,
 )
@@ -47,7 +48,6 @@ from .synthesis import (
     RatioSweepResult,
     StabilityResult,
     beam_stability,
-    default_theta_grid,
     pattern_metrics,
     ratio_sweep,
     synthesize_pattern,

@@ -21,9 +21,10 @@ class ArrayLayout:
     spacing_dy: float = 1.2e-3  # m
 
     def __post_init__(self):
+        require("ArrayLayout", count_Nx=(self.count_Nx, ">= 1"), count_Ny=(self.count_Ny, ">= 1"))
         for name, count in (("count_Nx", self.count_Nx), ("count_Ny", self.count_Ny)):
-            if not (count >= 1 and count % 1 == 0):
-                raise ValueError(f"ArrayLayout: {name} must be an integer >= 1")
+            if count % 1:
+                raise ValueError(f"ArrayLayout: {name} must be an integer")
         # only an axis with more than one element has a spacing to check
         axes = (("spacing_dx", self.count_Nx, self.spacing_dx), ("spacing_dy", self.count_Ny, self.spacing_dy))
         require("ArrayLayout", **{name: (d, "> 0") for name, count, d in axes if count > 1})

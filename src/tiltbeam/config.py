@@ -21,8 +21,8 @@ import numpy as np
 from .arrayfactor import ArrayLayout
 from .circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec, SubstrateSpec
 from .radiators import NORMALIZATION_STEP_DEG, CurrentModel, MonopoleSpec, SlotSpec
-from .specfun import _BOUNDS
-from .synthesis import BAND_CENTER_HZ, AntennaGeometry, ExcitationWeights, stepped_grid
+from .specfun import _BOUNDS, stepped_grid
+from .synthesis import BAND_CENTER_HZ, AntennaGeometry, ExcitationWeights
 
 
 class ConfigError(ValueError):
@@ -166,17 +166,22 @@ class RunConfig:
         return ExcitationWeights(self.weights.s1, self.weights.s2)
 
     def frequencies_hz(self) -> list:
-        return [float(v) * 1e9 for v in stepped_grid(*_grid_values(self.frequency_grid))]
+        g = self.frequency_grid
+        return [float(v) * 1e9 for v in _stepped("frequency_grid", g.start_ghz, g.stop_ghz, g.step_ghz)]
 
     def theta_grid_deg(self) -> np.ndarray:
-        return stepped_grid(*_grid_values(self.theta_grid))
+        g = self.theta_grid
+        return _stepped("theta_grid", g.start_deg, g.stop_deg, g.step_deg)
 
     def theta_grid_rad(self) -> np.ndarray:
         return np.radians(self.theta_grid_deg())
 
 
-def _grid_values(grid) -> list:
-    return [getattr(grid, f.name) for f in _fields(type(grid))]
+def _stepped(path: str, start: float, stop: float, step: float) -> np.ndarray:
+    try:  # the builder's refusal gains the section path, as every config message has one
+        return stepped_grid(start, stop, step)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _object(value, path: str, known=None) -> dict:
@@ -242,12 +247,9 @@ def parse_config(data: dict) -> RunConfig:
     out_dir = _scalar("str", None, top.get("output_dir", "out"), "output_dir")
     if not out_dir:
         raise ConfigError("output_dir: must be a non-empty string")
-    for path, grid in (("frequency_grid", freq), ("theta_grid", theta)):
-        try:  # each grid must build; stepped_grid refuses one too long or too finely stepped
-            stepped_grid(*_grid_values(grid))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
     cfg = replace(cfg, frequency_grid=freq, output_dir=out_dir)
+    cfg.frequencies_hz()  # each grid must build, and its reader names the section in a refusal
+    cfg.theta_grid_deg()
     try:  # each model object must build, so a length must stay > 0 in metres (1e-322 mm is 0.0 m)
         cfg.geometry()
         cfg.strip_spec()

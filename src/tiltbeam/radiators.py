@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import WORK, ConvergenceError, _scalar_or_array, bessel_j1, integrate_complex, require
+from .specfun import WORK, ConvergenceError, _scalar_or_array, bessel_j1, integrate_complex, require, stepped_grid
 
 # Engineering value used across the model, chosen over the exact SI constant
 # so closed-form frequency predictions land on their conventional values.
@@ -39,7 +39,7 @@ _GROUND_CURRENT_J0 = -0.180681294388854
 
 # Fixed angular grid that locates the normalization peak; its field is cached.
 NORMALIZATION_STEP_DEG = 0.25
-_NORM_GRID_RAD = np.radians(np.arange(0.0, 90.0 + 0.5 * NORMALIZATION_STEP_DEG, NORMALIZATION_STEP_DEG))
+_NORM_GRID_RAD = np.radians(stepped_grid(0.0, 90.0, NORMALIZATION_STEP_DEG))
 
 # Largest |theta| a cut or the post's pattern accepts: pi/2 rad, plus a slack for a grid rounded past it.
 HALF_SPACE_EDGE = 0.5 * math.pi + 1e-9
@@ -205,3 +205,8 @@ def monopole_pattern(theta: float | np.ndarray, mono: MonopoleSpec, ctx: Frequen
     values = values.reshape(theta.shape)
     values.flags.writeable = False
     return _scalar_or_array(values)
+
+
+def default_theta_grid() -> np.ndarray:
+    """[-90, 90] degrees in radians, at the normalization step: monopole_pattern reads each |theta| from its cache."""
+    return np.radians(stepped_grid(-90.0, 90.0, NORMALIZATION_STEP_DEG))

@@ -4,12 +4,13 @@ Only what the field models actually need lives here: the first-order Bessel
 function J1 and a composite Gauss-Kronrod integrator for complex kernels,
 both vectorized over numpy arrays. Both are deterministic, and each element
 of a batch gets bit-identical results to the same element evaluated alone.
-It also holds the range rule for the model's numbers and the config's bounds.
+It also holds the range rule for the model's numbers and the config's bounds, and stepped_grid.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from typing import Callable
 
@@ -73,6 +74,30 @@ def require(owner: str, **checks: tuple) -> None:
     for name, (value, _) in checks.items():
         if value == math.inf:
             raise ValueError(f"{owner}: {name} must be finite")
+
+
+# Most points a theta or frequency grid may expand to.
+MAX_GRID_POINTS = 100_000
+
+
+def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... through stop; a last point rounded past stop is stop.
+
+    After require (step > 0, stop - start >= 0), a grid of more than MAX_GRID_POINTS
+    points, then a step below the float spacing at stop, is refused before any point
+    exists. The bound lies past stop even when 1e-9 * step is below that spacing, so
+    the grid holds start; capped at the largest float, it gives a grid for any finite stop.
+    """
+    start, stop, step = float(start), float(stop), float(step)  # Python floats overflow without a warning
+    require("stepped_grid", step=(step, "> 0"), stop_minus_start=(stop - start, ">= 0"))
+    if (stop - start) / step + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
+        raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points")
+    if step < math.nextafter(abs(stop), math.inf) - abs(stop):  # the spacing above the largest float is inf
+        raise ValueError("step must be at least the float spacing at stop")
+    bound = min(max(stop + 1e-9 * step, math.nextafter(stop, math.inf)), sys.float_info.max)
+    if bound - start == math.inf:  # np.arange counts from bound - start; halved, each point is exact
+        return 2.0 * stepped_grid(0.5 * start, 0.5 * stop, 0.5 * step)
+    return np.minimum(np.arange(start, bound, step), stop)
 
 
 def _scalar_or_array(value: np.ndarray):

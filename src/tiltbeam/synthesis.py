@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrayfactor import ArrayLayout, array_factor
-from .radiators import HALF_SPACE_EDGE, NORMALIZATION_STEP_DEG, FrequencyContext, MonopoleSpec, SlotSpec, monopole_pattern
+from .radiators import HALF_SPACE_EDGE, FrequencyContext, MonopoleSpec, SlotSpec, default_theta_grid, monopole_pattern
 
 BAND_CENTER_HZ = 32.4e9
 BAND_MIN_HZ = 20.0e9
 BAND_MAX_HZ = 45.0e9
-
-# Most points a theta or frequency grid may expand to.
-MAX_GRID_POINTS = 100_000
 
 # Field-amplitude level of the -3 dB beamwidth crossings.
 _HALF_POWER_LEVEL = 10.0 ** (-3.0 / 20.0)
@@ -126,31 +123,6 @@ class StabilityResult:
     @property
     def max_tilt_deviation_deg(self) -> float:
         return max(abs(row.tilt_deg - self.reference_tilt_deg) for row in self.rows)
-
-
-def stepped_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start + step, ... through stop; a last point rounded past stop is stop.
-
-    A grid of more than MAX_GRID_POINTS points, then a step below the float
-    spacing at stop, is refused before any point exists. The bound lies past
-    stop even when 1e-9 * step is below that spacing, so the grid holds
-    start; capped at the largest float, it gives a grid for any finite stop.
-    """
-    if (stop - start) / step + 1 > MAX_GRID_POINTS:  # before np.arange allocates them
-        raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points")
-    if step < math.nextafter(abs(stop), math.inf) - abs(stop):  # the spacing above the largest float is inf
-        raise ValueError("step must be at least the float spacing at stop")
-    bound = min(max(stop + 1e-9 * step, np.nextafter(stop, math.inf)), sys.float_info.max)
-    return np.minimum(np.arange(start, bound, step), stop)
-
-
-def default_theta_grid() -> np.ndarray:
-    """Symmetric polar grid over [-90, 90] degrees, in radians.
-
-    The step is the normalization grid's, so monopole_pattern reads every
-    |theta| of the grid from its per-geometry cache.
-    """
-    return np.radians(stepped_grid(-90.0, 90.0, NORMALIZATION_STEP_DEG))
 
 
 def _slot_term(theta_grid: np.ndarray) -> np.ndarray:

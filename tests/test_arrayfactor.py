@@ -75,17 +75,18 @@ class TestArrayFactor:
             array_factor(ArrayLayout(), 0.0, 0.0, 0.0)
 
     def test_layout_validation(self):
-        with pytest.raises(ValueError, match=r"^ArrayLayout: count_Nx must be an integer >= 1$"):
+        with pytest.raises(ValueError, match=r"^ArrayLayout: count_Nx must be >= 1$"):
             ArrayLayout(count_Nx=0)
-        with pytest.raises(ValueError, match=r"^ArrayLayout: count_Ny must be an integer >= 1$"):
+        with pytest.raises(ValueError, match=r"^ArrayLayout: count_Ny must be >= 1$"):
             ArrayLayout(count_Ny=-2)
         with pytest.raises(ValueError, match=r"^ArrayLayout: spacing_dx must be > 0$"):
             ArrayLayout(count_Nx=2, spacing_dx=0.0)
-        for count in (math.inf, math.nan, 2.5):
-            with pytest.raises(ValueError, match="count_Nx must be an integer >= 1"):
-                ArrayLayout(count_Nx=count)
-            with pytest.raises(ValueError, match="count_Ny must be an integer >= 1"):
-                ArrayLayout(count_Ny=count)
+        # the range rule first, then integrality, then the spacings
+        for count, message in ((math.inf, "must be finite"), (math.nan, "must be >= 1"), (2.5, "must be an integer")):
+            with pytest.raises(ValueError, match=f"^ArrayLayout: count_Nx {message}$"):
+                ArrayLayout(count_Nx=count, spacing_dx=0.0)
+            with pytest.raises(ValueError, match=f"^ArrayLayout: count_Ny {message}$"):
+                ArrayLayout(count_Ny=count, spacing_dy=0.0)
         # spacing is irrelevant for a single element along that axis
         ArrayLayout(count_Nx=1, spacing_dx=0.0)
 

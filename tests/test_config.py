@@ -15,8 +15,17 @@ from hypothesis import strategies as st
 
 from tiltbeam import radiators
 from tiltbeam.circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec
-from tiltbeam.config import ConfigError, RunConfig, load_config, parse_config, serialize_config
-from tiltbeam.synthesis import BAND_CENTER_HZ, MAX_GRID_POINTS, AntennaGeometry, default_theta_grid
+from tiltbeam.config import (
+    ConfigError,
+    FrequencyGridConfig,
+    RunConfig,
+    ThetaGridConfig,
+    load_config,
+    parse_config,
+    serialize_config,
+)
+from tiltbeam.specfun import MAX_GRID_POINTS
+from tiltbeam.synthesis import BAND_CENTER_HZ, AntennaGeometry, default_theta_grid
 
 
 class TestDefaults:
@@ -445,6 +454,16 @@ class TestGridCap:
         with pytest.raises(ConfigError) as exc:
             parse_config(data)
         assert str(exc.value) == f"{next(iter(data))}: step must be at least the float spacing at stop"
+
+    @pytest.mark.parametrize("build, section", [
+        (lambda: RunConfig(theta_grid=ThetaGridConfig(step_deg=1e-12)).theta_grid_deg(), "theta_grid"),
+        (lambda: RunConfig(frequency_grid=FrequencyGridConfig(20.0, 45.0, 1e-12)).frequencies_hz(), "frequency_grid"),
+    ], ids=["theta", "frequency"])
+    def test_a_config_built_in_python_names_its_section(self, build, section):
+        # RunConfig's own readers put the section on the builder's message, as parse_config reports it
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == f"{section}: grid must have at most {MAX_GRID_POINTS} points"
 
     def test_cap_is_inclusive(self):
         cfg = parse_config({"frequency_grid": {"start_ghz": 1.0, "stop_ghz": float(MAX_GRID_POINTS), "step_ghz": 1.0}})

@@ -1,6 +1,7 @@
 """The range rule on the model's numbers, site by site.
 
-Each site is a value-type field or function argument that must be > 0,
+Each site is a value-type field or function argument, or a value derived
+from the arguments (stepped_grid's stop_minus_start), that must be > 0,
 >= 0 or >= 1. A value below its bound, NaN and -inf each raise
 "<owner>: <name> must be <bound>", naming the owner and the field, and
 +inf raises "<owner>: <name> must be finite".
@@ -31,6 +32,7 @@ from tiltbeam import (
     skin_depth,
     steered_array_factor,
 )
+from tiltbeam.specfun import stepped_grid
 
 FR4 = SUBSTRATE_PRESETS["FR4"]
 STRIP = MicrostripSpec()
@@ -65,10 +67,14 @@ SITES = [
     ("plane_wave_attenuation", "f", "> 0", lambda v: plane_wave_attenuation(FR4, v, 1e-3)),
     ("plane_wave_attenuation", "path_length", "> 0", lambda v: plane_wave_attenuation(FR4, F, v)),
     ("loss_budget", "f", "> 0", lambda v: loss_budget(STRIP, v)),
+    ("ArrayLayout", "count_Nx", ">= 1", lambda v: ArrayLayout(count_Nx=v)),
+    ("ArrayLayout", "count_Ny", ">= 1", lambda v: ArrayLayout(count_Ny=v)),
     ("ArrayLayout", "spacing_dx", "> 0", lambda v: ArrayLayout(4, 4, v, 1e-3)),
     ("ArrayLayout", "spacing_dy", "> 0", lambda v: ArrayLayout(4, 4, 1e-3, v)),
     ("array_factor", "lam", "> 0", lambda v: array_factor(LINE, 0.1, 0.2, v)),
     ("steered_array_factor", "lam", "> 0", lambda v: steered_array_factor(LINE, SteeringCommand(), 0.1, v)),
+    ("stepped_grid", "step", "> 0", lambda v: stepped_grid(0.0, 1.0, v)),
+    ("stepped_grid", "stop_minus_start", ">= 0", lambda v: stepped_grid(0.0, v, 0.1)),
 ]
 
 BELOW = {"> 0": 0.0, ">= 0": -1.0, ">= 1": 0.5}
@@ -79,7 +85,7 @@ def site_id(site):
 
 
 def test_sites_are_distinct():
-    assert len({site_id(s) for s in SITES}) == len(SITES) == 30
+    assert len({site_id(s) for s in SITES}) == len(SITES) == 34
 
 
 @pytest.mark.parametrize("value", ["below", math.nan, -math.inf], ids=["below", "nan", "minus-inf"])

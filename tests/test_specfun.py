@@ -17,11 +17,13 @@ import tiltbeam.radiators as radiators
 import tiltbeam.specfun as specfun
 from tiltbeam.radiators import NORMALIZATION_STEP_DEG, FrequencyContext, MonopoleSpec
 from tiltbeam.specfun import (
+    MAX_GRID_POINTS,
     ConvergenceError,
     _GK_NODES,
     _GK_WEIGHTS,
     bessel_j1,
     integrate_complex,
+    stepped_grid,
 )
 
 
@@ -358,3 +360,52 @@ class TestAgainstRiemannSums:
         for s, got in zip(st, val):
             ref = np.sum(np.exp(-1j * v) * special.j1(v * s)) * ((ka - v0) / n)
             assert abs(got - ref) / abs(ref) < 1e-6
+
+
+# Each of stepped_grid's refusals, word for word; the config puts its section in front.
+_GRID_MESSAGES = {
+    "stepped_grid: step must be > 0",
+    "stepped_grid: step must be finite",
+    "stepped_grid: stop_minus_start must be >= 0",
+    "stepped_grid: stop_minus_start must be finite",
+    f"grid must have at most {MAX_GRID_POINTS} points",
+    "step must be at least the float spacing at stop",
+}
+_LARGEST = sys.float_info.max
+# at and beside 0 and the largest float, subnormals, 1e+-300, quarter degrees, and the non-finite values
+_GRID_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e-9, 0.25, -0.25, 1.0, 89.75, 90.0,
+    -90.0, 90.25, 1e300, -1e300, math.nextafter(_LARGEST, 0.0), _LARGEST, -_LARGEST, 0.5 * _LARGEST,
+    -0.5 * _LARGEST, _LARGEST / (MAX_GRID_POINTS - 1), math.inf, -math.inf, math.nan,
+]
+_GRID_VALUES = st.builds(lambda value, kind: kind(value), st.one_of(st.sampled_from(_GRID_EDGES), st.floats()),
+                         st.sampled_from([float, np.float64]))
+
+
+class TestSteppedGrid:
+    @settings(max_examples=500)
+    @given(start=_GRID_VALUES, stop=_GRID_VALUES, step=_GRID_VALUES)
+    @example(start=np.float64(1.8e308), stop=np.float64(-1.0), step=np.float64(1e-9))
+    def test_builds_a_rising_grid_or_refuses_with_its_own_message(self, start, stop, step):
+        # any warning fails the test, so no draw may pass one on from numpy
+        try:
+            grid = stepped_grid(start, stop, step)
+        except ValueError as exc:
+            assert str(exc) in _GRID_MESSAGES
+            return
+        assert 1 <= grid.size <= MAX_GRID_POINTS
+        assert grid[0] == start and grid[-1] <= stop
+        assert np.all(grid[1:] > grid[:-1])
+
+    def test_numpy_scalar_bounds_are_counted_without_a_warning(self):
+        # (1e300 - 0) / 1e-300 overflows; in numpy scalars that warned before the count refused the grid
+        with pytest.raises(ValueError) as exc:
+            stepped_grid(np.float64(0.0), np.float64(1e300), np.float64(1e-300))
+        assert str(exc.value) == f"grid must have at most {MAX_GRID_POINTS} points"
+
+    def test_a_span_near_the_largest_float_keeps_every_point(self):
+        # bound - start overflows where np.arange counts the points; scaling by a power of two is exact
+        start, stop, step = -0.5 * _LARGEST, 0.5 * _LARGEST, 0.25 * _LARGEST
+        grid = stepped_grid(start, stop, step)
+        assert grid.size == 5 and grid[-1] == stop
+        assert grid.tolist() == (16.0 * stepped_grid(start / 16.0, stop / 16.0, step / 16.0)).tolist()

@@ -36,7 +36,8 @@ from tiltbeam import (
     synthesize_pattern,
 )
 from tiltbeam import cli, svgplot, synthesis
-from tiltbeam.synthesis import _amplitude_db, _monopole_term, _slot_term, stepped_grid
+from tiltbeam.specfun import stepped_grid
+from tiltbeam.synthesis import _amplitude_db, _monopole_term, _slot_term
 
 HALF_POWER = 10.0 ** (-3.0 / 20.0)
 
