@@ -220,7 +220,7 @@ def _parse_argv(argv):
     for arg in rest:
         if arg in _VALUE_OPTIONS:
             values[arg] = next(rest, None)
-            if values[arg] is None:
+            if not values[arg]:  # absent or empty: Path("") is the working directory
                 raise _UsageError(f"{arg} requires {_VALUE_OPTIONS[arg]}")
         elif arg == "--svg":
             svg = True

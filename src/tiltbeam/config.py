@@ -44,6 +44,7 @@ _RULES = {
     "str": (lambda v: isinstance(v, str), "must be a string"),
     **{bound: (test, f"must be {bound}") for bound, test in _BOUNDS.items()},
     "current_model": (lambda v: v in _CURRENT_MODELS, f"must be one of {_CURRENT_MODELS}"),
+    "non-empty": (lambda v: v != "", "must be a non-empty string"),
     # also rejects integers too large for a float
     "finite": (lambda v: abs(v) <= sys.float_info.max, "must be finite"),
 }
@@ -96,8 +97,14 @@ class SubstrateConfig:
 @dataclass(frozen=True)
 class FrequencyGridConfig:
     start_ghz: float = _checked("> 0", BAND_CENTER_HZ / 1e9)
-    stop_ghz: float = BAND_CENTER_HZ / 1e9  # when absent: max(band centre, start_ghz)
+    stop_ghz: float = None  # when absent: max(band centre, start_ghz)
     step_ghz: float = _checked("> 0", 1.0)
+
+    def __post_init__(self):
+        if self.stop_ghz is None:
+            object.__setattr__(self, "stop_ghz", max(BAND_CENTER_HZ / 1e9, self.start_ghz))
+        if self.stop_ghz < self.start_ghz:
+            raise ConfigError("frequency_grid.stop_ghz: must be >= start_ghz")
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,12 @@ class ThetaGridConfig:
     start_deg: float = -90.0
     stop_deg: float = 90.0
     step_deg: float = _checked("> 0", NORMALIZATION_STEP_DEG)
+
+    def __post_init__(self):
+        if self.stop_deg < self.start_deg:
+            raise ConfigError("theta_grid.stop_deg: must be >= start_deg")
+        if self.start_deg < -90.0 or self.stop_deg > 90.0:
+            raise ConfigError("theta_grid: angles must lie within [-90, 90] degrees")
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,7 @@ _GEOMETRY = ("slot", "monopole", "array", "strip")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration in external units."""
+    """Validated run configuration in external units, refused at construction as parse_config refuses it."""
 
     slot: SlotConfig = SlotConfig()
     monopole: MonopoleConfig = MonopoleConfig()
@@ -131,7 +144,17 @@ class RunConfig:
     frequency_grid: FrequencyGridConfig = FrequencyGridConfig()
     theta_grid: ThetaGridConfig = ThetaGridConfig()
     weights: WeightsConfig = WeightsConfig()
-    output_dir: str = "out"
+    output_dir: str = _checked("non-empty", "out")
+
+    def __post_init__(self):
+        self.frequencies_hz()  # each grid must build, and its reader names the section in a refusal
+        self.theta_grid_deg()
+        try:  # each model object must build, so a length must stay > 0 in metres (1e-322 mm is 0.0 m)
+            self.geometry()
+            self.strip_spec()
+            self.excitation_weights()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # materializers: external units in, SI spec objects out
 
@@ -225,38 +248,16 @@ def parse_config(data: dict) -> RunConfig:
     values = {}
     for f in _fields(RunConfig):
         src, path = (geometry, f"geometry.{f.name}") if f.name in _GEOMETRY else (top, f.name)
-        if f.name not in src or f.name == "output_dir":  # output_dir reports after the sections
+        if f.name not in src:
             continue
         if f.name == "substrates":
             entries = _object(src[f.name], path).items()
             values[f.name] = {k: _section(SubstrateConfig, v, f"{path}.{k}") for k, v in entries}
-        else:
+        elif is_dataclass(f.default):
             values[f.name] = _section(type(f.default), src[f.name], path)
-    cfg = RunConfig(**values)
-
-    # checks that span fields, in the order they report
-    freq, theta = cfg.frequency_grid, cfg.theta_grid
-    if "stop_ghz" not in top.get("frequency_grid", {}):
-        freq = replace(freq, stop_ghz=max(freq.stop_ghz, freq.start_ghz))
-    if freq.stop_ghz < freq.start_ghz:
-        raise ConfigError("frequency_grid.stop_ghz: must be >= start_ghz")
-    if theta.stop_deg < theta.start_deg:
-        raise ConfigError("theta_grid.stop_deg: must be >= start_deg")
-    if theta.start_deg < -90.0 or theta.stop_deg > 90.0:
-        raise ConfigError("theta_grid: angles must lie within [-90, 90] degrees")
-    out_dir = _scalar("str", None, top.get("output_dir", "out"), "output_dir")
-    if not out_dir:
-        raise ConfigError("output_dir: must be a non-empty string")
-    cfg = replace(cfg, frequency_grid=freq, output_dir=out_dir)
-    cfg.frequencies_hz()  # each grid must build, and its reader names the section in a refusal
-    cfg.theta_grid_deg()
-    try:  # each model object must build, so a length must stay > 0 in metres (1e-322 mm is 0.0 m)
-        cfg.geometry()
-        cfg.strip_spec()
-        cfg.excitation_weights()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        else:
+            values[f.name] = _scalar(f.type, f.metadata.get("check"), src[f.name], path)
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

@@ -90,6 +90,22 @@ def default_config(tmp_path):
     return write_config(tmp_path, {})
 
 
+def written_by(command, cfg, out):
+    """Run a command that succeeds into out; return its files' bytes by name."""
+    assert run([command, "--config", cfg, "--out", out]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def assert_left_as_it_was(out, before):
+    # every file byte-identical and nothing added (no .tmp, no lock file)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+    try:  # the failed run holds no lock on the directory
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    finally:
+        os.close(fd)
+
+
 class TestPatternCommand:
     def test_writes_expected_table(self, tmp_path, default_config):
         out = tmp_path / "out"
@@ -295,6 +311,18 @@ class TestExitCodes:
         assert cli.main(["pattern", flag]) == 2
         assert capsys.readouterr().err == f"error: {flag} requires {value}\n{cli._USAGE}\n"
 
+    @pytest.mark.parametrize("args, flag, value", [
+        (["--config", ""], "--config", "a path"),
+        (["--config", "run.json", "--out", ""], "--out", "a directory"),
+    ], ids=["config", "out"])
+    def test_empty_option_value(self, tmp_path, capsys, monkeypatch, args, flag, value):
+        # Path("") is the working directory, so an empty --out would write there
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {})
+        assert run(["pattern"] + args) == 2
+        assert capsys.readouterr().err == f"error: {flag} requires {value}\n{cli._USAGE}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_missing_config_file(self, tmp_path, capsys):
         absent = tmp_path / "absent.json"
         assert run(["pattern", "--config", absent]) == 2
@@ -456,12 +484,16 @@ class TestExitCodes:
         _, written = read_csv(tmp_path / "out" / artifact)
         assert [row[:len(rows[0])] for row in written] == rows
 
-    def test_frequency_whose_wavelength_overflows(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}})
-        assert run(["pattern", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    def test_frequency_whose_wavelength_overflows(self, tmp_path, default_config, capsys):
+        out = tmp_path / "out"
+        before = written_by("pattern", default_config, out)
+        cfg = write_config(tmp_path, {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}},
+                           name="tiny.json")
+        assert run(["pattern", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err == (
             "error: FrequencyContext: frequency_f must be finite and > 0, with a finite wavelength c / f\n"
         )
+        assert_left_as_it_was(out, before)
 
     def test_oversized_grid_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"theta_grid": {"step_deg": 1e-12}})
@@ -539,13 +571,13 @@ class TestExitCodes:
         def exploding_builder(cfg, svg):
             raise ConvergenceError("integrate_complex", 0.1 + 0.2j, 3.0e-4)
 
-        monkeypatch.setitem(cli._BUILDERS, "pattern", exploding_builder)
         out = tmp_path / "out"
+        before = written_by("pattern", default_config, out)
+        monkeypatch.setitem(cli._BUILDERS, "pattern", exploding_builder)
         assert run(["pattern", "--config", default_config, "--out", out]) == 3
         assert capsys.readouterr().err == ("error: integrate_complex: subdivision budget exhausted; best estimate "
                                            "1.000000e-01+2.000000e-01j, estimated error bound 3.000e-04\n")
-        assert not (out / "pattern.csv").exists()
-        assert not (out / ".tiltbeam.lock").exists()
+        assert_left_as_it_was(out, before)
 
     @pytest.mark.parametrize("command, data, status, message", [
         ("pattern", {"frequency_grid": {"start_ghz": 1e-311, "stop_ghz": 1e-311, "step_ghz": 1.0}}, 2,
@@ -580,11 +612,11 @@ class TestExitCodes:
         def exploding_builder(cfg, svg):
             raise ValueError("boom")
 
-        monkeypatch.setitem(cli._BUILDERS, "loss", exploding_builder)
         out = tmp_path / "out"
+        before = written_by("loss", default_config, out)
+        monkeypatch.setitem(cli._BUILDERS, "loss", exploding_builder)
         assert run(["loss", "--config", default_config, "--out", out]) == 2
-        assert list(out.glob("*.csv")) == []
-        assert not (out / ".tiltbeam.lock").exists()
+        assert_left_as_it_was(out, before)
 
     def test_unwritable_artifact_exits_two_and_leaves_no_temp_file(self, tmp_path, default_config, capsys):
         out = tmp_path / "out"

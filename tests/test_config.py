@@ -19,6 +19,7 @@ from tiltbeam.config import (
     ConfigError,
     FrequencyGridConfig,
     RunConfig,
+    SlotConfig,
     ThetaGridConfig,
     load_config,
     parse_config,
@@ -470,6 +471,32 @@ class TestGridCap:
         assert len(cfg.frequencies_hz()) == MAX_GRID_POINTS
 
 
+class TestBuiltInPython:
+    # A RunConfig built in Python gets parse_config's defaults and refusals.
+    def test_stop_default_follows_a_start_above_the_band_centre(self):
+        assert RunConfig(frequency_grid=FrequencyGridConfig(start_ghz=40.0)).frequencies_hz() == [40e9]
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FrequencyGridConfig(40.0, 30.0), "frequency_grid.stop_ghz: must be >= start_ghz"),
+        (lambda: ThetaGridConfig(10.0, 0.0), "theta_grid.stop_deg: must be >= start_deg"),
+        (lambda: ThetaGridConfig(-100.0), "theta_grid: angles must lie within [-90, 90] degrees"),
+        (lambda: RunConfig(slot=SlotConfig(length_mm=1e-322)), "SlotSpec: length_L must be > 0"),
+    ], ids=["frequency-stop-before-start", "theta-stop-before-start", "theta-below-90", "slot-zero-metres"])
+    def test_refused_at_construction(self, build, message):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+# Faults in two sections: the first section in schema order reports, with
+# its own cross-field rule, before any later section's field check.
+@pytest.mark.parametrize("weights", [{"s1": -1}, {"bogus": 1}], ids=["weights-range", "weights-key"])
+def test_first_faulty_section_reports(weights):
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"frequency_grid": {"start_ghz": 40, "stop_ghz": 30}, "weights": weights})
+    assert str(exc.value) == "frequency_grid.stop_ghz: must be >= start_ghz"
+
+
 _SECTION_KEYS = {
     "slot": ["length_mm", "amplitude_e0"],
     "monopole": ["height_mm", "ground_radius_mm", "current_model"],
@@ -530,6 +557,13 @@ class TestRoundTripProperties:
         cfg = parse_config(data)
         assert parse_config(serialize_config(cfg)) == cfg
         assert parse_config(json.loads(json.dumps(serialize_config(cfg)))) == cfg
+
+    @settings(max_examples=300)
+    @given(valid_configs())
+    def test_grid_sections_built_in_python_equal_the_parsed_ones(self, data):
+        cfg = parse_config(data)
+        assert FrequencyGridConfig(**data.get("frequency_grid", {})) == cfg.frequency_grid
+        assert ThetaGridConfig(**data.get("theta_grid", {})) == cfg.theta_grid
 
     @settings(max_examples=100)
     @given(valid_configs())

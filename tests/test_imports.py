@@ -254,6 +254,12 @@ RULES = {
         and not (isinstance(getattr(node, "ctx", None), ast.Store) and ctx.owner == "<module>"),
         {"specfun.stepped_grid"}, "stepped_grid alone caps a grid's points and checks its step against the float "
         "spacing at stop; the config prefixes its message with the section"),
+    "grid-rules": Rule(
+        lambda node, ctx: isinstance(node, ast.Raise) and _called(node.exc) == "ConfigError"
+        and any(rule in _text(arg) for arg in node.exc.args for rule in ("must be >= start_", "angles must lie within")),
+        {"config.FrequencyGridConfig.__post_init__", "config.ThetaGridConfig.__post_init__"},
+        "each grid section owns its cross-field rules, so a RunConfig built in Python and a parsed one are refused "
+        "alike"),
     "half-space-edge": Rule(
         lambda node, ctx: isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
         and any(_right_angle(angle) and _number(slack) is not None
@@ -363,6 +369,18 @@ SNIPPETS = [
         "class Grid:\n    def stepped_grid(self):\n        MAX_GRID_POINTS = 5\n"
         "SPACING = np.spacing(1.0)\n"
     ), [("parse_config", 8), ("parse_config", 9), ("<module>", 10), ("Grid.stepped_grid", 13)]),
+    ("grid-rules", "config", (
+        "class ThetaGridConfig:\n    def __post_init__(self):\n"
+        "        raise ConfigError('theta_grid.stop_deg: must be >= start_deg')\n"
+        "def parse_config(freq, theta):\n"
+        "    if freq.stop_ghz < freq.start_ghz:\n"
+        "        raise ConfigError('frequency_grid.stop_ghz: must be >= start_ghz')\n"
+        "    raise ConfigError(f'{path}: angles must lie within [-90, 90] degrees')\n"
+        "class FrequencyGridConfig:\n    def check(self):\n"
+        "        raise ConfigError('frequency_grid.stop_ghz: must be >= start_ghz')\n"
+        "raise ValueError('theta_grid.stop_deg: must be >= start_deg')\n"
+        "raise ConfigError('frequency_grid.step_ghz: must be > 0')\n"
+    ), [("parse_config", 6), ("parse_config", 7), ("FrequencyGridConfig.check", 10)]),
     ("half-space-edge", "radiators", (
         "HALF_SPACE_EDGE = 0.5 * math.pi + 1e-9\n"
         "def monopole_pattern(theta):\n    return theta <= 0.5 * math.pi + 1e-12\n"
