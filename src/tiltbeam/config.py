@@ -44,7 +44,6 @@ _RULES = {
     "str": (lambda v: isinstance(v, str), "must be a string"),
     **{bound: (test, f"must be {bound}") for bound, test in _BOUNDS.items()},
     "current_model": (lambda v: v in _CURRENT_MODELS, f"must be one of {_CURRENT_MODELS}"),
-    "non-empty": (lambda v: v != "", "must be a non-empty string"),
     # also rejects integers too large for a float
     "finite": (lambda v: abs(v) <= sys.float_info.max, "must be finite"),
 }
@@ -54,37 +53,45 @@ def _checked(check, default=MISSING, **kwargs):
     return field(default=default, metadata={"check": check}, **kwargs)
 
 
+def _scalar(kind: str, check, value, where: str):
+    for rule in (kind, check, "finite" if kind in ("float", "int") else None):
+        if rule and not _RULES[rule][0](value):
+            raise ConfigError(f"{where}: {_RULES[rule][1]}")
+    return float(value) if kind == "float" else value
+
+
+# The geometry and strip defaults: the model types' reference design, in external units
 @dataclass(frozen=True)
 class SlotConfig:
-    length_mm: float = _checked("> 0", 4.8)
-    amplitude_e0: float = _checked("> 0", 1.0)
+    length_mm: float = _checked("> 0", SlotSpec().length_L / 1e-3)
+    amplitude_e0: float = _checked("> 0", SlotSpec().amplitude_E0)
 
 
 @dataclass(frozen=True)
 class MonopoleConfig:
-    height_mm: float = _checked("> 0", 1.2)
-    ground_radius_mm: float = _checked("> 0", 5.0)
-    current_model: str = _checked("current_model", "sinusoidal")
+    height_mm: float = _checked("> 0", MonopoleSpec().height_H / 1e-3)
+    ground_radius_mm: float = _checked("> 0", MonopoleSpec().ground_radius_a / 1e-3)
+    current_model: str = _checked("current_model", MonopoleSpec().current_model.value)
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    count_nx: int = _checked(">= 1", 1)
-    count_ny: int = _checked(">= 1", 2)
-    spacing_dx_mm: float = _checked("> 0", 1.2)
-    spacing_dy_mm: float = _checked("> 0", 1.2)
+    count_nx: int = _checked(">= 1", ArrayLayout().count_Nx)
+    count_ny: int = _checked(">= 1", ArrayLayout().count_Ny)
+    spacing_dx_mm: float = _checked("> 0", ArrayLayout().spacing_dx / 1e-3)
+    spacing_dy_mm: float = _checked("> 0", ArrayLayout().spacing_dy / 1e-3)
 
 
 @dataclass(frozen=True)
 class StripConfig:
-    width_mm: float = _checked("> 0", 0.24)
-    length_mm: float = _checked("> 0", 1.98)
-    substrate: str = "FR4"
+    width_mm: float = _checked("> 0", MicrostripSpec().width_w / 1e-3)
+    length_mm: float = _checked("> 0", MicrostripSpec().length_l / 1e-3)
+    substrate: str = MicrostripSpec().substrate.name
     # dielectric height under the strip (the thin top layer of the stack),
     # independent of the named substrate's slab thickness
-    substrate_thickness_mm: float = _checked("> 0", 0.1)
-    conductivity_s_per_m: float = _checked("> 0", 5.8e7)
-    roughness_um: float = _checked(">= 0", 0.0)
+    substrate_thickness_mm: float = _checked("> 0", MicrostripSpec().substrate.thickness_h / 1e-3)
+    conductivity_s_per_m: float = _checked("> 0", MicrostripSpec().copper_conductivity)
+    roughness_um: float = _checked(">= 0", MicrostripSpec().roughness_rq / 1e-6)
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,13 @@ class ThetaGridConfig:
 class WeightsConfig:
     s1: float = _checked(">= 0", 1.0)
     s2: float = _checked(">= 0", 0.3)
-    # a non-empty array whose every entry passes the check
-    ratios: tuple = _checked("> 0", default_factory=lambda: tuple([i / 10 for i in range(1, 11)]))
+    ratios: tuple = field(default_factory=lambda: [i / 10 for i in range(1, 11)])
+
+    def __post_init__(self):  # a JSON array arrives as a list, and is stored as a tuple of floats
+        if not isinstance(self.ratios, (list, tuple)) or not self.ratios:
+            raise ConfigError("weights.ratios: must be a non-empty array of numbers")
+        ratios = [_scalar("float", "> 0", v, f"weights.ratios[{i}]") for i, v in enumerate(self.ratios)]
+        object.__setattr__(self, "ratios", tuple(ratios))
 
 
 # RunConfig sections that sit under "geometry" in the JSON form
@@ -144,9 +156,11 @@ class RunConfig:
     frequency_grid: FrequencyGridConfig = FrequencyGridConfig()
     theta_grid: ThetaGridConfig = ThetaGridConfig()
     weights: WeightsConfig = WeightsConfig()
-    output_dir: str = _checked("non-empty", "out")
+    output_dir: str = "out"
 
     def __post_init__(self):
+        if self.output_dir == "":  # Path("") is the working directory
+            raise ConfigError("output_dir: must be a non-empty string")
         self.frequencies_hz()  # each grid must build, and its reader names the section in a refusal
         self.theta_grid_deg()
         try:  # each model object must build, so a length must stay > 0 in metres (1e-322 mm is 0.0 m)
@@ -217,27 +231,15 @@ def _object(value, path: str, known=None) -> dict:
     return value
 
 
-def _scalar(kind: str, check, value, where: str):
-    for rule in (kind, check, "finite" if kind in ("float", "int") else None):
-        if rule and not _RULES[rule][0](value):
-            raise ConfigError(f"{where}: {_RULES[rule][1]}")
-    return float(value) if kind == "float" else value
-
-
 def _section(cls, data, path: str):
     d = _object(data, path, [f.name for f in _fields(cls)])
     for f in _fields(cls):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}.{f.name}: required")
     values = {}
-    for f in (f for f in _fields(cls) if f.name in d):
-        where, check, raw = f"{path}.{f.name}", f.metadata.get("check"), d[f.name]
-        if f.type != "tuple":
-            values[f.name] = _scalar(f.type, check, raw, where)
-        elif not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{where}: must be a non-empty array of numbers")
-        else:
-            values[f.name] = tuple([_scalar("float", check, v, f"{where}[{i}]") for i, v in enumerate(raw)])
+    for f in (f for f in _fields(cls) if f.name in d):  # a field of no JSON scalar kind is its section's to check
+        raw, where = d[f.name], f"{path}.{f.name}"
+        values[f.name] = _scalar(f.type, f.metadata.get("check"), raw, where) if f.type in _RULES else raw
     return cls(**values)
 
 

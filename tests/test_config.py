@@ -21,6 +21,7 @@ from tiltbeam.config import (
     RunConfig,
     SlotConfig,
     ThetaGridConfig,
+    WeightsConfig,
     load_config,
     parse_config,
     serialize_config,
@@ -76,8 +77,9 @@ class TestDefaults:
         assert np.array_equal(cfg.theta_grid_rad(), np.radians(deg))
 
     def test_cli_defaults_are_the_api_defaults(self):
-        # Written twice, in millimetres here and in SI units in the model's
-        # specs: `tiltbeam pattern` and the Python API describe one antenna.
+        # The geometry and strip sections read their defaults from the model's
+        # specs, and the grids from the band centre and the normalization step:
+        # `tiltbeam pattern` and the Python API describe one antenna.
         cfg = RunConfig()
         assert cfg.geometry() == AntennaGeometry()
         assert cfg.strip_spec() == MicrostripSpec()
@@ -488,6 +490,30 @@ class TestBuiltInPython:
         assert str(exc.value) == message
 
 
+class TestSectionOwnedRules:
+    # WeightsConfig owns the ratios rule and RunConfig the non-empty output_dir,
+    # so a value built in Python reads the parser's message.
+    def test_an_empty_output_dir_is_refused(self):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(output_dir="")
+        assert str(exc.value) == "output_dir: must be a non-empty string"
+
+    @pytest.mark.parametrize("ratios, message", [
+        ((), "weights.ratios: must be a non-empty array of numbers"),
+        ((0.0,), "weights.ratios[0]: must be > 0"),
+        ((math.inf,), "weights.ratios[0]: must be finite"),
+        ((True,), "weights.ratios[0]: must be a number"),
+        (("a",), "weights.ratios[0]: must be a number"),
+    ], ids=["empty", "zero", "inf", "bool", "str"])
+    def test_ratios_are_refused_as_parsed(self, ratios, message):
+        with pytest.raises(ConfigError) as exc:
+            WeightsConfig(ratios=ratios)
+        assert str(exc.value) == message
+
+    def test_ratios_from_a_list_equal_the_parsed_ones(self):
+        assert WeightsConfig(ratios=[1, 2]) == parse_config({"weights": {"ratios": [1, 2]}}).weights
+
+
 # Faults in two sections: the first section in schema order reports, with
 # its own cross-field rule, before any later section's field check.
 @pytest.mark.parametrize("weights", [{"s1": -1}, {"bogus": 1}], ids=["weights-range", "weights-key"])
@@ -564,6 +590,11 @@ class TestRoundTripProperties:
         cfg = parse_config(data)
         assert FrequencyGridConfig(**data.get("frequency_grid", {})) == cfg.frequency_grid
         assert ThetaGridConfig(**data.get("theta_grid", {})) == cfg.theta_grid
+
+    @settings(max_examples=300)
+    @given(valid_configs())
+    def test_weights_section_built_in_python_equals_the_parsed_one(self, data):
+        assert WeightsConfig(**data.get("weights", {})) == parse_config(data).weights
 
     @settings(max_examples=100)
     @given(valid_configs())

@@ -6,7 +6,8 @@ holds in every package module, a cold `import tiltbeam.cli` loads
 nothing past numpy but the package and a few small stdlib modules, and
 the test policy is set once: `pyproject.toml` turns every warning into an
 error and the root `conftest.py` derandomizes every Hypothesis property,
-with no test setting either for itself.
+with no test setting either for itself. The one warning ignored is the one
+Hypothesis's patch writer raises, so a failing property still reports.
 
 The two tuple rules keep memory flat in a long-lived process. CPython
 allocates a tuple built from a generator with 10 slots and shrinks it to
@@ -194,6 +195,11 @@ def _number(node):
     return value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
 
 
+def _default(call):
+    # the default a _checked(check, default) call passes, by position or keyword
+    return next(iter(call.args[1:2] + [k.value for k in call.keywords if k.arg == "default"]), None)
+
+
 def _right_angle(node) -> bool:
     # pi/2 written as 0.5 * pi, pi * 0.5 or pi / 2, of either sign
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -260,6 +266,11 @@ RULES = {
         {"config.FrequencyGridConfig.__post_init__", "config.ThetaGridConfig.__post_init__"},
         "each grid section owns its cross-field rules, so a RunConfig built in Python and a parsed one are refused "
         "alike"),
+    "reference-design": Rule(
+        lambda node, ctx: _called(node) == "_checked" and _number(_default(node)) is not None,
+        {"config.WeightsConfig", "config.FrequencyGridConfig"},
+        "the geometry and strip sections read the reference design from SlotSpec(), MonopoleSpec(), ArrayLayout() "
+        "and MicrostripSpec(); only the weights and the frequency grid have defaults that no model type owns"),
     "half-space-edge": Rule(
         lambda node, ctx: isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
         and any(_right_angle(angle) and _number(slack) is not None
@@ -381,6 +392,16 @@ SNIPPETS = [
         "raise ValueError('theta_grid.stop_deg: must be >= start_deg')\n"
         "raise ConfigError('frequency_grid.step_ghz: must be > 0')\n"
     ), [("parse_config", 6), ("parse_config", 7), ("FrequencyGridConfig.check", 10)]),
+    ("reference-design", "config", (
+        "class SlotConfig:\n    length_mm: float = _checked('> 0', 4.8)\n"
+        "    amplitude_e0: float = _checked('> 0', SlotSpec().amplitude_E0)\n"
+        "class ArrayConfig:\n    count_nx: int = _checked('>= 1', default=1)\n"
+        "    spacing_dx_mm: float = _checked('> 0', -1.2)\n"
+        "class WeightsConfig:\n    s1: float = _checked('>= 0', 1.0)\n"
+        "    ratios: tuple = _checked('> 0', default_factory=list)\n"
+        "class StripConfig:\n    substrate: str = _checked('str', 'FR4')\n"
+        "    width_mm: float = _checked('> 0')\n"
+    ), [("SlotConfig", 2), ("ArrayConfig", 5), ("ArrayConfig", 6)]),
     ("half-space-edge", "radiators", (
         "HALF_SPACE_EDGE = 0.5 * math.pi + 1e-9\n"
         "def monopole_pattern(theta):\n    return theta <= 0.5 * math.pi + 1e-12\n"
@@ -460,3 +481,25 @@ def test_the_policy_is_in_force():
     assert settings.default.derandomize is True and settings.default.deadline is None
     with pytest.raises(RuntimeWarning):
         warnings.warn("probe", RuntimeWarning)
+
+
+# A property that fails on n = 5, and a test after it that passes only under the root profile
+FAILING_PROPERTY = (
+    "from hypothesis import given, settings, strategies as st\n"
+    "@given(st.integers())\ndef test_fails(n):\n    assert n < 5\n"
+    "def test_passes():\n    assert settings.default.derandomize\n"
+)
+
+
+def test_a_failing_property_reports_its_example_and_the_session_goes_on(tmp_path):
+    # Runs under pyproject.toml's warning policy and the root conftest.py's profile. On a
+    # failure Hypothesis writes the example as a patch under the working directory, here tmp_path.
+    root = PACKAGE.parents[1]
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")]))}
+    command = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(root / "pyproject.toml"),
+               "--rootdir", str(tmp_path), "-p", "conftest", "test_probe.py"]
+    run = subprocess.run([sys.executable, *command], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example: test_fails(\n" in run.stdout and "n=5," in run.stdout
+    assert run.stdout.splitlines()[-1].startswith("1 failed, 1 passed in ")
