@@ -6,7 +6,7 @@ identity. Conversion to SI happens only in the materializer methods that
 build the model-layer spec objects.
 
 The section dataclasses are the schema: parsing, defaults, unknown-key
-rejection and serialization all walk their fields.
+rejection, field checks and serialization all walk their fields.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ _RULES = {
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
     "str": (lambda v: isinstance(v, str), "must be a string"),
+    "non-empty": (lambda v: v != "", "must be a non-empty string"),  # Path("") is the working directory
     **{bound: (test, f"must be {bound}") for bound, test in _BOUNDS.items()},
     "current_model": (lambda v: v in _CURRENT_MODELS, f"must be one of {_CURRENT_MODELS}"),
     # also rejects integers too large for a float
@@ -60,22 +61,35 @@ def _scalar(kind: str, check, value, where: str):
     return float(value) if kind == "float" else value
 
 
+class _Section:
+    _path = ""  # the section's JSON path and a dot, which starts each field's message
+
+    def __post_init__(self):  # each scalar field is checked in schema order, before the section's own rules
+        for f in _fields(type(self)):
+            value = getattr(self, f.name)
+            if f.type in _RULES and not (value is None is f.default):  # an absent stop_ghz is resolved later
+                object.__setattr__(self, f.name, _scalar(f.type, f.metadata.get("check"), value, self._path + f.name))
+
+
 # The geometry and strip defaults: the model types' reference design, in external units
 @dataclass(frozen=True)
-class SlotConfig:
+class SlotConfig(_Section):
+    _path = "geometry.slot."
     length_mm: float = _checked("> 0", SlotSpec().length_L / 1e-3)
     amplitude_e0: float = _checked("> 0", SlotSpec().amplitude_E0)
 
 
 @dataclass(frozen=True)
-class MonopoleConfig:
+class MonopoleConfig(_Section):
+    _path = "geometry.monopole."
     height_mm: float = _checked("> 0", MonopoleSpec().height_H / 1e-3)
     ground_radius_mm: float = _checked("> 0", MonopoleSpec().ground_radius_a / 1e-3)
     current_model: str = _checked("current_model", MonopoleSpec().current_model.value)
 
 
 @dataclass(frozen=True)
-class ArrayConfig:
+class ArrayConfig(_Section):
+    _path = "geometry.array."
     count_nx: int = _checked(">= 1", ArrayLayout().count_Nx)
     count_ny: int = _checked(">= 1", ArrayLayout().count_Ny)
     spacing_dx_mm: float = _checked("> 0", ArrayLayout().spacing_dx / 1e-3)
@@ -83,7 +97,8 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class StripConfig:
+class StripConfig(_Section):
+    _path = "geometry.strip."
     width_mm: float = _checked("> 0", MicrostripSpec().width_w / 1e-3)
     length_mm: float = _checked("> 0", MicrostripSpec().length_l / 1e-3)
     substrate: str = MicrostripSpec().substrate.name
@@ -95,19 +110,22 @@ class StripConfig:
 
 
 @dataclass(frozen=True)
-class SubstrateConfig:
+class SubstrateConfig(_Section):
+    _path = "substrates.<name>."  # _section puts the entry's table key in its messages
     eps_r: float = _checked(">= 1")
     tan_delta: float = _checked(">= 0")
     thickness_mm: float = _checked("> 0")
 
 
 @dataclass(frozen=True)
-class FrequencyGridConfig:
+class FrequencyGridConfig(_Section):
+    _path = "frequency_grid."
     start_ghz: float = _checked("> 0", BAND_CENTER_HZ / 1e9)
     stop_ghz: float = None  # when absent: max(band centre, start_ghz)
     step_ghz: float = _checked("> 0", 1.0)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.stop_ghz is None:
             object.__setattr__(self, "stop_ghz", max(BAND_CENTER_HZ / 1e9, self.start_ghz))
         if self.stop_ghz < self.start_ghz:
@@ -115,12 +133,14 @@ class FrequencyGridConfig:
 
 
 @dataclass(frozen=True)
-class ThetaGridConfig:
+class ThetaGridConfig(_Section):
+    _path = "theta_grid."
     start_deg: float = -90.0
     stop_deg: float = 90.0
     step_deg: float = _checked("> 0", NORMALIZATION_STEP_DEG)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.stop_deg < self.start_deg:
             raise ConfigError("theta_grid.stop_deg: must be >= start_deg")
         if self.start_deg < -90.0 or self.stop_deg > 90.0:
@@ -128,12 +148,14 @@ class ThetaGridConfig:
 
 
 @dataclass(frozen=True)
-class WeightsConfig:
+class WeightsConfig(_Section):
+    _path = "weights."
     s1: float = _checked(">= 0", 1.0)
     s2: float = _checked(">= 0", 0.3)
     ratios: tuple = field(default_factory=lambda: [i / 10 for i in range(1, 11)])
 
     def __post_init__(self):  # a JSON array arrives as a list, and is stored as a tuple of floats
+        super().__post_init__()
         if not isinstance(self.ratios, (list, tuple)) or not self.ratios:
             raise ConfigError("weights.ratios: must be a non-empty array of numbers")
         ratios = [_scalar("float", "> 0", v, f"weights.ratios[{i}]") for i, v in enumerate(self.ratios)]
@@ -145,7 +167,7 @@ _GEOMETRY = ("slot", "monopole", "array", "strip")
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Section):
     """Validated run configuration in external units, refused at construction as parse_config refuses it."""
 
     slot: SlotConfig = SlotConfig()
@@ -156,19 +178,19 @@ class RunConfig:
     frequency_grid: FrequencyGridConfig = FrequencyGridConfig()
     theta_grid: ThetaGridConfig = ThetaGridConfig()
     weights: WeightsConfig = WeightsConfig()
-    output_dir: str = "out"
+    output_dir: str = _checked("non-empty", "out")
 
     def __post_init__(self):
-        if self.output_dir == "":  # Path("") is the working directory
-            raise ConfigError("output_dir: must be a non-empty string")
-        self.frequencies_hz()  # each grid must build, and its reader names the section in a refusal
-        self.theta_grid_deg()
-        try:  # each model object must build, so a length must stay > 0 in metres (1e-322 mm is 0.0 m)
-            self.geometry()
-            self.strip_spec()
-            self.excitation_weights()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        super().__post_init__()
+        # each grid and model object must build: a grid builder's refusal gains the section path, and a
+        # length must stay > 0 in metres (1e-322 mm is 0.0 m)
+        builds = (("frequency_grid: ", self.frequencies_hz), ("theta_grid: ", self.theta_grid_deg),
+                  ("", self.geometry), ("", self.strip_spec), ("", self.excitation_weights))
+        for prefix, build in builds:
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(prefix + str(exc)) from exc
 
     # materializers: external units in, SI spec objects out
 
@@ -204,21 +226,14 @@ class RunConfig:
 
     def frequencies_hz(self) -> list:
         g = self.frequency_grid
-        return [float(v) * 1e9 for v in _stepped("frequency_grid", g.start_ghz, g.stop_ghz, g.step_ghz)]
+        return [float(v) * 1e9 for v in stepped_grid(g.start_ghz, g.stop_ghz, g.step_ghz)]
 
     def theta_grid_deg(self) -> np.ndarray:
         g = self.theta_grid
-        return _stepped("theta_grid", g.start_deg, g.stop_deg, g.step_deg)
+        return stepped_grid(g.start_deg, g.stop_deg, g.step_deg)
 
     def theta_grid_rad(self) -> np.ndarray:
         return np.radians(self.theta_grid_deg())
-
-
-def _stepped(path: str, start: float, stop: float, step: float) -> np.ndarray:
-    try:  # the builder's refusal gains the section path, as every config message has one
-        return stepped_grid(start, stop, step)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _object(value, path: str, known=None) -> dict:
@@ -236,11 +251,10 @@ def _section(cls, data, path: str):
     for f in _fields(cls):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{path}.{f.name}: required")
-    values = {}
-    for f in (f for f in _fields(cls) if f.name in d):  # a field of no JSON scalar kind is its section's to check
-        raw, where = d[f.name], f"{path}.{f.name}"
-        values[f.name] = _scalar(f.type, f.metadata.get("check"), raw, where) if f.type in _RULES else raw
-    return cls(**values)
+    try:
+        return cls(**d)
+    except ConfigError as exc:  # a substrate entry's messages gain its name here
+        raise ConfigError(str(exc).replace(cls._path, f"{path}.", 1)) from exc
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -257,8 +271,8 @@ def parse_config(data: dict) -> RunConfig:
             values[f.name] = {k: _section(SubstrateConfig, v, f"{path}.{k}") for k, v in entries}
         elif is_dataclass(f.default):
             values[f.name] = _section(type(f.default), src[f.name], path)
-        else:
-            values[f.name] = _scalar(f.type, f.metadata.get("check"), src[f.name], path)
+        else:  # output_dir, which RunConfig checks
+            values[f.name] = src[f.name]
     return RunConfig(**values)
 
 

@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 from tiltbeam import radiators
 from tiltbeam.circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec
 from tiltbeam.config import (
+    ArrayConfig,
     ConfigError,
     FrequencyGridConfig,
     RunConfig,
     SlotConfig,
+    StripConfig,
+    SubstrateConfig,
     ThetaGridConfig,
     WeightsConfig,
     load_config,
@@ -463,7 +466,7 @@ class TestGridCap:
         (lambda: RunConfig(frequency_grid=FrequencyGridConfig(20.0, 45.0, 1e-12)).frequencies_hz(), "frequency_grid"),
     ], ids=["theta", "frequency"])
     def test_a_config_built_in_python_names_its_section(self, build, section):
-        # RunConfig's own readers put the section on the builder's message, as parse_config reports it
+        # RunConfig's construction puts the section on the builder's message, as parse_config reports it
         with pytest.raises(ConfigError) as exc:
             build()
         assert str(exc.value) == f"{section}: grid must have at most {MAX_GRID_POINTS} points"
@@ -483,11 +486,30 @@ class TestBuiltInPython:
         (lambda: ThetaGridConfig(10.0, 0.0), "theta_grid.stop_deg: must be >= start_deg"),
         (lambda: ThetaGridConfig(-100.0), "theta_grid: angles must lie within [-90, 90] degrees"),
         (lambda: RunConfig(slot=SlotConfig(length_mm=1e-322)), "SlotSpec: length_L must be > 0"),
-    ], ids=["frequency-stop-before-start", "theta-stop-before-start", "theta-below-90", "slot-zero-metres"])
+        (lambda: RunConfig(frequency_grid=FrequencyGridConfig(start_ghz=-5.0)), "frequency_grid.start_ghz: must be > 0"),
+        (lambda: RunConfig(array=ArrayConfig(count_nx="2")), "geometry.array.count_nx: must be an integer"),
+        (lambda: ArrayConfig(count_ny=1, spacing_dy_mm=-1.0), "geometry.array.spacing_dy_mm: must be > 0"),
+        (lambda: RunConfig(strip=StripConfig(roughness_um="0")), "geometry.strip.roughness_um: must be a number"),
+        (lambda: RunConfig(output_dir=5), "output_dir: must be a string"),
+        # an entry knows no name of its own; parse_config puts the table key in its place
+        (lambda: SubstrateConfig(eps_r=0.5, tan_delta=0.0, thickness_mm=1.0), "substrates.<name>.eps_r: must be >= 1"),
+    ], ids=["frequency-stop-before-start", "theta-stop-before-start", "theta-below-90", "slot-zero-metres",
+            "negative-start", "string-count", "one-element-axis-spacing", "string-roughness", "integer-output-dir",
+            "unnamed-substrate"])
     def test_refused_at_construction(self, build, message):
         with pytest.raises(ConfigError) as exc:
             build()
         assert str(exc.value) == message
+
+    def test_an_integer_number_is_stored_as_a_float(self):
+        # so the serialized form writes 5.0, whether the section was parsed or built in Python
+        assert type(SlotConfig(length_mm=5).length_mm) is float
+        assert type(parse_config({"geometry": {"slot": {"length_mm": 5}}}).slot.length_mm) is float
+
+    def test_a_null_stop_is_an_absent_one(self):
+        # the parser passes null on as None, which FrequencyGridConfig reads as absent
+        parsed = parse_config({"frequency_grid": {"start_ghz": 40.0, "stop_ghz": None}}).frequency_grid
+        assert parsed == FrequencyGridConfig(start_ghz=40.0, stop_ghz=None) == FrequencyGridConfig(40.0, 40.0)
 
 
 class TestSectionOwnedRules:
@@ -576,6 +598,23 @@ def valid_configs(draw):
     return {**_maybe(draw, data), "substrates": substrates}
 
 
+# A value of the single-fault table, which one scalar field of a section may take
+_TABLE_VALUES = [*_BAD_VALUE.values(), "1", True, math.inf, -math.inf, math.nan]
+_SECTION_TYPES = {name: type(getattr(RunConfig(), name)) for name in _SECTION_KEYS}
+
+
+@st.composite
+def section_faults(draw) -> dict:
+    # some of the seven sections, in schema order, each with one field set to a table value; a strip's
+    # substrate is left out, as a name the table lacks is RunConfig's to refuse
+    faults = {}
+    for section, keys in _SECTION_KEYS.items():
+        if draw(st.booleans()):
+            key = draw(st.sampled_from([k for k in keys if k != "substrate"]))
+            faults[section] = (key, draw(st.sampled_from(_TABLE_VALUES)))
+    return faults
+
+
 class TestRoundTripProperties:
     @settings(max_examples=300)
     @given(valid_configs())
@@ -595,6 +634,26 @@ class TestRoundTripProperties:
     @given(valid_configs())
     def test_weights_section_built_in_python_equals_the_parsed_one(self, data):
         assert WeightsConfig(**data.get("weights", {})) == parse_config(data).weights
+
+    @settings(max_examples=200)
+    @given(section_faults())
+    def test_sections_built_in_python_are_refused_as_parsed(self, faults):
+        # each section built in Python equals the parsed one, or the first to refuse reads parse_config's message
+        data, built, refusal = {}, {}, None
+        for section, (key, value) in faults.items():
+            place = data.setdefault("geometry", {}) if section in ("slot", "monopole", "array", "strip") else data
+            place[section] = {key: value}
+            try:
+                built[section] = _SECTION_TYPES[section](**{key: value})
+            except ConfigError as exc:
+                refusal = refusal or str(exc)
+        if refusal is not None:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(data)
+            assert str(exc.value) == refusal
+        else:
+            cfg = parse_config(data)
+            assert {section: getattr(cfg, section) for section in built} == built
 
     @settings(max_examples=100)
     @given(valid_configs())

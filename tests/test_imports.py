@@ -277,6 +277,11 @@ RULES = {
                 for angle, slack in ((node.left, node.right), (node.right, node.left))),
         {"radiators.<module>"}, "radiators.HALF_SPACE_EDGE is the one edge of the upper half-space, pi/2 rad plus "
         "its slack; monopole_pattern and PatternCut read it"),
+    "field-rules": Rule(
+        lambda node, ctx: _called(node) == "_scalar",
+        {"config._Section.__post_init__", "config.WeightsConfig.__post_init__"},
+        "a section's construction checks each scalar field in one walk, and WeightsConfig each ratio; a check in "
+        "the parser would be a second path, which a config built in Python skips"),
 }
 
 
@@ -412,6 +417,14 @@ SNIPPETS = [
         "def flipped():\n    return 1e-9 + math.pi * 0.5, -(math.pi / 2.0) - 1e-12\n"
     ), [("monopole_pattern", 3), ("PatternCut.check", 6), ("PatternCut.check", 6), ("flipped", 10), ("flipped", 10)]),
     ("half-space-edge", "synthesis", "EDGE = 0.5 * math.pi + 1e-9\n", [("<module>", 1)]),
+    ("field-rules", "config", (
+        "def _scalar(kind, check, value, where):\n    return value\n"
+        "class _Section:\n    def __post_init__(self):\n        _scalar(f.type, None, v, self._path)\n"
+        "def _section(cls, d, path):\n    return cls(**{k: _scalar(f.type, None, v, path) for k, v in d.items()})\n"
+        "def parse_config(data):\n    return RunConfig(output_dir=_scalar('str', None, data['output_dir'], 'output_dir'))\n"
+        "class WeightsConfig:\n    def __post_init__(self):\n        [_scalar('float', '> 0', v, 'r') for v in self.ratios]\n"
+        "class RunConfig:\n    def __post_init__(self):\n        self._check = _scalar\n        _scalar('str', None, 1, 'o')\n"
+    ), [("_section", 7), ("parse_config", 9), ("RunConfig.__post_init__", 16)]),
 ]
 
 
