@@ -165,7 +165,7 @@ def _write_text(path: Path, text: str) -> None:
 def run_command(name: str, cfg: RunConfig, out_dir=None, svg: bool = False) -> int:
     """Execute one command against a validated config. Returns exit status."""
     if name not in _BUILDERS:
-        print(f"error: unknown command '{name}'\n{_USAGE}", file=sys.stderr)
+        print(f"error: unknown command {name!r}\n{_USAGE}", file=sys.stderr)
         return 2
     try:
         artifacts = sorted(_BUILDERS[name](cfg, svg).items())
@@ -225,9 +225,9 @@ def _parse_argv(argv):
         elif arg == "--svg":
             svg = True
         else:
-            raise _UsageError(f"unrecognized argument '{arg}'")
+            raise _UsageError(f"unrecognized argument {arg!r}")
     if command not in COMMANDS:
-        raise _UsageError(f"unknown command '{command}'")
+        raise _UsageError(f"unknown command {command!r}")
     if "--config" not in values:
         raise _UsageError("--config is required")
     return command, values["--config"], values.get("--out"), svg

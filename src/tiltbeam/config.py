@@ -64,11 +64,16 @@ def _scalar(kind: str, check, value, where: str):
 class _Section:
     _path = ""  # the section's JSON path and a dot, which starts each field's message
 
-    def __post_init__(self):  # each scalar field is checked in schema order, before the section's own rules
+    def __post_init__(self):  # each field is checked or built in schema order, before the section's own rules
         for f in _fields(type(self)):
             value = getattr(self, f.name)
-            if f.type in _RULES and not (value is None is f.default):  # an absent stop_ghz is resolved later
-                object.__setattr__(self, f.name, _scalar(f.type, f.metadata.get("check"), value, self._path + f.name))
+            if isinstance(f.default, _Section):
+                value = _section(type(f.default), value, type(f.default)._path[:-1])
+            elif f.name == "substrates":  # each entry is built under its table key
+                value = {k: _section(SubstrateConfig, v, _join(f.name, k)) for k, v in _object(value, f.name).items()}
+            elif f.type in _RULES and not (value is None is f.default):  # an absent stop_ghz is resolved later
+                value = _scalar(f.type, f.metadata.get("check"), value, self._path + f.name)
+            object.__setattr__(self, f.name, value)
 
 
 # The geometry and strip defaults: the model types' reference design, in external units
@@ -215,11 +220,10 @@ class RunConfig(_Section):
             table[name] = SubstrateSpec(name, sc.eps_r, sc.tan_delta, sc.thickness_mm * 1e-3)
         material = table.get(s.substrate)
         if material is None:
-            raise ConfigError(f"geometry.strip.substrate: unknown substrate '{s.substrate}'")
+            raise ConfigError(f"geometry.strip.substrate: unknown substrate {s.substrate!r}")
         layer = replace(material, thickness_h=s.substrate_thickness_mm * 1e-3)
-        return MicrostripSpec(
-            s.width_mm * 1e-3, s.length_mm * 1e-3, layer, s.conductivity_s_per_m, s.roughness_um * 1e-6
-        )
+        return MicrostripSpec(s.width_mm * 1e-3, s.length_mm * 1e-3, layer, s.conductivity_s_per_m,
+                              s.roughness_um * 1e-6)
 
     def excitation_weights(self) -> ExcitationWeights:
         return ExcitationWeights(self.weights.s1, self.weights.s2)
@@ -236,17 +240,24 @@ class RunConfig(_Section):
         return np.radians(self.theta_grid_deg())
 
 
+def _join(path: str, key) -> str:  # a key's JSON path; a key holding a non-printable is a string literal
+    key = key if str(key).isprintable() else repr(key)
+    return f"{path}.{key}" if path else key
+
+
 def _object(value, path: str, known=None) -> dict:
     # The mapping at path ("" for the top level); its keys must be in known, if given.
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config'}: must be an object")
     for key in value:
         if known is not None and key not in known:
-            raise ConfigError(f"unknown key: {path}.{key}" if path else f"unknown key: {key}")
+            raise ConfigError(f"unknown key: {_join(path, key)}")
     return value
 
 
 def _section(cls, data, path: str):
+    if isinstance(data, cls):  # a section given as itself was checked when it was built
+        return data
     d = _object(data, path, [f.name for f in _fields(cls)])
     for f in _fields(cls):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
@@ -261,19 +272,7 @@ def parse_config(data: dict) -> RunConfig:
     """Validate a parsed JSON object and fill defaults for absent fields."""
     top = _object(data, "", ["geometry"] + [f.name for f in _fields(RunConfig) if f.name not in _GEOMETRY])
     geometry = _object(top.get("geometry", {}), "geometry", _GEOMETRY)
-    values = {}
-    for f in _fields(RunConfig):
-        src, path = (geometry, f"geometry.{f.name}") if f.name in _GEOMETRY else (top, f.name)
-        if f.name not in src:
-            continue
-        if f.name == "substrates":
-            entries = _object(src[f.name], path).items()
-            values[f.name] = {k: _section(SubstrateConfig, v, f"{path}.{k}") for k, v in entries}
-        elif is_dataclass(f.default):
-            values[f.name] = _section(type(f.default), src[f.name], path)
-        else:  # output_dir, which RunConfig checks
-            values[f.name] = src[f.name]
-    return RunConfig(**values)
+    return RunConfig(**geometry, **{k: v for k, v in top.items() if k != "geometry"})  # RunConfig builds each section
 
 
 def load_config(path) -> RunConfig:

@@ -15,6 +15,7 @@ import pytest
 
 import tiltbeam.cli as cli
 from tiltbeam import radiators, scanstudy, specfun, synthesis
+from tiltbeam.circuitmodel import SUBSTRATE_PRESETS
 from tiltbeam.config import parse_config
 from tiltbeam.specfun import ConvergenceError
 
@@ -723,6 +724,73 @@ class TestExitCodes:
     def test_run_command_rejects_unknown_name(self, capsys):
         assert cli.run_command("nope", parse_config({})) == 2
         assert "unknown command" in capsys.readouterr().err
+
+    # A name holding a newline is written as a string literal, so its error still prints on one line.
+    @pytest.mark.parametrize("data, line", [
+        ({"a\nb": 1}, "unknown key: 'a\\nb'"),
+        ({"geometry": {"strip": {"substrate": "x\ny"}}}, "geometry.strip.substrate: unknown substrate 'x\\ny'"),
+        ({"substrates": {"a\nb": {"eps_r": 0.5, "tan_delta": 0.0, "thickness_mm": 1.0}}},
+         "substrates.'a\\nb'.eps_r: must be >= 1"),
+    ], ids=["config-key", "strip-substrate", "substrates-key"])
+    def test_a_config_name_holding_a_newline_prints_one_line(self, tmp_path, capsys, data, line):
+        assert run(["pattern", "--config", write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["pat\ntern"], "unknown command 'pat\\ntern'"),
+        (["pattern", "--s\nvg"], "unrecognized argument '--s\\nvg'"),
+    ], ids=["command", "argument"])
+    def test_an_argument_holding_a_newline_prints_one_line(self, default_config, capsys, argv, line):
+        # the error line, then the two usage lines
+        assert run([*argv, "--config", default_config]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n{cli._USAGE}\n"
+
+    def test_run_command_quotes_an_unknown_name(self, capsys):
+        assert cli.run_command("pat\ntern", parse_config({})) == 2
+        assert capsys.readouterr().err == f"error: unknown command 'pat\\ntern'\n{cli._USAGE}\n"
+
+
+def every_artifact(tmp_path, data):
+    """Run all six commands with --svg on one config; return every file's bytes by command and name."""
+    cfg = write_config(tmp_path, data)
+    artifacts = {}
+    for command in cli.COMMANDS:
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out, "--svg"]) == 0
+        artifacts[command] = {p.name: p.read_bytes() for p in out.iterdir()}
+    return artifacts
+
+
+@pytest.fixture(scope="module")
+def default_artifacts(tmp_path_factory):
+    return every_artifact(tmp_path_factory.mktemp("default"), {})
+
+
+def _strip_substrate_slab(thickness_mm):
+    # the strip's FR4 redefined with its own material and another slab thickness
+    fr4 = SUBSTRATE_PRESETS["FR4"]
+    return {"substrates": {"FR4": {"eps_r": fr4.eps_r, "tan_delta": fr4.tan_delta, "thickness_mm": thickness_mm}}}
+
+
+class TestNoEffectKeys:
+    # README: these keys are validated and serialized but change no artifact. Each is set near its
+    # bound and far from its default.
+    @pytest.mark.parametrize("data", [
+        {"geometry": {"slot": {"length_mm": 1e-300}}},
+        {"geometry": {"slot": {"length_mm": 1e300}}},
+        {"geometry": {"slot": {"amplitude_e0": 5e-324}}},
+        {"geometry": {"slot": {"amplitude_e0": 1e300}}},
+        {"geometry": {"array": {"count_ny": 1}}},
+        {"geometry": {"array": {"count_ny": 10**9}}},
+        {"geometry": {"array": {"spacing_dy_mm": 1e-300}}},
+        {"geometry": {"array": {"spacing_dy_mm": 1e300}}},
+        _strip_substrate_slab(1e-300),
+        _strip_substrate_slab(1e300),
+    ], ids=["slot-length-1e-300", "slot-length-1e300", "slot-amplitude-5e-324", "slot-amplitude-1e300",
+            "count-ny-1", "count-ny-1e9", "spacing-dy-1e-300", "spacing-dy-1e300", "substrate-slab-1e-300",
+            "substrate-slab-1e300"])
+    def test_every_artifact_keeps_its_bytes(self, tmp_path, default_artifacts, data):
+        assert every_artifact(tmp_path, data) == default_artifacts
 
 
 class TestFormatting:

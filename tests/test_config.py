@@ -493,9 +493,15 @@ class TestBuiltInPython:
         (lambda: RunConfig(output_dir=5), "output_dir: must be a string"),
         # an entry knows no name of its own; parse_config puts the table key in its place
         (lambda: SubstrateConfig(eps_r=0.5, tan_delta=0.0, thickness_mm=1.0), "substrates.<name>.eps_r: must be >= 1"),
+        # a section may be given as its JSON object, and is refused as parse_config refuses it
+        (lambda: RunConfig(slot=5), "geometry.slot: must be an object"),
+        (lambda: RunConfig(weights=[1]), "weights: must be an object"),
+        (lambda: RunConfig(substrates=5), "substrates: must be an object"),
+        (lambda: RunConfig(substrates={"X": {"eps_r": 0.5, "tan_delta": 0.0, "thickness_mm": 1.0}}),
+         "substrates.X.eps_r: must be >= 1"),
     ], ids=["frequency-stop-before-start", "theta-stop-before-start", "theta-below-90", "slot-zero-metres",
             "negative-start", "string-count", "one-element-axis-spacing", "string-roughness", "integer-output-dir",
-            "unnamed-substrate"])
+            "unnamed-substrate", "number-slot", "array-weights", "number-substrates", "named-substrate-object"])
     def test_refused_at_construction(self, build, message):
         with pytest.raises(ConfigError) as exc:
             build()
@@ -505,6 +511,9 @@ class TestBuiltInPython:
         # so the serialized form writes 5.0, whether the section was parsed or built in Python
         assert type(SlotConfig(length_mm=5).length_mm) is float
         assert type(parse_config({"geometry": {"slot": {"length_mm": 5}}}).slot.length_mm) is float
+
+    def test_a_section_given_as_its_object_equals_the_parsed_one(self):
+        assert RunConfig(slot={"length_mm": 3}) == parse_config({"geometry": {"slot": {"length_mm": 3}}})
 
     def test_a_null_stop_is_an_absent_one(self):
         # the parser passes null on as None, which FrequencyGridConfig reads as absent

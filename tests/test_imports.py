@@ -282,6 +282,11 @@ RULES = {
         {"config._Section.__post_init__", "config.WeightsConfig.__post_init__"},
         "a section's construction checks each scalar field in one walk, and WeightsConfig each ratio; a check in "
         "the parser would be a second path, which a config built in Python skips"),
+    "section-walk": Rule(
+        lambda node, ctx: _called(node) == "_section",
+        {"config._Section.__post_init__"},
+        "a RunConfig builds each section and substrate entry from its JSON object in its field walk; a section "
+        "built in the parser would be a second path, and parse_config only checks the top-level and geometry keys"),
 }
 
 
@@ -425,6 +430,14 @@ SNIPPETS = [
         "class WeightsConfig:\n    def __post_init__(self):\n        [_scalar('float', '> 0', v, 'r') for v in self.ratios]\n"
         "class RunConfig:\n    def __post_init__(self):\n        self._check = _scalar\n        _scalar('str', None, 1, 'o')\n"
     ), [("_section", 7), ("parse_config", 9), ("RunConfig.__post_init__", 16)]),
+    ("section-walk", "config", (
+        "class _Section:\n    def __post_init__(self):\n        v = _section(type(f.default), v, path)\n"
+        "def parse_config(data):\n    for f in _fields(RunConfig):\n"
+        "        values[f.name] = _section(type(f.default), data[f.name], f.name)\n"
+        "    return RunConfig(substrates={k: _section(SubstrateConfig, v, k) for k, v in data['substrates'].items()})\n"
+        "class RunConfig:\n    def __post_init__(self):\n        self.slot = _section(SlotConfig, self.slot, 'slot')\n"
+        "def _section(cls, data, path):\n    return cls(**data)\n"
+    ), [("parse_config", 6), ("parse_config", 7), ("RunConfig.__post_init__", 10)]),
 ]
 
 
