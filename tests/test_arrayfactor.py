@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltbeam import ArrayLayout, SteeringCommand, array_factor, steered_array_factor
+
+from strategies import floats
 
 LAM = 3.0e8 / 32.4e9
 
@@ -173,15 +174,6 @@ class TestSteeredArrayFactor:
             SteeringCommand(-2.0)
 
 
-# Spacings and wavelengths: each bound of a positive float, then any finite positive value.
-_POSITIVE = st.one_of(
-    st.sampled_from([5e-324, sys.float_info.min, 1e-300, 1e300, sys.float_info.max]),
-    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-)
-_ANGLE = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, 1e300, -1e300]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
 _COUNT = st.integers(1, 6)
 
 
@@ -194,7 +186,8 @@ def _value_or_error(function, *args):
 
 
 @settings(max_examples=300)
-@given(nx=_COUNT, ny=_COUNT, dx=_POSITIVE, dy=_POSITIVE, theta=_ANGLE, phi=_ANGLE, lam=_POSITIVE,
+# spacings and wavelengths are positive; angles are any finite float
+@given(nx=_COUNT, ny=_COUNT, dx=floats("> 0"), dy=floats("> 0"), theta=floats(), phi=floats(), lam=floats("> 0"),
        theta0=st.floats(-0.5 * math.pi, 0.5 * math.pi, exclude_min=True, exclude_max=True), along_x=st.booleans())
 def test_factors_stay_in_range_or_raise_their_owners_error(nx, ny, dx, dy, theta, phi, lam, theta0, along_x):
     # any finite input: a value in range or the owner's ValueError, and no warning

@@ -2,7 +2,6 @@
 half-wave resonance, and the loss terms."""
 
 import math
-import sys
 from dataclasses import replace
 
 import pytest
@@ -24,7 +23,8 @@ from tiltbeam import (
     roughness_factor,
     skin_depth,
 )
-from tiltbeam.specfun import _BOUNDS
+
+from strategies import edge_floats
 
 
 def thin_layer(preset_name):
@@ -382,19 +382,11 @@ class TestLossBudget:
         assert low.total < base.total
 
 
-def _near(bound, accepted_only=False):
-    # a require bound, the floats either side of it, a subnormal, 1e-300, 1e300 and the largest float
-    edge = float(bound[-1])
-    values = [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
-              5e-324, 1e-300, 1e300, sys.float_info.max]
-    return st.sampled_from([v for v in values if _BOUNDS[bound](v) or not accepted_only])
-
-
 # The specs keep to their own bounds, which test_spec_validation and its neighbours check, so every function runs.
 _STRIPS = st.builds(
-    MicrostripSpec, _near("> 0", True), _near("> 0", True),
-    st.builds(SubstrateSpec, st.just("X"), _near(">= 1", True), _near(">= 0", True), _near("> 0", True)),
-    _near("> 0", True), _near(">= 0", True),
+    MicrostripSpec, edge_floats("> 0"), edge_floats("> 0"),
+    st.builds(SubstrateSpec, st.just("X"), edge_floats(">= 1"), edge_floats(">= 0"), edge_floats("> 0")),
+    edge_floats("> 0"), edge_floats(">= 0"),
 )
 _FUNCTIONS = (effective_permittivity, characteristic_impedance, skin_depth, roughness_factor, half_wave_resonance,
               dielectric_attenuation, conductor_attenuation, plane_wave_attenuation, loss_budget)
@@ -402,7 +394,7 @@ _OWNERS = ("SubstrateSpec: ", "MicrostripSpec: ", "LossBudget: ") + tuple(f"{f._
 
 
 @settings(max_examples=500)
-@given(strip=_STRIPS, f=_near("> 0"), positive=_near("> 0"), rq=_near(">= 0"), eps=_near(">= 1"))
+@given(strip=_STRIPS, f=edge_floats(), positive=edge_floats(), rq=edge_floats(), eps=edge_floats())
 # Schneider's sum rounds one ulp past eps_r on a near-air substrate under a wide strip
 @example(strip=MicrostripSpec(1.0, 1e-3, SubstrateSpec("X", 1.0000001, 0.0, 1e-20)), f=1.0, positive=1.0,
          rq=0.0, eps=1.0)

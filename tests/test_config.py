@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiltbeam import radiators
-from tiltbeam.circuitmodel import SUBSTRATE_PRESETS, MicrostripSpec
+from tiltbeam.circuitmodel import MicrostripSpec
 from tiltbeam.config import (
     ArrayConfig,
     ConfigError,
@@ -31,6 +32,8 @@ from tiltbeam.config import (
 )
 from tiltbeam.specfun import MAX_GRID_POINTS
 from tiltbeam.synthesis import BAND_CENTER_HZ, AntennaGeometry, default_theta_grid
+
+from strategies import SECTIONS, configs
 
 
 class TestDefaults:
@@ -554,62 +557,12 @@ def test_first_faulty_section_reports(weights):
     assert str(exc.value) == "frequency_grid.stop_ghz: must be >= start_ghz"
 
 
-_SECTION_KEYS = {
-    "slot": ["length_mm", "amplitude_e0"],
-    "monopole": ["height_mm", "ground_radius_mm", "current_model"],
-    "array": ["count_nx", "count_ny", "spacing_dx_mm", "spacing_dy_mm"],
-    "strip": ["width_mm", "length_mm", "substrate", "substrate_thickness_mm",
-              "conductivity_s_per_m", "roughness_um"],
-    "frequency_grid": ["start_ghz", "stop_ghz", "step_ghz"],
-    "theta_grid": ["start_deg", "stop_deg", "step_deg"],
-    "weights": ["s1", "s2", "ratios"],
-}
-
-
-def _maybe(draw, section: dict) -> dict:
-    return {k: v for k, v in section.items() if draw(st.booleans())}
-
-
-@st.composite
-def valid_configs(draw):
-    def num(lo, hi):
-        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
-
-    names = draw(st.lists(st.sampled_from(["CUSTOM", "FR4", "alt", "Z9"]), unique=True, max_size=3))
-    substrates = {n: {"eps_r": num(1.0, 12.0), "tan_delta": num(0.0, 0.1), "thickness_mm": num(1e-3, 5.0)}
-                  for n in names}
-    f_start, t_start = num(1.0, 60.0), num(-90.0, 90.0)
-    s2 = num(0.0, 5.0)
-    geometry = {
-        "slot": _maybe(draw, {"length_mm": num(0.1, 20.0), "amplitude_e0": num(0.01, 10.0)}),
-        "monopole": _maybe(draw, {"height_mm": num(0.1, 5.0), "ground_radius_mm": num(0.5, 20.0),
-                                  "current_model": draw(st.sampled_from(["sinusoidal", "triangular"]))}),
-        "array": _maybe(draw, {"count_nx": draw(st.integers(1, 8)), "count_ny": draw(st.integers(1, 8)),
-                               "spacing_dx_mm": num(0.1, 10.0), "spacing_dy_mm": num(0.1, 10.0)}),
-        "strip": _maybe(draw, {"width_mm": num(0.01, 5.0), "length_mm": num(0.1, 20.0),
-                               "substrate": draw(st.sampled_from(sorted(SUBSTRATE_PRESETS) + names)),
-                               "substrate_thickness_mm": num(0.01, 2.0),
-                               "conductivity_s_per_m": num(1e5, 1e8), "roughness_um": num(0.0, 5.0)}),
-    }
-    frequency_grid = _maybe(draw, {"start_ghz": f_start, "step_ghz": num(0.01, 10.0)})
-    if "start_ghz" in frequency_grid and draw(st.booleans()):
-        frequency_grid["stop_ghz"] = f_start + num(0.0, 50.0)
-    data = {
-        "geometry": _maybe(draw, geometry),
-        "frequency_grid": frequency_grid,
-        "theta_grid": _maybe(draw, {"start_deg": t_start, "stop_deg": num(t_start, 90.0),
-                                    "step_deg": num(0.01, 5.0)}),
-        "weights": _maybe(draw, {"s1": num(0.0, 5.0) if s2 > 0 else num(0.01, 5.0), "s2": s2,
-                                 "ratios": draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12))}),
-        "output_dir": draw(st.text(min_size=1, max_size=8)),
-    }
-    # the strip may name a custom substrate, so the table always goes along
-    return {**_maybe(draw, data), "substrates": substrates}
+# each section's keys in schema order, which README's default config pins
+_SECTION_KEYS = {name: [f.name for f in fields(cls)] for name, cls in SECTIONS.items()}
 
 
 # A value of the single-fault table, which one scalar field of a section may take
 _TABLE_VALUES = [*_BAD_VALUE.values(), "1", True, math.inf, -math.inf, math.nan]
-_SECTION_TYPES = {name: type(getattr(RunConfig(), name)) for name in _SECTION_KEYS}
 
 
 @st.composite
@@ -626,21 +579,21 @@ def section_faults(draw) -> dict:
 
 class TestRoundTripProperties:
     @settings(max_examples=300)
-    @given(valid_configs())
+    @given(configs())
     def test_serialize_then_parse_is_identity(self, data):
         cfg = parse_config(data)
         assert parse_config(serialize_config(cfg)) == cfg
         assert parse_config(json.loads(json.dumps(serialize_config(cfg)))) == cfg
 
     @settings(max_examples=300)
-    @given(valid_configs())
+    @given(configs())
     def test_grid_sections_built_in_python_equal_the_parsed_ones(self, data):
         cfg = parse_config(data)
         assert FrequencyGridConfig(**data.get("frequency_grid", {})) == cfg.frequency_grid
         assert ThetaGridConfig(**data.get("theta_grid", {})) == cfg.theta_grid
 
     @settings(max_examples=300)
-    @given(valid_configs())
+    @given(configs())
     def test_weights_section_built_in_python_equals_the_parsed_one(self, data):
         assert WeightsConfig(**data.get("weights", {})) == parse_config(data).weights
 
@@ -653,7 +606,7 @@ class TestRoundTripProperties:
             place = data.setdefault("geometry", {}) if section in ("slot", "monopole", "array", "strip") else data
             place[section] = {key: value}
             try:
-                built[section] = _SECTION_TYPES[section](**{key: value})
+                built[section] = SECTIONS[section](**{key: value})
             except ConfigError as exc:
                 refusal = refusal or str(exc)
         if refusal is not None:
@@ -665,7 +618,7 @@ class TestRoundTripProperties:
             assert {section: getattr(cfg, section) for section in built} == built
 
     @settings(max_examples=100)
-    @given(valid_configs())
+    @given(configs())
     def test_serialized_key_order(self, data):
         out = json.loads(json.dumps(serialize_config(parse_config(data))))
         assert list(out) == ["geometry", "substrates", "frequency_grid", "theta_grid", "weights", "output_dir"]

@@ -26,6 +26,8 @@ from tiltbeam.specfun import (
     stepped_grid,
 )
 
+from strategies import EDGES, LARGEST, NONFINITE, floats
+
 
 class TestBesselJ1:
     def test_zero_argument(self):
@@ -94,7 +96,7 @@ class TestBesselJ1:
             assert np.all(np.abs(bessel_j1(xs) - ref) <= 1e-15 * np.sqrt(2.0 / math.pi / xs))
 
     @settings(max_examples=500)
-    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @given(floats())
     @example(0.0)
     @example(-0.0)
     @example(12.0)
@@ -371,14 +373,8 @@ _GRID_MESSAGES = {
     f"grid must have at most {MAX_GRID_POINTS} points",
     "step must be at least the float spacing at stop",
 }
-_LARGEST = sys.float_info.max
-# at and beside 0 and the largest float, subnormals, 1e+-300, quarter degrees, and the non-finite values
-_GRID_EDGES = [
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e-9, 0.25, -0.25, 1.0, 89.75, 90.0,
-    -90.0, 90.25, 1e300, -1e300, math.nextafter(_LARGEST, 0.0), _LARGEST, -_LARGEST, 0.5 * _LARGEST,
-    -0.5 * _LARGEST, _LARGEST / (MAX_GRID_POINTS - 1), math.inf, -math.inf, math.nan,
-]
-_GRID_VALUES = st.builds(lambda value, kind: kind(value), st.one_of(st.sampled_from(_GRID_EDGES), st.floats()),
+# an edge value, finite or not, or any float, as a Python or a numpy float
+_GRID_VALUES = st.builds(lambda value, kind: kind(value), st.one_of(st.sampled_from(EDGES + NONFINITE), st.floats()),
                          st.sampled_from([float, np.float64]))
 
 
@@ -405,7 +401,7 @@ class TestSteppedGrid:
 
     def test_a_span_near_the_largest_float_keeps_every_point(self):
         # bound - start overflows where np.arange counts the points; scaling by a power of two is exact
-        start, stop, step = -0.5 * _LARGEST, 0.5 * _LARGEST, 0.25 * _LARGEST
+        start, stop, step = -0.5 * LARGEST, 0.5 * LARGEST, 0.25 * LARGEST
         grid = stepped_grid(start, stop, step)
         assert grid.size == 5 and grid[-1] == stop
         assert grid.tolist() == (16.0 * stepped_grid(start / 16.0, stop / 16.0, step / 16.0)).tolist()
