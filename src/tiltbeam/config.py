@@ -69,8 +69,10 @@ class _Section:
             value = getattr(self, f.name)
             if isinstance(f.default, _Section):
                 value = _section(type(f.default), value, type(f.default)._path[:-1])
-            elif f.name == "substrates":  # each entry is built under its table key
-                value = {k: _section(SubstrateConfig, v, _join(f.name, k)) for k, v in _object(value, f.name).items()}
+            elif f.name == "substrates":  # each entry is built under its table key, a string as in JSON
+                if not all(isinstance(k, str) for k in _object(value, f.name)):
+                    raise ConfigError("substrates: names must be strings")
+                value = {k: _section(SubstrateConfig, v, _join(f.name, k)) for k, v in value.items()}
             elif f.type in _RULES and not (value is None is f.default):  # an absent stop_ghz is resolved later
                 value = _scalar(f.type, f.metadata.get("check"), value, self._path + f.name)
             object.__setattr__(self, f.name, value)

@@ -14,7 +14,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from tiltbeam.circuitmodel import SUBSTRATE_PRESETS
-from tiltbeam.config import _GEOMETRY, RunConfig, SubstrateConfig
+from tiltbeam.config import _GEOMETRY, RunConfig, SubstrateConfig, parse_config, serialize_config
 from tiltbeam.radiators import CurrentModel
 from tiltbeam.specfun import _BOUNDS, MAX_GRID_POINTS
 
@@ -110,3 +110,17 @@ def configs(draw) -> dict:
     data["geometry"] = {name: section for name, section in geometry.items() if draw(st.booleans())}
     return {**{key: value for key, value in data.items() if draw(st.booleans())}, "substrates": substrates}
 
+
+def scaled(data: dict, k: int) -> dict:
+    """The full form of a config at 2**k times its electrical size.
+
+    Every length in mm is multiplied by 2**k, and every frequency in GHz by 2**-k. The stop is explicit in
+    the full form: the default stop, the band centre, is an absolute frequency and would not scale.
+    """
+    def scale(key: str, value):
+        if isinstance(value, dict):
+            return {name: scale(name, entry) for name, entry in value.items()}
+        if key.endswith("_mm"):
+            return math.ldexp(value, k)
+        return math.ldexp(value, -k) if key.endswith("_ghz") else value
+    return scale("", serialize_config(parse_config(data)))

@@ -12,12 +12,16 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tiltbeam.cli as cli
 from tiltbeam import radiators, scanstudy, specfun, synthesis
 from tiltbeam.circuitmodel import SUBSTRATE_PRESETS
 from tiltbeam.config import parse_config
 from tiltbeam.specfun import ConvergenceError
+
+from strategies import scaled
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -750,11 +754,11 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: unknown command 'pat\\ntern'\n{cli._USAGE}\n"
 
 
-def every_artifact(tmp_path, data):
-    """Run all six commands with --svg on one config; return every file's bytes by command and name."""
+def every_artifact(tmp_path, data, commands=cli.COMMANDS):
+    """Run each command (all six by default) with --svg on one config; return every file's bytes by command and name."""
     cfg = write_config(tmp_path, data)
     artifacts = {}
-    for command in cli.COMMANDS:
+    for command in commands:
         out = tmp_path / command
         assert run([command, "--config", cfg, "--out", out, "--svg"]) == 0
         artifacts[command] = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -791,6 +795,33 @@ class TestNoEffectKeys:
             "substrate-slab-1e300"])
     def test_every_artifact_keeps_its_bytes(self, tmp_path, default_artifacts, data):
         assert every_artifact(tmp_path, data) == default_artifacts
+
+
+LARGE_DISC = {"geometry": {"monopole": {"ground_radius_mm": 300.0}}}
+
+
+class TestScaleInvariance:
+    # README: the field depends on the lengths only through the electrical size, and on the weights only
+    # through their ratio. Scaling by a power of two is exact, so each artifact keeps every byte. A scaled
+    # geometry reads the field its base run cached only when kh and ka, the cache key, agree to the bit.
+    @settings(max_examples=10)
+    @given(data=st.just({}), k=st.integers(-30, 30))
+    @example(data={}, k=30)
+    @example(data={}, k=-30)
+    @example(data=LARGE_DISC, k=3)
+    def test_electrical_size(self, tmp_path_factory, data, k):
+        commands = ("pattern", "ratio-sweep", "scan")
+        base = every_artifact(tmp_path_factory.mktemp("base"), data, commands)
+        assert every_artifact(tmp_path_factory.mktemp("scaled"), scaled(data, k), commands) == base
+
+    @settings(max_examples=10)
+    @given(k=st.integers(-30, 30))
+    @example(k=30)
+    @example(k=-30)
+    def test_weights(self, tmp_path_factory, default_artifacts, k):
+        commands, weights = ("pattern", "stability"), {"s1": math.ldexp(1.0, k), "s2": math.ldexp(0.3, k)}
+        scaled_weights = every_artifact(tmp_path_factory.mktemp("weights"), {"weights": weights}, commands)
+        assert scaled_weights == {command: default_artifacts[command] for command in commands}
 
 
 class TestFormatting:

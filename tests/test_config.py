@@ -502,9 +502,12 @@ class TestBuiltInPython:
         (lambda: RunConfig(substrates=5), "substrates: must be an object"),
         (lambda: RunConfig(substrates={"X": {"eps_r": 0.5, "tan_delta": 0.0, "thickness_mm": 1.0}}),
          "substrates.X.eps_r: must be >= 1"),
+        # no JSON object has such a key, so it would not survive the round trip
+        (lambda: RunConfig(substrates={1: SubstrateConfig(3.0, 0.0, 1.0)}), "substrates: names must be strings"),
     ], ids=["frequency-stop-before-start", "theta-stop-before-start", "theta-below-90", "slot-zero-metres",
             "negative-start", "string-count", "one-element-axis-spacing", "string-roughness", "integer-output-dir",
-            "unnamed-substrate", "number-slot", "array-weights", "number-substrates", "named-substrate-object"])
+            "unnamed-substrate", "number-slot", "array-weights", "number-substrates", "named-substrate-object",
+            "number-substrate-name"])
     def test_refused_at_construction(self, build, message):
         with pytest.raises(ConfigError) as exc:
             build()
