@@ -186,7 +186,6 @@ def _value_or_error(function, *args):
 
 
 @settings(max_examples=300)
-# spacings and wavelengths are positive; angles are any finite float
 @given(nx=_COUNT, ny=_COUNT, dx=floats("> 0"), dy=floats("> 0"), theta=floats(), phi=floats(), lam=floats("> 0"),
        theta0=st.floats(-0.5 * math.pi, 0.5 * math.pi, exclude_min=True, exclude_max=True), along_x=st.booleans())
 def test_factors_stay_in_range_or_raise_their_owners_error(nx, ny, dx, dy, theta, phi, lam, theta0, along_x):

@@ -33,7 +33,7 @@ from tiltbeam.config import (
 from tiltbeam.specfun import MAX_GRID_POINTS
 from tiltbeam.synthesis import BAND_CENTER_HZ, AntennaGeometry, default_theta_grid
 
-from strategies import SECTIONS, configs
+from strategies import NONFINITE, SECTIONS, configs
 
 
 class TestDefaults:
@@ -565,7 +565,7 @@ _SECTION_KEYS = {name: [f.name for f in fields(cls)] for name, cls in SECTIONS.i
 
 
 # A value of the single-fault table, which one scalar field of a section may take
-_TABLE_VALUES = [*_BAD_VALUE.values(), "1", True, math.inf, -math.inf, math.nan]
+_TABLE_VALUES = [*_BAD_VALUE.values(), "1", True, *NONFINITE]
 
 
 @st.composite
