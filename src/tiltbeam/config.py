@@ -232,7 +232,8 @@ class RunConfig(_Section):
 
     def frequencies_hz(self) -> list:
         g = self.frequency_grid
-        return [float(v) * 1e9 for v in stepped_grid(g.start_ghz, g.stop_ghz, g.step_ghz)]
+        with np.errstate(over="ignore"):  # past the largest float a product is inf, as a Python float's is
+            return (stepped_grid(g.start_ghz, g.stop_ghz, g.step_ghz) * 1e9).tolist()
 
     def theta_grid_deg(self) -> np.ndarray:
         g = self.theta_grid

@@ -21,6 +21,7 @@ on, since floating-point results are compared only on the same toolchain.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import platform
 import sys
@@ -32,6 +33,9 @@ import pytest
 
 import tiltbeam.cli as cli
 from tiltbeam import radiators, specfun
+from tiltbeam.config import parse_config
+from tiltbeam.radiators import FrequencyContext, monopole_pattern
+from tiltbeam.synthesis import beam_stability
 
 TABLE = Path(__file__).with_name("golden.json")
 WORK_TABLE = Path(__file__).with_name("golden_work.json")
@@ -48,15 +52,17 @@ CONFIGS = {
     "band": {"frequency_grid": {"start_ghz": 28.0, "stop_ghz": 38.0, "step_ghz": 1.0}},
     "300mm-off-lattice-point": {"geometry": {"monopole": {"ground_radius_mm": 300.0}},
                                 "theta_grid": {"start_deg": 30.1, "stop_deg": 30.1, "step_deg": 0.25}},
+    "reference-step": {"frequency_grid": {"start_ghz": 44.84, "stop_ghz": 44.92, "step_ghz": 0.01}},
 }
 
 # (config, argv after the config and output options). The default config
 # runs every command with and without --svg; the others run the commands
 # their change reaches, and --svg only where a command draws. The configs
 # of _ONE_COMMAND_RUNS run that one command only: the multi-frequency
-# study's work, and the work of one off-grid angle on the 300 mm disc.
+# study's work, the work of one off-grid angle on the 300 mm disc, and the
+# step of the normalization reference between 44.87 and 44.88 GHz.
 _FIELD_RUNS = (("pattern",), ("pattern", "--svg"), ("ratio-sweep",), ("stability",), ("scan",), ("scan", "--svg"))
-_ONE_COMMAND_RUNS = {"band": ("stability",), "300mm-off-lattice-point": ("pattern",)}
+_ONE_COMMAND_RUNS = {"band": ("stability",), "300mm-off-lattice-point": ("pattern",), "reference-step": ("stability",)}
 RUNS = (
     [("default", (command, *svg)) for command in cli.COMMANDS for svg in ((), ("--svg",))]
     + [(config, argv) for config in list(CONFIGS)[1:] if config not in _ONE_COMMAND_RUNS for argv in _FIELD_RUNS]
@@ -121,22 +127,54 @@ def test_cli_runs_match_the_work_table(recorded):
 
 
 def test_doubling_one_levels_panels_fails_only_the_work_table(monkeypatch, tmp_path):
-    # The first level of each integral gets twice its panels. Its estimates
-    # differ from the first level's only far below the nine printed digits:
-    # the artifacts hold to the byte, and only the work table sees the change.
-    composite, started = specfun._composite, set()
-
-    def first_level_doubled(f, a, b, panels):
-        first = specfun.WORK["integrate_calls"] not in started
-        started.add(specfun.WORK["integrate_calls"])
-        return composite(f, a, b, 2 * panels if first else panels)
-
-    monkeypatch.setattr(specfun, "_composite", first_level_doubled)
+    # Each integral starts at its plan's second level, twice the first's
+    # panels. Its estimates differ from the first level's only far below the
+    # nine printed digits: the artifacts hold to the byte, and only the work
+    # table sees the change.
+    plan = specfun._plan
+    monkeypatch.setattr(specfun, "_plan", lambda a, b: itertools.islice(plan(a, b), 1, None))
     table, work = record(tmp_path, [("default", ("pattern",))])
     golden, counts = load(TABLE), load(WORK_TABLE)
     assert differences({key: golden[key] for key in table}, table) == []
     assert differences({key: counts[key] for key in work}, work) == [
         f"default/pattern/{counter}" for counter in ("j1_values", "kernel_calls", "kernel_values", "panels")]
+
+
+# The normalization grid's argmax for each frequency of each config whose
+# runs build a field on a geometry of their own; the other configs share
+# the default's or the 300 mm disc's, and each stability run's band centre
+# is the default's 32.4 GHz. A plan of panels that moved a value by less
+# than 1e-8 of the peak cannot move one of these.
+_NORMALIZATION_ARGMAX = {
+    "default": [154], "300mm-disc": [329], "triangular": [159],
+    "band": [162, 160, 158, 157, 155, 153, 151, 150, 148, 147, 146],
+    "reference-step": [148, 148, 148, 148, 149, 149, 149, 149, 149],
+}
+
+
+def test_each_golden_geometry_keeps_its_normalization_argmax_clear_of_the_runner_up():
+    argmax, gaps = {}, {}
+    for config, pinned in _NORMALIZATION_ARGMAX.items():
+        cfg = parse_config(CONFIGS[config])
+        argmax[config] = []
+        for f in cfg.frequencies_hz():
+            grid = np.abs(monopole_pattern(radiators._NORM_GRID_RAD, cfg.monopole_spec(), FrequencyContext(f)))
+            runner_up, peak = np.sort(grid)[-2:]
+            argmax[config].append(int(np.argmax(grid)))
+            gaps[f"{config}/{f / 1e9:.2f} GHz"] = peak - runner_up  # the peak is exactly 1
+    assert argmax == _NORMALIZATION_ARGMAX
+    assert min(gaps.values()) >= 1e-8, {name: gap for name, gap in gaps.items() if gap < 1e-8}
+
+
+def test_the_tilt_steps_where_the_reference_moves_by_one_sample():
+    # The argmax moves from sample 148 to 149 between 44.87 and 44.88 GHz;
+    # there the tilt jumps, and elsewhere it creeps (README, model notes).
+    cfg = parse_config(CONFIGS["reference-step"])
+    result = beam_stability(cfg.frequencies_hz(), cfg.geometry(), cfg.excitation_weights(), cfg.theta_grid_rad())
+    steps = np.diff([m.tilt_deg for m in result.rows])
+    assert [round(f / 1e9, 2) for f in result.frequencies_hz[3:5]] == [44.87, 44.88]
+    assert steps[3] > 0.05
+    assert np.all(np.abs(np.delete(steps, 3)) < 0.003), steps
 
 
 def rewrite(path: Path, runs: dict) -> None:

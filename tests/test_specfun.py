@@ -1,7 +1,8 @@
 """Bessel J1 and the composite Gauss-Kronrod integrator, each checked
-against an independent route: scipy for J1, closed forms and brute-force
-Riemann sums for the integrals, and numpy's Gauss-Legendre rule and the
-exact moments of x^k for the Gauss-Kronrod table."""
+against an independent route: scipy for J1, closed forms, brute-force
+Riemann sums and scipy's quad_vec for the integrals, and numpy's
+Gauss-Legendre rule and the exact moments of x^k for the Gauss-Kronrod
+table."""
 
 import math
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 import tiltbeam.radiators as radiators
 import tiltbeam.specfun as specfun
@@ -154,11 +155,9 @@ def _grid_panel(ground_radius_a):
     # J1's arguments on the last panel of the ground integral's first level
     # over the 361-angle normalization grid, one row of 21 nodes per angle
     ka = FrequencyContext(32.4e9).wavenumber_k * ground_radius_a
-    v0 = 2.0 * math.pi * radiators.GROUND_INNER_RADIUS_WAVELENGTHS
-    n = math.ceil((ka - v0) / math.pi)
-    half = 0.5 * (ka - v0) / n
+    mids, halves = next(specfun._plan(2.0 * math.pi * radiators.GROUND_INNER_RADIUS_WAVELENGTHS, ka))
     theta = np.radians(np.arange(361) * NORMALIZATION_STEP_DEG)
-    return np.sin(theta)[:, None] * (v0 + (2 * n - 1) * half + half * _GK_NODES)
+    return np.sin(theta)[:, None] * (mids[-1] + halves[-1] * _GK_NODES)
 
 
 class TestBesselJ1Memory:
@@ -291,7 +290,7 @@ class TestIntegrateComplex:
     def test_a_value_within_the_relative_tolerance_passes_on_its_first_level(self):
         # on 4 panels |K - G| exceeds _ABS_TOL but not _REL_TOL * |K|
         f = lambda x: 1e4 * np.exp(3j * x)
-        kronrod, gauss = specfun._composite(f, 0.0, 11.0, 4)
+        kronrod, gauss = specfun._composite(f, *next(specfun._plan(0.0, 11.0)))
         assert specfun._ABS_TOL < abs(kronrod - gauss) <= specfun._REL_TOL * abs(kronrod)
         specfun.WORK.clear()
         val = integrate_complex(f, 0.0, 11.0)
@@ -362,6 +361,20 @@ class TestAgainstRiemannSums:
         for s, got in zip(st, val):
             ref = np.sum(np.exp(-1j * v) * special.j1(v * s)) * ((ka - v0) / n)
             assert abs(got - ref) / abs(ref) < 1e-6
+
+
+class TestAgainstQuadVec:
+    # scipy's adaptive quad_vec, to 1e-12, on e^{-j omega v} p(v) with a smooth
+    # envelope p(v) = 1 / (1 + c (v - a)^2): a pole at least 1 off the real axis
+    @settings(max_examples=30)
+    @given(rows=st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+           a=st.floats(-10.0, 10.0), width=st.floats(0.0, 40.0))
+    def test_agrees_within_1e_9_of_the_batch_peak(self, rows, a, width):
+        omega, c = np.array(rows).T
+        kernel = lambda v: np.exp(-1j * omega[..., None] * v) / (1.0 + c[..., None] * (v - a) ** 2)
+        val = integrate_complex(kernel, a, a + width)
+        ref = integrate.quad_vec(lambda v: kernel(v)[..., 0], a, a + width, epsabs=1e-12, epsrel=1e-12)[0]
+        assert np.max(np.abs(val - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 # Each of stepped_grid's refusals, word for word; the config puts its section in front.
