@@ -50,8 +50,7 @@ def _factor(n: int, d: float, sin_angle: np.ndarray, lam: float) -> np.ndarray:
     require("array_factor", phase=(n * half_kd, ">= 0"))  # bounds n psi
     psi = half_kd * sin_angle
     aligned = np.abs(psi - math.pi * np.round(psi / math.pi)) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(aligned, 1.0, np.abs(np.sin(n * psi) / (n * np.sin(psi))))
+    return np.abs(np.divide(np.sin(n * psi), n * np.sin(psi), out=np.ones_like(psi), where=~aligned))
 
 
 def array_factor(layout: ArrayLayout, theta, phi, lam: float):

@@ -50,8 +50,8 @@ _RULES = {
 }
 
 
-def _checked(check, default=MISSING, **kwargs):
-    return field(default=default, metadata={"check": check}, **kwargs)
+def _checked(check, default=MISSING):
+    return field(default=default, metadata={"check": check})
 
 
 def _scalar(kind: str, check, value, where: str):

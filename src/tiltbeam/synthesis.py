@@ -17,6 +17,7 @@ import numpy as np
 
 from .arrayfactor import ArrayLayout, array_factor
 from .radiators import HALF_SPACE_EDGE, FrequencyContext, MonopoleSpec, SlotSpec, default_theta_grid, monopole_pattern
+from .specfun import require
 
 BAND_CENTER_HZ = 32.4e9
 BAND_MIN_HZ = 20.0e9
@@ -44,8 +45,7 @@ class ExcitationWeights:
     s2_monopole: float
 
     def __post_init__(self):
-        if not (0 <= self.s1_slot < math.inf and 0 <= self.s2_monopole < math.inf):
-            raise ValueError("ExcitationWeights: amplitudes must be finite and >= 0")
+        require("ExcitationWeights", s1_slot=(self.s1_slot, ">= 0"), s2_monopole=(self.s2_monopole, ">= 0"))
         if self.s1_slot == 0 and self.s2_monopole == 0:
             raise ValueError("ExcitationWeights: s1 and s2 must not both be zero")
 
@@ -268,8 +268,7 @@ def ratio_sweep(
     ratios = tuple([float(r) for r in ratios])
     if not ratios:
         raise ValueError("ratio_sweep: ratios must be non-empty")
-    if any(not 0 < r < math.inf for r in ratios):
-        raise ValueError("ratio_sweep: ratios must be finite and positive")
+    require("ratio_sweep", **{f"ratios[{i}]": (r, "> 0") for i, r in enumerate(ratios)})
     grid = metrics_grid(theta_grid)
     slot_vals = _slot_term(grid)
     mono_vals = _monopole_term(grid, geometry.monopole, geometry.layout, ctx)

@@ -223,10 +223,9 @@ RULES = {
     "range": Rule(
         lambda node, ctx: isinstance(node, ast.Raise) and _called(node.exc) == "ValueError"
         and any(HAND_WRITTEN_BOUND.search(_text(arg)) for arg in node.exc.args),
-        {"synthesis.ExcitationWeights.__post_init__", "synthesis.ratio_sweep", "radiators.FrequencyContext.__post_init__"},
-        "specfun.require is the one range rule; a ValueError that spells its message out is a copy. Three spell one "
-        "out: the study layer imports nothing from specfun, so ExcitationWeights and ratio_sweep keep their own "
-        "checks, and FrequencyContext's second check is on the derived wavelength c / f, whose message "
+        {"radiators.FrequencyContext.__post_init__"},
+        "specfun.require is the one range rule; a ValueError that spells its message out is a copy. Only "
+        "FrequencyContext spells one out: its second check is on the derived wavelength c / f, whose message "
         "tests/golden.json pins"),
     "grid": Rule(
         lambda node, ctx: _called(node) == "default_theta_grid"
@@ -282,6 +281,11 @@ RULES = {
         {"config._Section.__post_init__", "config.WeightsConfig.__post_init__"},
         "a section's construction checks each scalar field in one walk, and WeightsConfig each ratio; a check in "
         "the parser would be a second path, which a config built in Python skips"),
+    "errstate": Rule(
+        lambda node, ctx: _called(node) == "errstate",
+        {"config.RunConfig.frequencies_hz"},
+        "a float warning in the model is a fault to mend at its owner, not to silence; frequencies_hz alone lets a "
+        "product past the largest float be inf, as a Python float's is"),
     "section-walk": Rule(
         lambda node, ctx: _called(node) == "_section",
         {"config._Section.__post_init__"},
@@ -331,7 +335,7 @@ SNIPPETS = [
         "raise ValueError('ArrayLayout: count_Nx must be an integer')\n"
         "raise ValueError('grid must have at most 5 points')\n"
         "raise ValueError('ratio_sweep: ratios must be finite and positive numbers > 0.5')\n"
-    ), [("check", 4), ("<module>", 5), ("<module>", 6), ("<module>", 9)]),
+    ), [("ratio_sweep", 2), ("check", 4), ("<module>", 5), ("<module>", 6), ("<module>", 9)]),
     ("grid", "snippet", (
         "def metrics_grid(g=None):\n    raise ValueError('pattern_metrics: grid spacing must be <= 0.5 degrees')\n"
         "def study(g=None):\n    grid = default_theta_grid() if g is None else g\n"
@@ -430,6 +434,13 @@ SNIPPETS = [
         "class WeightsConfig:\n    def __post_init__(self):\n        [_scalar('float', '> 0', v, 'r') for v in self.ratios]\n"
         "class RunConfig:\n    def __post_init__(self):\n        self._check = _scalar\n        _scalar('str', None, 1, 'o')\n"
     ), [("_section", 7), ("parse_config", 9), ("RunConfig.__post_init__", 16)]),
+    ("errstate", "arrayfactor", (
+        "def _factor(n, psi):\n    with np.errstate(divide='ignore'):\n        return np.sin(n * psi) / np.sin(psi)\n"
+        "OLD = numpy.errstate(over='ignore')\n"
+        "class RunConfig:\n    def frequencies_hz(self):\n        with np.errstate(over='ignore'):\n"
+        "            return grid * 1e9\n"
+        "def fine(psi):\n    return np.divide(np.sin(psi), psi, out=np.ones_like(psi), where=psi != 0)\n"
+    ), [("_factor", 2), ("<module>", 4), ("RunConfig.frequencies_hz", 7)]),
     ("section-walk", "config", (
         "class _Section:\n    def __post_init__(self):\n        v = _section(type(f.default), v, path)\n"
         "def parse_config(data):\n    for f in _fields(RunConfig):\n"

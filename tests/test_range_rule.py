@@ -13,7 +13,9 @@ import pytest
 
 from tiltbeam import (
     SUBSTRATE_PRESETS,
+    AntennaGeometry,
     ArrayLayout,
+    ExcitationWeights,
     FrequencyContext,
     LossBudget,
     MicrostripSpec,
@@ -28,6 +30,7 @@ from tiltbeam import (
     loss_budget,
     monopole_pattern,
     plane_wave_attenuation,
+    ratio_sweep,
     roughness_factor,
     skin_depth,
     steered_array_factor,
@@ -75,6 +78,10 @@ SITES = [
     ("steered_array_factor", "lam", "> 0", lambda v: steered_array_factor(LINE, SteeringCommand(), 0.1, v)),
     ("stepped_grid", "step", "> 0", lambda v: stepped_grid(0.0, 1.0, v)),
     ("stepped_grid", "stop_minus_start", ">= 0", lambda v: stepped_grid(0.0, v, 0.1)),
+    ("ExcitationWeights", "s1_slot", ">= 0", lambda v: ExcitationWeights(v, 1.0)),
+    ("ExcitationWeights", "s2_monopole", ">= 0", lambda v: ExcitationWeights(1.0, v)),
+    # checked before any field is evaluated
+    ("ratio_sweep", "ratios[0]", "> 0", lambda v: ratio_sweep([v], AntennaGeometry(), FrequencyContext(32.4e9))),
 ]
 
 BELOW = {"> 0": 0.0, ">= 0": -1.0, ">= 1": 0.5}
@@ -85,7 +92,7 @@ def site_id(site):
 
 
 def test_sites_are_distinct():
-    assert len({site_id(s) for s in SITES}) == len(SITES) == 34
+    assert len({site_id(s) for s in SITES}) == len(SITES) == 37
 
 
 @pytest.mark.parametrize("value", ["below", math.nan, -math.inf], ids=["below", "nan", "minus-inf"])

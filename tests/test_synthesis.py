@@ -36,8 +36,10 @@ from tiltbeam import (
     synthesize_pattern,
 )
 from tiltbeam import cli, svgplot, synthesis
-from tiltbeam.specfun import stepped_grid
+from tiltbeam.specfun import _BOUNDS, stepped_grid
 from tiltbeam.synthesis import _amplitude_db, _monopole_term, _slot_term
+
+from strategies import edge_floats, floats
 
 HALF_POWER = 10.0 ** (-3.0 / 20.0)
 
@@ -56,15 +58,18 @@ def synth(weights, grid, ctx):
 
 class TestExcitationWeights:
     def test_rejects_negative_amplitudes(self):
-        with pytest.raises(ValueError, match=r"^ExcitationWeights: amplitudes must be finite and >= 0$"):
+        with pytest.raises(ValueError, match=r"^ExcitationWeights: s1_slot must be >= 0$"):
             ExcitationWeights(-1.0, 0.3)
-        with pytest.raises(ValueError, match=r"^ExcitationWeights: amplitudes must be finite and >= 0$"):
+        with pytest.raises(ValueError, match=r"^ExcitationWeights: s2_monopole must be >= 0$"):
             ExcitationWeights(1.0, -0.3)
 
     @pytest.mark.parametrize("s1, s2", [(math.nan, 1.0), (math.inf, 0.3), (1.0, math.inf)])
     def test_rejects_non_finite_amplitudes(self, s1, s2):
-        with pytest.raises(ValueError, match="finite"):
+        # NaN fails the bound; +inf passes it and fails the finiteness pass
+        name = "s2_monopole" if s1 == 1.0 else "s1_slot"
+        with pytest.raises(ValueError) as exc:
             ExcitationWeights(s1, s2)
+        assert str(exc.value) == f"ExcitationWeights: {name} must be {'>= 0' if math.isnan(s1) else 'finite'}"
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError, match=r"^ExcitationWeights: s1 and s2 must not both be zero$"):
@@ -600,15 +605,17 @@ class TestRatioSweep:
     def test_validation(self, ctx324, default_geometry):
         with pytest.raises(ValueError, match=r"^ratio_sweep: ratios must be non-empty$"):
             ratio_sweep([], default_geometry, ctx324)
-        with pytest.raises(ValueError, match=r"^ratio_sweep: ratios must be finite and positive$"):
+        with pytest.raises(ValueError, match=r"^ratio_sweep: ratios\[1\] must be > 0$"):
             ratio_sweep([0.5, 0.0], default_geometry, ctx324)
-        with pytest.raises(ValueError, match=r"^ratio_sweep: ratios must be finite and positive$"):
+        with pytest.raises(ValueError, match=r"^ratio_sweep: ratios\[0\] must be > 0$"):
             ratio_sweep([-0.1], default_geometry, ctx324)
 
     @pytest.mark.parametrize("ratio", [math.inf, math.nan])
     def test_rejects_non_finite_ratio(self, ctx324, default_geometry, ratio):
-        with pytest.raises(ValueError, match="ratios must be finite and positive"):
+        bound = "finite" if ratio == math.inf else "> 0"
+        with pytest.raises(ValueError) as exc:
             ratio_sweep([0.5, ratio], default_geometry, ctx324)
+        assert str(exc.value) == f"ratio_sweep: ratios[1] must be {bound}"
 
     def test_repeated_sweeps_keep_no_memory_per_call(self, ctx324, default_geometry):
         # Per-call tuples built from generators fill CPython's per-size tuple
@@ -627,6 +634,33 @@ class TestRatioSweep:
         finally:
             gc.enable()
         assert grown < 100
+
+
+def _refusal(owner: str, bound: str, **values) -> str | None:
+    # require's message for the first finite value outside its bound, or None
+    return next((f"{owner}: {name} must be {bound}" for name, v in values.items() if not _BOUNDS[bound](v)), None)
+
+
+@settings(max_examples=200)
+@given(s1=edge_floats(), s2=edge_floats(), ratios=st.lists(floats(), min_size=1, max_size=4))
+def test_studies_stay_in_range_or_raise_their_owners_error(ctx324, default_geometry, s1, s2, ratios):
+    # any finite weights and ratios: a unit-peak cut and metrics in range, or the owner's ValueError
+    refusal = _refusal("ExcitationWeights", ">= 0", s1_slot=s1, s2_monopole=s2)
+    if refusal is None and s1 == s2 == 0.0:
+        refusal = "ExcitationWeights: s1 and s2 must not both be zero"
+    grid = default_theta_grid()
+    try:
+        cut = synth(ExcitationWeights(s1, s2), grid, ctx324)
+        assert refusal is None and abs(cut.magnitudes.max() - 1.0) <= 1e-12
+    except ValueError as exc:
+        assert str(exc) == refusal
+    refusal = _refusal("ratio_sweep", "> 0", **{f"ratios[{i}]": r for i, r in enumerate(ratios)})
+    try:
+        result = ratio_sweep(ratios, default_geometry, ctx324)
+        assert refusal is None and result.best_ratio in result.ratios
+        assert all(-90.0 <= row.tilt_deg <= 90.0 and row.sll_dB <= 0.0 for row in result.rows)
+    except ValueError as exc:
+        assert str(exc) == refusal
 
 
 class TestBeamStability:
